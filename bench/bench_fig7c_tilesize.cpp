@@ -34,10 +34,21 @@ int main(int argc, char** argv)
   }
   tp.print(std::cout);
   json.add("best_nb", sweep.best_tile, "splines");
+  // The L1d-resolved default (core/tuner.h) against the sweep: a model Nb of
+  // N or more is one untiled tile, the sweep's last candidate.
+  const int model_nb = host_tile_size<float>();
+  std::size_t model_row = sweep.tiles.size() - 1;
+  for (std::size_t i = 0; i < sweep.tiles.size(); ++i)
+    if (sweep.tiles[i] == model_nb)
+      model_row = i;
+  const double model_rel = sweep.throughputs[model_row] / sweep.best_throughput;
+  json.add("model_nb", model_nb, "splines");
+  json.add("model_nb_relative", model_rel, "ratio");
   std::cout << "\nbest Nb on this host: " << sweep.best_tile
             << "  (paper: 64 on BDW/BGQ [L3-resident working set], 512 on KNC/KNL)\n"
-            << "Shape check: throughput peaks at an intermediate Nb tied to cache size,\n"
-               "not at the untiled extreme.\n";
+            << "L1d-resolved default Nb: " << model_nb << " (" << sweep.tiles[model_row]
+            << " at N=" << n << "), " << TablePrinter::cell(model_rel, 2)
+            << "x of the sweep's best\n";
   if (!json.write())
     std::cout << "warning: could not write " << json.path() << "\n";
   return 0;

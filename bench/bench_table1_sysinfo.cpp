@@ -7,9 +7,11 @@
 
 #include "common/sysinfo.h"
 #include "common/table.h"
+#include "common/threading.h"
 #include "core/bspline_soa.h"
 #include "core/orbital_set.h"
 #include "core/synthetic_orbitals.h"
+#include "core/tuner.h"
 #include "perf/roofline.h"
 
 int main()
@@ -18,6 +20,10 @@ int main()
   print_banner(std::cout, "Table I (host column): system configuration");
   const SystemInfo info = query_system_info();
   print_system_info(std::cout, info);
+  // The AoSoA tile default derived from the L1 row above (core/tuner.h).
+  std::cout << "SMT threads/core  " << machine_topology().smt << '\n'
+            << "default Nb float  " << host_tile_size<float>() << '\n'
+            << "default Nb double " << host_tile_size<double>() << '\n';
 
   std::cout << "measuring STREAM triad bandwidth and FMA peak...\n";
   const double bw = measure_triad_bandwidth();

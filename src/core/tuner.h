@@ -15,14 +15,20 @@
 #ifndef MQC_CORE_TUNER_H
 #define MQC_CORE_TUNER_H
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/config.h"
 #include "common/rng.h"
+#include "common/sysinfo.h"
+#include "common/threading.h"
 #include "common/timer.h"
 #include "core/batched.h"
 #include "core/multi_bspline.h"
@@ -119,6 +125,40 @@ struct TuneResult2D
 
 /// Default candidate list: powers of two from the SIMD lane count up to N.
 std::vector<int> default_tile_candidates(int num_splines, int min_tile);
+
+/// Default AoSoA tile width Nb from the host's L1d (paper §V-B: Nb is a
+/// property of the cache hierarchy, not of N).  Nb is the largest
+/// power-of-two multiple of simd_lanes<T> whose one-tile VGH output block —
+/// 10 streams (V, 3 G, 6 H) x Nb x sizeof(T) — fits in one hardware thread's
+/// share of L1d, l1d_bytes / threads_per_core; never below one lane block.
+/// An unknown L1d (0) falls back to 128.  Longer tiles mean longer
+/// contiguous coefficient runs per (i,j) term (4 * Nb * sizeof(T) bytes),
+/// which is what the random-position stream is bound by once the table
+/// leaves the LLC.
+template <typename T>
+int l1d_tile_size(std::size_t l1d_bytes, int threads_per_core)
+{
+  constexpr std::size_t kVghStreams = 10;
+  if (l1d_bytes == 0)
+    return 128;
+  const std::size_t share = l1d_bytes / static_cast<std::size_t>(std::max(1, threads_per_core));
+  const std::size_t fits = share / (kVghStreams * sizeof(T));
+  std::size_t nb = simd_lanes<T>;
+  while (2 * nb <= fits && 2 * nb <= static_cast<std::size_t>(std::numeric_limits<int>::max()))
+    nb *= 2;
+  return static_cast<int>(nb);
+}
+
+/// l1d_tile_size for this host — query_system_info().l1d_bytes shared by
+/// machine_topology().smt hardware threads — resolved once per process.
+/// The default of MiniQMCConfig::tile_size; an explicit tile_size or a
+/// wisdom entry overrides it.
+template <typename T>
+int host_tile_size()
+{
+  static const int nb = l1d_tile_size<T>(query_system_info().l1d_bytes, machine_topology().smt);
+  return nb;
+}
 
 /// Default position-block candidates: powers of two from 1 up to the
 /// population size (inclusive).

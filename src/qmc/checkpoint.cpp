@@ -158,6 +158,14 @@ LoadResult parse_snapshot(const std::string& path, const std::vector<std::uint8_
                     hex16(config_hash) + ", this run expects " + hex16(expected_config_hash) +
                     ")");
 
+  // The count is guarded only by the header CRC, which a forger recomputes:
+  // bound it by what the file can hold before reserving anything.
+  const std::size_t max_count = (bytes.size() - kHeaderSize) / kSectionHeadSize;
+  if (count > max_count)
+    return fail(LoadError::Truncated, "header claims " + std::to_string(count) +
+                                          " sections but the file holds at most " +
+                                          std::to_string(max_count));
+
   out.config_hash = config_hash;
   out.sections.clear();
   out.sections.reserve(count);

@@ -25,10 +25,9 @@
 #include "common/threading.h" // ThreadPartition / TeamPath: the nested-team decision
 #include "common/timer.h"
 #include "core/orbital_set.h" // EvalPath: the driver's explicit schedule decision
+#include "core/tuner.h"       // Wisdom, host_tile_size: the AoSoA tile default
 
 namespace mqc {
-
-class Wisdom; // core/tuner.h
 
 enum class SpoLayout
 {
@@ -56,7 +55,12 @@ struct MiniQMCConfig
   std::array<int, 3> supercell{2, 2, 1}; ///< graphite supercell (paper: 4x4x1)
   int grid_size = 32;                    ///< spline grid per dimension (paper: 48)
   int num_splines = 0;                   ///< 0 => orbital count of the crystal
-  int tile_size = 128;                   ///< AoSoA tile size Nb
+  /// AoSoA tile size Nb.  Defaults to the host's L1d-resolved width for the
+  /// SP kernels (host_tile_size, core/tuner.h; 128 when L1d is unknown); a
+  /// wisdom entry for the run still overrides it.  Scheduling only: tile
+  /// width regroups the same per-orbital arithmetic, so it is outside the
+  /// checkpoint config hash.
+  int tile_size = host_tile_size<float>();
   SpoLayout spo = SpoLayout::AoS;
   /// Precision family of the orbital engine (core/coef_storage.h).  Native
   /// (default) keeps storage and compute in qmc_real — bit-for-bit the

@@ -496,6 +496,34 @@ TEST(CheckpointFormat, VersionSkewIsRejectedEvenWithValidCrc)
   EXPECT_NE(r.detail.find("this build reads 1"), std::string::npos) << r.detail;
 }
 
+TEST(CheckpointFormat, ImpossibleSectionCountIsRejectedEvenWithValidCrc)
+{
+  ScopedCkpt ck("format_count");
+  std::string err;
+  ASSERT_TRUE(ckpt::write_snapshot(ck.path, make_test_snapshot(7), &err)) << err;
+  // Inflate the section-count field and RE-COMPUTE the header CRC: only the
+  // count bound stands between this header and a ~137 GB reserve.
+  std::vector<std::uint8_t> bytes = slurp(ck.path);
+  ASSERT_GE(bytes.size(), 28u);
+  const std::uint32_t count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + 20, &count, sizeof count);
+  const std::uint32_t crc = ckpt::crc32(bytes.data(), 24);
+  std::memcpy(bytes.data() + 24, &crc, sizeof crc);
+  spit(ck.path, bytes);
+
+  ckpt::Snapshot out;
+  const ckpt::LoadResult r = ckpt::read_snapshot(ck.path, 7, out);
+  EXPECT_EQ(r.error, ckpt::LoadError::Truncated);
+  EXPECT_FALSE(r.loaded());
+  EXPECT_TRUE(out.sections.empty());
+  // Found vs possible: the claimed count and the most the file could hold
+  // (bytes after the 28-byte header over the 20-byte section header).
+  const std::size_t possible = (bytes.size() - 28) / 20;
+  EXPECT_NE(r.detail.find("4294967295 sections"), std::string::npos) << r.detail;
+  EXPECT_NE(r.detail.find("at most " + std::to_string(possible)), std::string::npos)
+      << r.detail;
+}
+
 TEST(CheckpointFormat, ConfigHashMismatchIsRejected)
 {
   ScopedCkpt ck("format_confhash");

@@ -6,6 +6,7 @@
 //   * tiling invariance (any tile size gives the same orbital values),
 //   * output determinism (same inputs, bit-identical outputs).
 #include <cmath>
+#include <ostream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include "core/bspline_soa.h"
 #include "core/multi_bspline.h"
 #include "core/synthetic_orbitals.h"
+#include "core/tuner.h"
 #include "qmc/walker.h"
 #include "test_utils.h"
 
@@ -103,22 +105,33 @@ TEST(Properties, GridTranslationCovariance)
 
 // Any tile size must reproduce the untiled values exactly (same arithmetic
 // on the same inputs — float equality, not tolerance).
-class TileInvariance : public ::testing::TestWithParam<int>
+struct TileCase
+{
+  int tile;
+  int num_splines;
+};
+
+// The CTest name carries the tile width, as it did when the parameter was
+// the width alone.
+void PrintTo(const TileCase& c, std::ostream* os) { *os << c.tile; }
+
+class TileInvariance : public ::testing::TestWithParam<TileCase>
 {
 };
 
 TEST_P(TileInvariance, AoSoAValuesIndependentOfTileSize)
 {
-  const int tile = GetParam();
+  const int tile = GetParam().tile;
+  const int n_splines = GetParam().num_splines;
   const auto grid = Grid3D<float>::cube(10, 1.0f);
-  auto coefs = make_random_storage<float>(grid, 96, 9);
+  auto coefs = make_random_storage<float>(grid, n_splines, 9);
   BsplineSoA<float> ref(coefs);
   MultiBspline<float> mb(*coefs, tile);
   WalkerSoA<float> wr(ref.out_stride()), wm(mb.out_stride());
   for (const auto& pos : mqc::test::random_positions(grid, 4, 4)) {
     ref.evaluate_vgh(pos[0], pos[1], pos[2], wr.v.data(), wr.g.data(), wr.h.data());
     mb.evaluate_vgh(pos[0], pos[1], pos[2], wm.v.data(), wm.g.data(), wm.h.data(), wm.stride);
-    for (int n = 0; n < 96; ++n) {
+    for (int n = 0; n < n_splines; ++n) {
       const int t = n / tile;
       const std::size_t m = mb.tile_offset(t) + static_cast<std::size_t>(n - t * tile);
       ASSERT_EQ(wr.v[static_cast<std::size_t>(n)], wm.v[m]) << "tile=" << tile << " n=" << n;
@@ -128,7 +141,15 @@ TEST_P(TileInvariance, AoSoAValuesIndependentOfTileSize)
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(TileSizes, TileInvariance, ::testing::Values(16, 32, 48, 96));
+INSTANTIATE_TEST_SUITE_P(TileSizes, TileInvariance,
+                         ::testing::Values(TileCase{16, 96}, TileCase{32, 96}, TileCase{48, 96},
+                                           TileCase{96, 96}));
+
+// The production width: two tiles of the host-resolved default plus a
+// 40-orbital remainder whose padded tail is not a whole lane block.
+INSTANTIATE_TEST_SUITE_P(ResolvedDefault, TileInvariance,
+                         ::testing::Values(TileCase{host_tile_size<float>(),
+                                                    2 * host_tile_size<float>() + 40}));
 
 // Repeated evaluation is bit-identical (no hidden state in the engines).
 TEST(Properties, EvaluationIsDeterministic)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/sysinfo.h"
+#include "common/threading.h"
 #include "core/synthetic_orbitals.h"
 #include "core/tuner.h"
 #include "qmc/miniqmc_driver.h"
@@ -349,6 +351,60 @@ TEST(Tuner, DefaultCandidatesNonPowerN)
   // 16, 32, 64, 96
   ASSERT_EQ(c.size(), 4u);
   EXPECT_EQ(c.back(), 96);
+}
+
+// The L1d rule: the largest power-of-two lane multiple Nb whose 10-stream
+// VGH output block (10 x Nb x sizeof(T)) fits one hardware thread's share.
+TEST(Tuner, L1dTileSizeKnownAnswers)
+{
+  EXPECT_EQ(l1d_tile_size<float>(48 * 1024, 1), 1024); // 49152 / 40 = 1228
+  EXPECT_EQ(l1d_tile_size<double>(48 * 1024, 1), 512); // 49152 / 80 = 614
+  EXPECT_EQ(l1d_tile_size<float>(32 * 1024, 1), 512);  // 32768 / 40 = 819
+  EXPECT_EQ(l1d_tile_size<float>(32 * 1024, 4), 128);  // KNL-like: 8192 / 40 = 204
+  EXPECT_EQ(l1d_tile_size<float>(0, 1), 128);          // L1d unknown
+  EXPECT_EQ(l1d_tile_size<double>(0, 1), 128);
+  EXPECT_EQ(l1d_tile_size<float>(1024, 1), 16);        // 1024 / 40 = 25
+  EXPECT_EQ(l1d_tile_size<float>(64, 1), 16);          // never below one lane block
+  EXPECT_EQ(l1d_tile_size<float>(32 * 1024, 0), 512);  // unknown SMT counts as 1
+}
+
+template <typename T>
+void expect_lane_power_multiples()
+{
+  constexpr int lanes = static_cast<int>(simd_lanes<T>);
+  for (std::size_t l1d : {std::size_t{0}, std::size_t{64}, std::size_t{1000}, std::size_t{4096},
+                          std::size_t{24} << 10, std::size_t{32} << 10, std::size_t{48} << 10,
+                          std::size_t{80} << 10, std::size_t{1} << 20, std::size_t{1} << 26})
+    for (int threads : {1, 2, 3, 4, 8}) {
+      const int nb = l1d_tile_size<T>(l1d, threads);
+      ASSERT_GE(nb, lanes) << l1d << " B / " << threads;
+      ASSERT_EQ(nb % lanes, 0) << l1d << " B / " << threads;
+      const int blocks = nb / lanes;
+      ASSERT_EQ(blocks & (blocks - 1), 0) << l1d << " B / " << threads << " -> " << nb;
+      if (l1d == 0)
+        continue;
+      const std::size_t share = l1d / static_cast<std::size_t>(threads);
+      const std::size_t block_bytes = 10 * sizeof(T) * static_cast<std::size_t>(nb);
+      if (nb > lanes) {
+        EXPECT_LE(block_bytes, share) << l1d << " B / " << threads; // fits...
+      }
+      EXPECT_GT(2 * block_bytes, share) << l1d << " B / " << threads; // ...and is the largest
+    }
+}
+
+TEST(Tuner, L1dTileSizeIsAPowerOfTwoLaneMultiple)
+{
+  expect_lane_power_multiples<float>();
+  expect_lane_power_multiples<double>();
+}
+
+TEST(Tuner, MiniQMCConfigDefaultsToTheHostTileSize)
+{
+  const int host = l1d_tile_size<float>(query_system_info().l1d_bytes, machine_topology().smt);
+  EXPECT_EQ(host_tile_size<float>(), host);
+  EXPECT_EQ(MiniQMCConfig{}.tile_size, host);
+  EXPECT_EQ(host_tile_size<double>(),
+            l1d_tile_size<double>(query_system_info().l1d_bytes, machine_topology().smt));
 }
 
 TEST(Tuner, DefaultBlockCandidatesPowersOfTwoUpToPopulation)
