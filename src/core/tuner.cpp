@@ -1,6 +1,7 @@
 #include "core/tuner.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -87,53 +88,47 @@ bool Wisdom::load(const std::string& path)
       reject("unparseable line");
       continue;
     }
-    // The numeric field count disambiguates the format version:
-    //   2 -> v1: tile throughput                            (pos_block := 1)
-    //   3 -> v2: tile pos_block throughput                  (crowd_size := 0)
-    //   4 -> v3: tile pos_block crowd_size throughput       (inner_threads := 0)
-    //   5 -> v4: tile pos_block crowd_size inner_threads throughput (precision := 0)
-    //   6 -> v5: tile pos_block crowd_size inner_threads precision throughput
+    // v5 is the only line format: six numbers after the key, parsed whole
+    // (strtod, so nan/inf reach the validators below instead of stopping
+    // the parse).  The v1-v4 shapes — two to five numbers — are refused by
+    // their field count.
     double num[6] = {};
     int n = 0;
-    while (n < 6 && (ls >> num[n]))
-      ++n;
-    ls.clear(); // a failed extraction above must not mask trailing garbage
-    std::string trailing;
-    if (ls >> trailing) {
-      reject("unexpected field '" + trailing + "'");
+    std::string tok, bad;
+    while (bad.empty() && (ls >> tok)) {
+      char* end = nullptr;
+      const double v = std::strtod(tok.c_str(), &end);
+      if (n == 6 || end != tok.c_str() + tok.size())
+        bad = tok;
+      else
+        num[n++] = v;
+    }
+    if (!bad.empty()) {
+      reject("unexpected field '" + bad + "'");
       continue;
     }
-    if (n < 2) {
-      reject("too few fields (need at least tile_size and throughput)");
+    if (n != 6) {
+      reject(n < 2 ? std::string("too few fields (a v5 line is key + 6 numeric fields)")
+                   : std::to_string(n) + " numeric fields is the pre-v5 (v" +
+                         std::to_string(n - 1) + ") layout; only v5 lines (6) load");
       continue;
     }
-    Entry entry;
-    const double throughput = num[n - 1];
-    bool knobs_ok = integral_knob(num[0]);
-    entry.tile_size = static_cast<int>(num[0]);
-    entry.pos_block = 1;
-    if (n >= 3) {
-      knobs_ok = knobs_ok && integral_knob(num[1]);
-      entry.pos_block = static_cast<int>(num[1]);
-    }
-    if (n >= 4) {
-      knobs_ok = knobs_ok && integral_knob(num[2]);
-      entry.crowd_size = static_cast<int>(num[2]);
-    }
-    if (n >= 5) {
-      knobs_ok = knobs_ok && integral_knob(num[3]);
-      entry.inner_threads = static_cast<int>(num[3]);
-    }
-    if (n >= 6) {
-      // precision is an enum ordinal, not a free knob: only 0 (native) and
-      // 1 (mixed) exist.
-      knobs_ok = knobs_ok && integral_knob(num[4]) && num[4] <= 1.0;
-      entry.precision = static_cast<int>(num[4]);
-    }
+    // precision is an enum ordinal, not a free knob: only 0 (native) and
+    // 1 (mixed) exist.
+    const bool knobs_ok = integral_knob(num[0]) && integral_knob(num[1]) &&
+                          integral_knob(num[2]) && integral_knob(num[3]) &&
+                          integral_knob(num[4]) && num[4] <= 1.0;
     if (!knobs_ok) {
       reject("knob fields must be non-negative integers");
       continue;
     }
+    Entry entry;
+    entry.tile_size = static_cast<int>(num[0]);
+    entry.pos_block = static_cast<int>(num[1]);
+    entry.crowd_size = static_cast<int>(num[2]);
+    entry.inner_threads = static_cast<int>(num[3]);
+    entry.precision = static_cast<int>(num[4]);
+    const double throughput = num[5];
     if (!std::isfinite(throughput) || throughput < 0.0) {
       reject("throughput must be finite and non-negative");
       continue;

@@ -84,17 +84,15 @@ public:
 
   [[nodiscard]] const LoadStatus& load_status() const noexcept { return load_status_; }
 
-  /// Plain-text persistence, one entry per line:
-  ///   v5 format (written): "key tile_size pos_block crowd_size inner_threads precision throughput"
-  ///   v4 format (still read): "key tile_size pos_block crowd_size inner_threads throughput" (precision := 0)
-  ///   v3 format (still read): "key tile_size pos_block crowd_size throughput" (inner_threads := 0)
-  ///   v2 format (still read): "key tile_size pos_block throughput" (crowd_size := 0)
-  ///   v1 format (still read): "key tile_size throughput" (pos_block := 1, crowd_size := 0)
+  /// Plain-text persistence, one entry per line, v5 format:
+  ///   "key tile_size pos_block crowd_size inner_threads precision throughput"
   bool save(const std::string& path) const;
   /// All-or-nothing load: a file with ANY malformed line (bad token, wrong
   /// field count, non-integral/negative knob, non-finite throughput) merges
   /// NOTHING and returns false — existing entries and tuned defaults stay
-  /// untouched, and load_status() carries the line-level diagnosis.
+  /// untouched, and load_status() carries the line-level diagnosis.  Only
+  /// v5 lines load: a v1-v4 line (two to five numeric fields) rejects the
+  /// file with a detail naming its field count.
   bool load(const std::string& path);
 
 private:

@@ -812,14 +812,6 @@ void boundary_snapshot(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                        const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
                        const DmcRunState* dmc, int step, int steps, MiniQMCResult& result)
 {
-#ifdef MQC_CONTRACTS
-  // Snapshot points sit between team regions: no facade evaluation may own
-  // any walker's resource here, or the snapshot would capture scratch
-  // mid-flight.
-  for (const WalkerState& w : walkers)
-    mqc_contract(!w.ores.contract_live,
-                 "checkpoint at step %d taken while an OrbitalResource is live", step);
-#endif
   const bool interval_hit = rt.interval > 0 && step % rt.interval == 0;
   const bool final_hit = step == steps;
   if (interval_hit || final_hit) {
@@ -1017,6 +1009,17 @@ int dmc_resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig&
   const auto nweights = static_cast<int>(mr.u32());
   if (!mr.ok() || staged.generation < 0 || nweights != nw) {
     result.resume_error = load.path_used + ": DMC provenance tail failed layout checks";
+    return 0;
+  }
+  // The walker count is guarded only by the section CRC: bound it by the
+  // Meta bytes behind it before anything is sized from it, so a forged count
+  // is a surfaced rejection instead of an unbounded allocation.
+  const std::size_t possible = mr.remaining() / sizeof(double);
+  if (static_cast<std::size_t>(nweights) > possible) {
+    result.resume_error = load.path_used + ": DMC provenance tail claims " +
+                          std::to_string(nweights) +
+                          " walker weights, meta section holds at most " +
+                          std::to_string(possible);
     return 0;
   }
   staged.weights.resize(static_cast<std::size_t>(nweights));

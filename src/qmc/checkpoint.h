@@ -139,6 +139,8 @@ public:
 
   [[nodiscard]] bool ok() const noexcept { return ok_; }
   [[nodiscard]] bool exhausted() const noexcept { return left_ == 0; }
+  /// Bytes not yet consumed (0 after a latched failure).
+  [[nodiscard]] std::size_t remaining() const noexcept { return left_; }
 
 private:
   template <typename T>

@@ -16,9 +16,9 @@
 // of Luo et al., arXiv:1805.07406, on top of the source paper's engines.)
 //
 // Two consumers:
-//   * run_miniqmc() with cfg.driver == DriverMode::Crowd — the float
-//     miniQMC sweep, batching VGH (moves), VGL (kinetic) and quadrature V
-//     per crowd (implementation in crowd_driver.cpp);
+//   * run_miniqmc() — the float miniQMC sweep, batching VGH (moves), VGL
+//     (kinetic) and quadrature V per crowd through crowd_sweep_steps
+//     (qmc/crowd_sweep.h); the per-walker driver is crowds of one;
 //   * WavefunctionCrowd<T> below — lock-step pricing for a set of
 //     SlaterJastrow wave functions, templated so the equivalence tests can
 //     run it in float and double.

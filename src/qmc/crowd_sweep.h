@@ -1,15 +1,17 @@
-// The crowd lock-step sweep kernel, factored out of crowd_driver.cpp so
-// every consumer of the crowd schedule — run_miniqmc_crowd, the resident
-// WalkerPopulation shards (walker_population.cpp) and the JobQueue's
-// per-shard workers (job_queue.cpp) — advances walkers through the one
-// implementation.  A crowd is a contiguous walker range [first, first+count)
-// advanced in lock-step: each electron move gathers the crowd's trial
-// positions into ONE multi-position OrbitalSet request.  All per-walker
-// arithmetic (distance tables, Jastrow/determinant ratios, Metropolis
-// decisions, rng draws) is miniqmc_context.h's, untouched — a crowd
-// trajectory stays bit-for-bit the per-walker trajectory for any crowd
-// decomposition, which is what makes shard counts and job packing
-// trajectory-neutral by construction.
+// The one move/measure loop of the miniQMC sweep, and the population
+// scaffolding around it.  Every driver advances walkers through
+// crowd_sweep_steps: run_miniqmc's VMC drivers as a one-shard
+// WalkerPopulation (walker_population.cpp; the per-walker driver is crowds
+// of one), the DMC generations (dmc_driver.cpp, drift as the proposal-centre
+// argument) and the JobQueue's per-shard workers (job_queue.cpp).  A crowd is
+// a contiguous walker range [first, first+count) advanced in lock-step: each
+// electron move gathers the crowd's trial positions into ONE multi-position
+// OrbitalSet request.  All per-walker arithmetic (distance tables,
+// Jastrow/determinant ratios, Metropolis decisions, rng draws) is
+// miniqmc_context.h's, so a trajectory is a function of (seed, walker id)
+// alone — bit-for-bit the same for any crowd decomposition, which is what
+// makes crowd sizes, shard counts and job packing trajectory-neutral by
+// construction.
 //
 // Like miniqmc_context.h, this header is an implementation detail of the
 // qmc/ translation units, not public API.
@@ -17,8 +19,13 @@
 #define MQC_QMC_CROWD_SWEEP_H
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
 #include <vector>
 
+#include "core/coef_storage.h"
 #include "qmc/miniqmc_context.h"
 
 namespace mqc::detail {
@@ -145,24 +152,64 @@ inline void crowd_eval_quad_v(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
         static_cast<std::size_t>(nq) * static_cast<std::size_t>(sys.norb);
 }
 
+/// Langevin drift centre for electron @p e of @p w: r + scale*g, with g the
+/// gradient of the electron's own orbital column from a VGL at the current
+/// positions (already in the walker's output buffer) and the drift magnitude
+/// clamped at 1/sqrt(tau), the standard near-node guard.
+inline Vec3<qmc_real> drift_centre(const WalkerState& w, const MiniQMCSystem& sys, int e,
+                                   const Vec3<qmc_real>& r, double tau)
+{
+  const int col = e < sys.norb ? e : e - sys.norb;
+  double gx, gy, gz;
+  if (sys.aos_outputs) {
+    const qmc_real* g = w.out_aos->g.data();
+    gx = static_cast<double>(g[3 * col + 0]);
+    gy = static_cast<double>(g[3 * col + 1]);
+    gz = static_cast<double>(g[3 * col + 2]);
+  } else {
+    gx = static_cast<double>(w.out_soa->gx()[col]);
+    gy = static_cast<double>(w.out_soa->gy()[col]);
+    gz = static_cast<double>(w.out_soa->gz()[col]);
+  }
+  const double vmax = 1.0 / std::sqrt(tau);
+  const double vnorm = std::sqrt(gx * gx + gy * gy + gz * gz);
+  const double scale = vnorm > vmax ? tau * vmax / vnorm : tau;
+  return Vec3<qmc_real>{static_cast<qmc_real>(r.x + scale * gx),
+                        static_cast<qmc_real>(r.y + scale * gy),
+                        static_cast<qmc_real>(r.z + scale * gz)};
+}
+
 /// Advance the crowd [first, first+count) from step @p step_begin to
 /// @p step_end (exclusive): the lock-step drift-diffusion + measurement body
-/// shared by every crowd consumer.  Call inside the consumer's outer region
-/// (or from a plain thread with a serial @p team); snapshots and fault
-/// points stay OUTSIDE, at the epoch boundaries between calls.
+/// every driver runs.  Call inside the consumer's outer region (or from a
+/// plain thread with a serial @p team); snapshots and fault points stay
+/// OUTSIDE, at the epoch boundaries between calls.
+///
+/// @p drift_tau is the proposal-centre policy.  Zero (VMC, DMC replay)
+/// proposes around the current position.  Above zero (full DMC), one extra
+/// VGL request at the crowd's current positions of each electron supplies
+/// the gradient that moves the centre to drift_centre().  Either way the
+/// proposal draws exactly three gaussians per electron from the walker's
+/// stream, so the draw sequence is the same move for move.
 inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                               std::vector<WalkerState>& walkers, int first, int count,
                               CrowdScratch& scr, ProfileRegistry& cprof, TeamHandle inner,
-                              int step_begin, int step_end)
+                              int step_begin, int step_end, double drift_tau = 0.0)
 {
+  const bool drift = drift_tau > 0.0;
   for (int s = step_begin; s < step_end; ++s) {
     // Drift-diffusion phase: the whole crowd moves electron e together.
     for (int e = 0; e < sys.nel; ++e) {
+      if (drift) {
+        ScopedTimer t(cprof, kSectionBspline);
+        crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
+      }
       for (int i = 0; i < count; ++i) {
         WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
         ++w.attempted;
         const Vec3<qmc_real> r_old = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-        scr.rnew[static_cast<std::size_t>(i)] = propose(w.rng, r_old, cfg.move_sigma);
+        const Vec3<qmc_real> centre = drift ? drift_centre(w, sys, e, r_old, drift_tau) : r_old;
+        scr.rnew[static_cast<std::size_t>(i)] = propose(w.rng, centre, cfg.move_sigma);
       }
       {
         ScopedTimer t(cprof, kSectionBspline);
@@ -178,8 +225,9 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
     // Measurement phase, electron by electron across the crowd: one VGL
     // request (kinetic energy), per-walker quadrature proposals and
     // distance/Jastrow ratios, then one V request over all count*nq
-    // quadrature points.  Each walker's rng stream sees exactly the
-    // per-walker driver's draw sequence.
+    // quadrature points.  Proposing every point before the V request draws
+    // the same rng sequence as point-by-point evaluation, since neither the
+    // distance tables nor the kernels consume randomness.
     for (int e = 0; e < sys.nel; ++e) {
       {
         ScopedTimer t(cprof, kSectionBspline);
@@ -200,6 +248,116 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
     for (int i = 0; i < count; ++i)
       full_jastrow(walkers[static_cast<std::size_t>(first + i)], sys, cfg);
   }
+}
+
+// --------------------------------------------------------------------------
+// Population scaffolding shared by WalkerPopulation (every VMC run) and the
+// DMC driver.
+// --------------------------------------------------------------------------
+
+/// One lock-step crowd: a contiguous walker range inside one shard.
+struct CrowdRef
+{
+  int shard = 0;
+  int first = 0;
+  int count = 0;
+};
+
+/// Crowd-size cap per shard: explicit > 0, 0 = whole shard, -1 = the tuned
+/// size from cfg.wisdom (0, the whole shard, when nothing was tuned).
+inline int resolve_crowd_cap(const MiniQMCConfig& cfg, const MiniQMCSystem& sys) noexcept
+{
+  return cfg.crowd_size < 0 ? sys.tuned_crowd_size : cfg.crowd_size;
+}
+
+/// Contiguous walker -> shard -> crowd split of @p nw walkers: walker ids are
+/// block-partitioned over the shards, and each shard's range is cut into
+/// crowds of at most @p crowd_cap walkers (a smaller trailing crowd takes the
+/// remainder).  Empty shards (a DMC population below the shard count after
+/// deaths) contribute no crowds.
+inline std::vector<CrowdRef> decompose_population(int nw, int num_shards, int crowd_cap)
+{
+  std::vector<CrowdRef> crowds;
+  for (int s = 0; s < num_shards; ++s) {
+    const Range r = block_range(static_cast<std::size_t>(nw),
+                                static_cast<std::size_t>(num_shards),
+                                static_cast<std::size_t>(s));
+    const int shard_nw = static_cast<int>(r.size());
+    if (shard_nw == 0)
+      continue;
+    const int csize = crowd_cap > 0 ? std::min(crowd_cap, shard_nw) : shard_nw;
+    for (int f = static_cast<int>(r.first); f < static_cast<int>(r.last); f += csize)
+      crowds.push_back({s, f, std::min(static_cast<int>(r.last) - f, csize)});
+  }
+  return crowds;
+}
+
+/// The shard systems (paper §IV-V + the mctop placement model): shard 0's
+/// system generates the coefficient table, and every other shard builds its
+/// engines and OrbitalSet facade over a FIRST-TOUCH replica of it
+/// (CoefReplicaSet), copied by one team member per shard on its own thread so
+/// the pages land on that thread's socket.  Identical table values make this
+/// bit-for-bit neutral.  Built once; only the walker -> shard map may change.
+struct ShardSystems
+{
+  /// @p requested_shards: 0 = auto (MQC_SHARDS, else one per socket;
+  /// common/threading.h resolve_shard_count), clamped to the walker count.
+  ShardSystems(const MiniQMCConfig& cfg, int requested_shards)
+  {
+    sys.push_back(std::make_unique<MiniQMCSystem>(cfg));
+    const int n = std::min(resolve_shard_count(requested_shards), sys.front()->nw);
+    sys.resize(static_cast<std::size_t>(n));
+    replicas = CoefReplicaSet<qmc_real>(sys.front()->coefs, n);
+    team_for(TeamHandle::of(n), n, [&](int s) {
+      if (s > 0)
+        sys[static_cast<std::size_t>(s)] =
+            std::make_unique<MiniQMCSystem>(cfg, replicas.replicate(s));
+    });
+    // Memory-footprint provenance (opt-in, stderr like the checkpoint
+    // diagnostics): the coefficient table is the dominant resident
+    // allocation, and the replica bytes are what the precision path halves.
+    if (std::getenv("MQC_VERBOSE") != nullptr) {
+      for (int s = 0; s < n; ++s)
+        std::fprintf(stderr, "miniqmc: shard %d coef replica: %zu bytes\n", s,
+                     replicas.replica_bytes(s));
+      std::fprintf(stderr, "miniqmc: coef replicas total: %zu bytes across %d shard(s)\n",
+                   replicas.total_replica_bytes(), n);
+    }
+  }
+
+  [[nodiscard]] int size() const noexcept { return static_cast<int>(sys.size()); }
+  [[nodiscard]] MiniQMCSystem& operator[](int s) const
+  {
+    return *sys[static_cast<std::size_t>(s)];
+  }
+  [[nodiscard]] MiniQMCSystem& master() const { return *sys.front(); }
+
+  CoefReplicaSet<qmc_real> replicas;
+  std::vector<std::unique_ptr<MiniQMCSystem>> sys; ///< [num_shards]
+};
+
+/// The provenance block every driver's MiniQMCResult starts from: shape, the
+/// resolved crowd size (the cap clamped to the population), and the spline,
+/// precision and team paths the sweep runs.  The spline path is
+/// multi-position only when the engine has native multi-position kernels AND
+/// a crowd batches more than one walker — a crowd of one (the per-walker
+/// driver) runs single-position requests on every layout.
+inline MiniQMCResult run_provenance(const MiniQMCSystem& sys, int nw, int crowd_cap,
+                                    const ThreadPartition& part)
+{
+  MiniQMCResult r;
+  r.num_walkers = nw;
+  r.num_electrons = sys.nel;
+  r.num_orbitals = sys.norb;
+  r.crowd_size_used = crowd_cap > 0 ? std::min(crowd_cap, nw) : nw;
+  r.spline_path = sys.spo.capabilities().native_multi_eval && r.crowd_size_used > 1
+                      ? EvalPath::MultiPosition
+                      : EvalPath::SinglePosition;
+  r.precision_path = sys.precision;
+  r.team_path = classify_team_path(part.outer, part.inner);
+  r.outer_threads_used = part.outer;
+  r.inner_threads_used = part.inner;
+  return r;
 }
 
 } // namespace mqc::detail

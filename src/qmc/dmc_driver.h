@@ -9,12 +9,13 @@
 //
 //   * A run is cfg.dmc_generations *generations* of cfg.dmc_gen_steps
 //     lock-step sweeps each.  Within a generation the population is fixed
-//     and every crowd advances through the identical per-walker arithmetic
-//     the VMC drivers use; drift is the only addition — one extra VGL batch
-//     at the current positions of each electron, whose gradient column
-//     biases that electron's proposal by tau * v (clamped).  The proposal
-//     still draws exactly three gaussians per electron from the walker's
-//     own stream, so the draw-sequence structure matches VMC move for move.
+//     and every crowd advances through crowd_sweep_steps, the sweep the VMC
+//     drivers run; drift is its proposal-centre argument (cfg.dmc_tau) —
+//     one extra VGL batch at the current positions of each electron, whose
+//     gradient column moves that electron's proposal centre by tau * v
+//     (clamped).  The proposal still draws exactly three gaussians per
+//     electron from the walker's own stream, so the draw-sequence structure
+//     matches VMC move for move.
 //   * At each generation boundary (serial, outside any team region, in
 //     walker-id order) weights update by exp(-tau*gen_steps*(E_L - E_T)),
 //     clamp into the weight window [dmc_weight_min, dmc_weight_max], and
@@ -34,10 +35,11 @@
 //     built once and never move; only the walker->shard/crowd map changes).
 //
 // The oracle: with cfg.dmc_replay set, drift, weighting and branching are
-// disabled entirely (multiplicity pinned to 1) and each generation runs the
-// unmodified crowd_sweep_steps body — the run is then bit-for-bit a VMC
-// crowd run of dmc_generations*dmc_gen_steps steps, for every layout, crowd
-// size, delay rank, partition shape, and shard count (tests/test_dmc.cpp).
+// disabled entirely (multiplicity pinned to 1) and each generation runs
+// crowd_sweep_steps with a zero drift argument — the run is then bit-for-bit
+// a VMC crowd run of dmc_generations*dmc_gen_steps steps, for every layout,
+// crowd size, delay rank, partition shape, and shard count
+// (tests/test_dmc.cpp).
 // Full DMC runs are seed-deterministic: identical population trace, birth/
 // death counters, trial energy and per-walker fingerprints on every rerun
 // and under every decomposition.

@@ -1,16 +1,16 @@
-// Internal state shared by the miniQMC sweep drivers.
+// Internal state shared by the miniQMC drivers.
 //
-// Both drivers — the classic one-walker-per-thread sweep (miniqmc_driver.cpp)
-// and the lock-step crowd sweep (crowd_driver.cpp) — run the identical
-// Monte Carlo process: same system setup, same per-walker rng streams, same
-// distance-table/Jastrow/determinant arithmetic, same Metropolis decisions.
-// They differ ONLY in how the B-spline evaluations are scheduled (one
-// position at a time vs. one multi-position batch per crowd).  Everything
-// order-independent lives here so the equivalence is true by construction
-// and the tests can require bit-for-bit identical trajectories.
+// Every driver — VMC through a WalkerPopulation (per-walker = crowds of one),
+// DMC, and the JobQueue workers — runs the identical Monte Carlo process
+// through the one crowd sweep (crowd_sweep.h): same system setup, same
+// per-walker rng streams, same distance-table/Jastrow/determinant
+// arithmetic, same Metropolis decisions.  Everything per-walker lives here,
+// so a trajectory is a function of (seed, walker id) alone and the tests
+// can require bit-for-bit identical trajectories across crowd sizes,
+// shards and drivers.
 //
-// This header is an implementation detail of the two driver translation
-// units; it is not part of the public API surface.
+// This header is an implementation detail of the qmc/ translation units; it
+// is not part of the public API surface.
 #ifndef MQC_QMC_MINIQMC_CONTEXT_H
 #define MQC_QMC_MINIQMC_CONTEXT_H
 
@@ -216,20 +216,11 @@ struct WalkerState
   std::unique_ptr<WalkerAoS<qmc_real>> out_aos;
   std::unique_ptr<WalkerSoA<qmc_real>> out_soa;
   // Pseudopotential quadrature batch: one V output slice per quadrature
-  // point, evaluated with a single multi-position facade request.  The
-  // walker's OrbitalResource owns the weight scratch so the timed hot loop
-  // allocates nothing.
+  // point, filled by the crowd's multi-position quadrature request.
   aligned_vector<qmc_real> quad_v;
   std::vector<qmc_real*> quad_v_ptrs;
-  OrbitalResource<qmc_real> ores;
   std::vector<Vec3<qmc_real>> quad_r;
   DetUpdater det_up, det_dn;
-  /// The walker's inner team (common/threading.h), assigned by the driver
-  /// from its ThreadPartition before the sweep: multi-position facade
-  /// requests and delayed-update flushes of this walker may fork this many
-  /// threads under the driver's outer region.  Scheduling only — every team
-  /// size produces the bit-identical trajectory.
-  TeamHandle team = TeamHandle::serial();
   Xoshiro256 rng;
   ProfileRegistry profile;
   std::vector<double> phi;           ///< determinant column scratch
@@ -239,15 +230,10 @@ struct WalkerState
   std::size_t attempted = 0;
   std::size_t orbital_evals = 0;
 
-  // -- per-walker spline evaluations, all through the OrbitalSet facade ----
-  //
-  // The only layout-dependent step left is picking the walker's output
-  // buffer object (the AoS baseline fills AoS-shaped gradient/Hessian
-  // groups, every other engine fills SoA component streams) — derived once
-  // from the system's capabilities (sys.aos_outputs), never passed around;
-  // which engine entry point runs is the facade's dispatch, not the
-  // walker's.
-
+  /// Single-position V at @p r through the OrbitalSet facade, into the
+  /// walker's layout-appropriate output buffer (the AoS baseline fills AoS
+  /// component groups, every other engine SoA streams): the walker build's
+  /// determinant columns.  The sweep evaluates through crowd requests.
   const qmc_real* eval_v(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
   {
     orbital_evals += static_cast<std::size_t>(sys.norb);
@@ -256,55 +242,19 @@ struct WalkerState
     return v;
   }
 
-  const qmc_real* eval_vgh(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    qmc_real* g = sys.aos_outputs ? out_aos->g.data() : out_soa->g.data();
-    qmc_real* h = sys.aos_outputs ? out_aos->h.data() : out_soa->h.data();
-    sys.spo.evaluate_one(DerivLevel::VGH, r, v, g, h, out_soa->stride);
-    return v;
-  }
-
-  void eval_vgl(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    qmc_real* g = sys.aos_outputs ? out_aos->g.data() : out_soa->g.data();
-    qmc_real* l = sys.aos_outputs ? out_aos->l.data() : out_soa->l.data();
-    sys.spo.evaluate_one(DerivLevel::VGL, r, v, g, l, out_soa->stride);
-  }
-
-  /// Multi-position V batch over the quadrature points of one electron: one
-  /// facade request for the whole batch.  SoA/AoSoA engines precompute all
-  /// weight sets (into the walker's resource) and sweep each coefficient
-  /// slice once; the AoS baseline has no batched path and runs per-point
-  /// calls — the same facade dispatch the drivers rely on.
-  void eval_v_batch(const MiniQMCSystem& sys, const Vec3<qmc_real>* r, int count)
-  {
-    orbital_evals += static_cast<std::size_t>(count) * static_cast<std::size_t>(sys.norb);
-    OrbitalEvalRequest<qmc_real> rq;
-    rq.deriv = DerivLevel::V;
-    rq.positions = r;
-    rq.count = count;
-    rq.v = quad_v_ptrs.data();
-    rq.parallel = team.parallel();
-    rq.team = team;
-    sys.spo.evaluate(rq, ores);
-  }
-
-  /// Hand this walker its inner team: batched facade requests and the
-  /// delayed determinant flush schedule onto it from here on.
+  /// Hand this walker its inner team (common/threading.h): the delayed
+  /// determinant flush may fork this many threads under the driver's outer
+  /// region.  Scheduling only — every team size produces the bit-identical
+  /// trajectory.
   void set_team(TeamHandle t)
   {
-    team = t;
     det_up.set_team(t);
     det_dn.set_team(t);
   }
 };
 
 /// Resolve the nested-team partition for an outer region of @p outer_work
-/// members (walkers or crowds), shared by both drivers: the config knob
+/// members (crowds), shared by every driver: the config knob
 /// (with -1 resolved through the wisdom entry) feeds the topology-aware
 /// ThreadPartition::resolve, inner teams > 1 ask the runtime for a second
 /// active nesting level, and the resulting schedule is classified for the
@@ -317,8 +267,8 @@ inline ThreadPartition resolve_team_partition(const MiniQMCConfig& cfg, const Mi
   if (inner_req < 0)
     inner_req = sys.tuned_inner_threads; // 0 when nothing was tuned => auto
   ThreadPartition part = ThreadPartition::resolve(outer_work, inner_req);
-  // The drivers' outer width is fixed by the work (one member per crowd /
-  // walker) — a forced MQC_PARTITION outer can size the inner teams but
+  // The drivers' outer width is fixed by the work (one member per crowd) —
+  // a forced MQC_PARTITION outer can size the inner teams but
   // must not misreport the region that actually runs, or team_path /
   // outer_threads_used would describe a schedule that never executed.
   part.outer = std::max(1, outer_work);
@@ -335,9 +285,6 @@ inline Vec3<qmc_real> propose(Xoshiro256& rng, const Vec3<qmc_real>& r, double s
                         r.z + static_cast<qmc_real>(sigma * rng.gaussian())};
 }
 
-/// Walker setup (not profiled): rng stream, positions, tables, output
-/// buffers, determinants.  Identical for both drivers — each walker's state
-/// is a function of (config, walker id) only, never of crowd membership.
 /// Allocate every buffer of @p w for (@p sys, @p cfg) without computing any
 /// physical state: particle sets, distance tables, output/scratch buffers,
 /// and determinant engines sized for cfg.delay_rank.  This is the shared
@@ -366,7 +313,6 @@ inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const Mi
     w.quad_v_ptrs[static_cast<std::size_t>(q)] =
         w.quad_v.data() + static_cast<std::size_t>(q) * sys.out_pad;
   w.quad_r.resize(static_cast<std::size_t>(sys.nq));
-  (void)w.ores.weights_for(sys.nq); // pre-size the facade scratch off the hot path
   w.phi.resize(static_cast<std::size_t>(sys.norb));
   w.jgrad.resize(static_cast<std::size_t>(sys.nel));
   w.jlap.resize(static_cast<std::size_t>(sys.nel));
@@ -374,6 +320,9 @@ inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const Mi
   w.det_dn = DetUpdater(cfg.delay_rank);
 }
 
+/// Walker setup (not profiled): rng stream, positions, tables, output
+/// buffers, determinants.  Each walker's state is a function of (config,
+/// walker id) only, never of crowd or shard membership.
 inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                         int wid)
 {
@@ -415,10 +364,8 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
 /// Price and decide one electron move once the trial position and its
 /// orbital values are known: distance-table temp rows, Jastrow ratio,
 /// determinant ratio, Metropolis accept/reject with commits.  @p v is the
-/// freshly evaluated orbital-value vector at @p r_new — the ONLY input that
-/// differs in provenance between the drivers (single-position call vs.
-/// crowd batch slice); everything inside is identical arithmetic on the
-/// walker's own state and rng stream.
+/// walker's slice of the crowd's VGH request at @p r_new; everything inside
+/// is arithmetic on the walker's own state and rng stream.
 inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
                             int e, const Vec3<qmc_real>& r_new, const qmc_real* v)
 {
@@ -531,18 +478,16 @@ inline void reduce_result(MiniQMCResult& result, std::vector<WalkerState>& walke
       attempted > 0 ? static_cast<double>(accepted) / static_cast<double>(attempted) : 0.0;
 }
 
-/// The crowd sweep (crowd_driver.cpp); dispatched to by run_miniqmc.
-MiniQMCResult run_miniqmc_crowd(const MiniQMCConfig& cfg);
-
 /// The DMC branching driver (dmc_driver.cpp); dispatched to by run_miniqmc.
 MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg);
 
 // --------------------------------------------------------------------------
 // Checkpoint glue (implemented in qmc/checkpoint.cpp).
 //
-// Both drivers run the identical epoch-chunked protocol: advance all walkers
-// to the next step boundary inside one team region, then — OUTSIDE any team
-// region, with no OrbitalResource live — snapshot / inject faults / stop.
+// Every driver runs the identical epoch-chunked protocol: advance all
+// walkers to the next step boundary inside one team region, then — OUTSIDE
+// any team region, with no OrbitalResource live — snapshot / inject faults /
+// stop.
 // Chunking the sweep into epochs is trajectory-neutral: per-walker state and
 // rng streams persist across regions, and the stored walker teams stay
 // region-valid because TeamHandle binds by nesting level (threading.h).
@@ -577,8 +522,7 @@ struct CheckpointRuntime
 
 /// The step-boundary snapshot point (call between team regions): writes an
 /// interval-aligned or final snapshot, applies armed file faults, and exits
-/// the process when the abort fault fires at this boundary.  Asserts no
-/// walker's OrbitalResource is live under MQC_CONTRACTS.
+/// the process when the abort fault fires at this boundary.
 void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                               const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
                               int step, int steps, MiniQMCResult& result);

@@ -37,10 +37,12 @@ enum class SpoLayout
 };
 
 /// How the walker population is advanced through the Monte Carlo sweep.
+/// Every mode runs the one crowd sweep (qmc/crowd_sweep.h); PerWalker and
+/// Crowd are a one-shard WalkerPopulation (qmc/walker_population.h).
 enum class DriverMode
 {
-  PerWalker, ///< one walker per thread, single-position kernels (paper Fig. 3)
-  Crowd,     ///< lock-step crowds, multi-position kernels (qmc/crowd_driver.h)
+  PerWalker, ///< crowds of one: one walker per thread, single-position requests (paper Fig. 3)
+  Crowd,     ///< lock-step crowds of crowd_size, multi-position requests
   DMC        ///< branching driver: dynamic population, birth/death (qmc/dmc_driver.h)
 };
 
@@ -81,11 +83,11 @@ struct MiniQMCConfig
   double move_sigma = 0.4;               ///< Gaussian move width (bohr)
   std::uint64_t seed = 20170512;
   DriverMode driver = DriverMode::PerWalker;
-  /// Crowd driver only: walkers advanced in lock-step per crowd (0 => the
-  /// whole population forms one crowd; -1 => auto: the tuned crowd size from
-  /// `wisdom` when an entry exists, else the whole population).  When the
-  /// size does not divide num_walkers, the remainder runs as an extra,
-  /// smaller trailing crowd.
+  /// Crowd and DMC drivers: walkers advanced in lock-step per crowd (0 =>
+  /// the whole population forms one crowd; -1 => auto: the tuned crowd size
+  /// from `wisdom` when an entry exists, else the whole population).  When
+  /// the size does not divide num_walkers, the remainder runs as an extra,
+  /// smaller trailing crowd.  The per-walker driver always uses 1.
   int crowd_size = 0;
   /// Determinant updates: <= 1 => per-move Sherman-Morrison (DiracDeterminant,
   /// default), k >= 2 => delayed rank-k window (DelayedDeterminant).  Applies
@@ -150,7 +152,9 @@ struct MiniQMCConfig
 struct MiniQMCResult
 {
   ProfileRegistry profile;     ///< merged across walkers (section keys above)
-  double seconds = 0.0;        ///< wall time of the sweep region
+  /// Wall time of the walker build, resume and sweeps (everything after the
+  /// system and coefficient-table build).
+  double seconds = 0.0;
   double acceptance_ratio = 0.0;
   int num_walkers = 0;
   int num_electrons = 0;
@@ -163,26 +167,26 @@ struct MiniQMCResult
   std::vector<std::size_t> walker_accepts;
   std::vector<double> walker_log_det; ///< log|det_up| + log|det_dn| at the end
   /// The schedule the driver ran for the drift-diffusion VGH evaluations —
-  /// an explicit OrbitalSet-capabilities decision, surfaced so benchmark
-  /// comparisons can't silently measure a fallback (the AoS baseline has no
-  /// multi-position path, so a crowd sweep over it degrades to lock-step
-  /// single-position calls).
+  /// an explicit decision, surfaced so benchmark comparisons can't silently
+  /// measure a fallback: MultiPosition only when the engine has native
+  /// multi-position kernels AND crowd_size_used > 1.  The AoS baseline (no
+  /// multi-position path) and every crowd of one run single-position.
   EvalPath spline_path = EvalPath::SinglePosition;
   /// The precision family the engines actually ran — cfg.precision_path
   /// after the AoS-has-no-mixed-variant resolution (explicit, surfaced,
   /// tested; never a silent fallback).
   PrecisionPath precision_path = PrecisionPath::Native;
-  /// Resolved crowd size the sweep actually used (1 for the per-walker
-  /// driver; for the crowd driver: cfg.crowd_size after the 0 = whole
-  /// population / -1 = tuned-from-wisdom resolution and clamping).
+  /// Resolved crowd size cap (1 for the per-walker driver; otherwise
+  /// cfg.crowd_size after the 0 = whole population / -1 = tuned-from-wisdom
+  /// resolution, clamped to the population — not to a shard).
   int crowd_size_used = 1;
   /// The nested-team schedule the sweep ran — like spline_path, an explicit
   /// decision (partition resolution + runtime nesting capability), surfaced
   /// so benchmarks can prove the inner teams actually engaged instead of
   /// silently measuring serialized nested regions.
   TeamPath team_path = TeamPath::Flat;
-  /// Resolved partition: outer members the sweep region spawned (crowds, or
-  /// walkers for the per-walker driver) × inner team size per member.
+  /// Resolved partition: outer members the sweep region spawned (one per
+  /// crowd) × inner team size per member.
   int outer_threads_used = 1;
   int inner_threads_used = 1;
   /// Step the sweep restarted from when cfg.resume found a usable snapshot;

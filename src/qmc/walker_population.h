@@ -2,11 +2,12 @@
 // (ROADMAP item 1 — the "millions of users" shape on one shared-memory
 // host).
 //
-// Where run_miniqmc() is one synchronous call over a transient population,
-// a WalkerPopulation OWNS its walkers across calls: build it once, advance
-// it incrementally (run_to_step / run_steps), snapshot and resume it, and
-// multiplex external work onto its hot, resident spline engines through the
-// async JobQueue (qmc/job_queue.h).
+// The one fixed-population VMC driver: run_miniqmc() with DriverMode::PerWalker
+// or Crowd builds a one-shard WalkerPopulation and advances it to cfg.steps.
+// As a service, a WalkerPopulation OWNS its walkers across calls: build it
+// once, advance it incrementally (run_to_step / run_steps), snapshot and
+// resume it, and multiplex external work onto its hot, resident spline
+// engines through the async JobQueue (qmc/job_queue.h).
 //
 // Sharding (paper §IV-V + the mctop placement model): the population is
 // split into one shard per socket (MachineTopology / resolve_shard_count;
@@ -16,7 +17,8 @@
 // OrbitalSet facade built over that copy, so a shard's inner teams never
 // pull spline traffic across the memory bus.  Walker ids are block-
 // partitioned over shards and each shard's range is swept in lock-step
-// crowds through the one crowd-sweep kernel (qmc/crowd_sweep.h).
+// crowds through the one crowd-sweep kernel (qmc/crowd_sweep.h, which also
+// holds the shard systems and the walker -> shard -> crowd split).
 //
 //     jobs ──> JobQueue ──┬─> shard 0: replica 0 ─ engine ─ crowds ─ walkers
 //                         ├─> shard 1: replica 1 ─ engine ─ crowds ─ walkers
@@ -51,10 +53,10 @@ struct PopulationConfig
 {
   /// Population shape, physics, seed, and checkpoint knobs — the same config
   /// run_miniqmc takes.  crowd_size sizes each shard's lock-step crowds
-  /// (0 = one crowd per shard, -1 = tuned); steps is ignored (the population
-  /// advances by explicit run_to_step targets); driver mode is ignored (the
-  /// resident sweep is always the crowd kernel, which is bit-identical to
-  /// the per-walker driver by construction).
+  /// (0 = one crowd per shard, -1 = tuned, 1 = the per-walker schedule);
+  /// steps is ignored (the population advances by explicit run_to_step
+  /// targets); driver mode is ignored (run_miniqmc resolves PerWalker to
+  /// crowd_size = 1 before building its population).
   MiniQMCConfig qmc;
   /// Resident shards (the NUMA replication unit).  0 = auto: MQC_SHARDS if
   /// set, else one per socket (common/threading.h resolve_shard_count);
@@ -91,8 +93,9 @@ public:
   /// counters, plus restart provenance (resumed_from_step,
   /// resume_fallback_used, resume_error) and the cumulative
   /// checkpoints_written — the same surfaced-decision fields run_miniqmc
-  /// reports.  Callable between runs; fingerprints reflect the current
-  /// cursor.
+  /// reports.  `seconds` spans the walker build and resume plus every
+  /// run_to_step call.  Callable between runs; fingerprints reflect the
+  /// current cursor.
   [[nodiscard]] MiniQMCResult result();
 
   // ---- internal (qmc/job_queue.cpp) ------------------------------------

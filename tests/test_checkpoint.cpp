@@ -524,6 +524,52 @@ TEST(CheckpointFormat, ImpossibleSectionCountIsRejectedEvenWithValidCrc)
       << r.detail;
 }
 
+TEST(CheckpointFormat, ForgedDmcWalkerCountIsRejectedEvenWithValidCrc)
+{
+  ScopedCkpt ck("format_dmc_count");
+  MiniQMCConfig cfg = make_cfg(DriverMode::DMC, SpoLayout::SoA, true, 1);
+  cfg.dmc_generations = 2;
+  cfg.dmc_tau = 0.4;
+  cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_interval = 1;
+  ASSERT_GE(run_miniqmc(cfg).checkpoints_written, 1);
+
+  // Forge the Meta walker count and the weight count that must agree with
+  // it to 2^31 - 1, then RE-COMPUTE the section CRC: only the bytes-behind-it
+  // bound stands between this count and a ~17 GB weight vector.  Layout: the
+  // 28-byte file header, then Meta's section header (id, index, u64 length,
+  // CRC at +16) and payload at +20.  In the payload, nw sits at +4 and the
+  // DMC tail's weight count at +63 (after the 34-byte common prefix, the
+  // tail marker, generation, trial energy, births and deaths).
+  std::vector<std::uint8_t> bytes = slurp(ck.path);
+  constexpr std::size_t kMeta = 28, kPayload = kMeta + 20;
+  ASSERT_GE(bytes.size(), kPayload + 67);
+  std::uint32_t id = 0;
+  std::uint64_t len = 0;
+  std::memcpy(&id, bytes.data() + kMeta, sizeof id);
+  std::memcpy(&len, bytes.data() + kMeta + 8, sizeof len);
+  ASSERT_EQ(id, static_cast<std::uint32_t>(ckpt::SectionId::Meta));
+  ASSERT_GE(len, 67u);
+  ASSERT_EQ(bytes[kPayload + 34], 1u) << "no DMC provenance tail marker";
+  const std::uint32_t forged = 0x7FFFFFFFu;
+  std::memcpy(bytes.data() + kPayload + 4, &forged, sizeof forged);
+  std::memcpy(bytes.data() + kPayload + 63, &forged, sizeof forged);
+  const std::uint32_t crc = ckpt::crc32(bytes.data() + kPayload, len);
+  std::memcpy(bytes.data() + kMeta + 16, &crc, sizeof crc);
+  spit(ck.path, bytes);
+
+  MiniQMCConfig rest = cfg;
+  rest.resume = true;
+  const MiniQMCResult got = run_miniqmc(rest);
+  EXPECT_EQ(got.resumed_from_step, -1) << got.resume_error;
+  // Claimed vs possible: the forged count and what the Meta bytes after the
+  // count field could hold.
+  const std::size_t possible = (len - 67) / sizeof(double);
+  EXPECT_NE(got.resume_error.find("claims 2147483647"), std::string::npos) << got.resume_error;
+  EXPECT_NE(got.resume_error.find("at most " + std::to_string(possible)), std::string::npos)
+      << got.resume_error;
+}
+
 TEST(CheckpointFormat, ConfigHashMismatchIsRejected)
 {
   ScopedCkpt ck("format_confhash");

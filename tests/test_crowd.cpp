@@ -1,6 +1,6 @@
 // Crowd lock-step driver tests.
 //
-// The contract under test (crowd_driver.h): with the same per-walker rng
+// The contract under test (qmc/crowd_sweep.h): with the same per-walker rng
 // streams, a crowd trajectory IS the per-walker trajectory — same Metropolis
 // decisions, same per-walker accept counts, bit-identical final log dets —
 // for every crowd size, including sizes that do not divide the walker count,
@@ -104,24 +104,29 @@ TEST(CrowdDriver, SplinePathIsAnExplicitCapabilitiesDecision)
   // (SoA, AoSoA), single-position lock-step calls on the AoS baseline.
   // Bench comparisons read spline_path so they can't accidentally measure
   // the fallback believing it was the batched path.
+  // A crowd of one batches nothing, so it reports single-position even on
+  // an engine that has the multi-position kernels.
   struct PathCase
   {
     SpoLayout spo;
+    int crowd_size;
     EvalPath expected;
   };
-  const PathCase cases[] = {{SpoLayout::AoS, EvalPath::SinglePosition},
-                            {SpoLayout::SoA, EvalPath::MultiPosition},
-                            {SpoLayout::AoSoA, EvalPath::MultiPosition}};
+  const PathCase cases[] = {{SpoLayout::AoS, 2, EvalPath::SinglePosition},
+                            {SpoLayout::SoA, 2, EvalPath::MultiPosition},
+                            {SpoLayout::AoSoA, 2, EvalPath::MultiPosition},
+                            {SpoLayout::AoSoA, 1, EvalPath::SinglePosition}};
   for (const auto& pc : cases) {
     auto cfg = crowd_test_config();
     cfg.steps = 1;
     cfg.spo = pc.spo;
     cfg.tile_size = 16;
     cfg.driver = DriverMode::Crowd;
-    cfg.crowd_size = 2;
+    cfg.crowd_size = pc.crowd_size;
     const auto r = run_miniqmc(cfg);
-    EXPECT_EQ(r.spline_path, pc.expected) << "layout " << static_cast<int>(pc.spo);
-    EXPECT_EQ(r.crowd_size_used, 2);
+    EXPECT_EQ(r.spline_path, pc.expected)
+        << "layout " << static_cast<int>(pc.spo) << " crowd " << pc.crowd_size;
+    EXPECT_EQ(r.crowd_size_used, pc.crowd_size);
   }
   // The per-walker driver always runs single-position moves.
   auto cfg = crowd_test_config();
@@ -130,6 +135,30 @@ TEST(CrowdDriver, SplinePathIsAnExplicitCapabilitiesDecision)
   const auto r = run_miniqmc(cfg);
   EXPECT_EQ(r.spline_path, EvalPath::SinglePosition);
   EXPECT_EQ(r.crowd_size_used, 1);
+}
+
+TEST(CrowdDriver, PerWalkerReportsTheProvenanceOfACrowdOfOne)
+{
+  // The per-walker driver IS the crowd sweep with crowds of one: every
+  // surfaced schedule decision must match an explicit crowd-of-one run (the
+  // trajectory half is BitForBitMatchesPerWalkerAcrossCrowdSizes).
+  for (SpoLayout spo : {SpoLayout::AoS, SpoLayout::SoA, SpoLayout::AoSoA}) {
+    auto cfg = crowd_test_config();
+    cfg.steps = 1;
+    cfg.spo = spo;
+    cfg.tile_size = 16;
+    const auto per_walker = run_miniqmc(cfg);
+    auto ccfg = cfg;
+    ccfg.driver = DriverMode::Crowd;
+    ccfg.crowd_size = 1;
+    const auto crowd1 = run_miniqmc(ccfg);
+    SCOPED_TRACE(::testing::Message() << "layout " << static_cast<int>(spo));
+    EXPECT_EQ(per_walker.spline_path, crowd1.spline_path);
+    EXPECT_EQ(per_walker.crowd_size_used, crowd1.crowd_size_used);
+    EXPECT_EQ(per_walker.outer_threads_used, crowd1.outer_threads_used);
+    EXPECT_EQ(per_walker.inner_threads_used, crowd1.inner_threads_used);
+    EXPECT_EQ(per_walker.team_path, crowd1.team_path);
+  }
 }
 
 TEST(CrowdDriver, CrowdSizeResolutionClampsAndDefaults)

@@ -297,6 +297,39 @@ TEST(DmcDriver, MixedFullDmcIsDecompositionNeutral)
   }
 }
 
+// The drift is pinned: with a unit weight window every multiplicity is
+// floor(1 + u) = 1, so nothing branches, and one generation of one step
+// differs from replay only by the drifted proposal centre.  Dropping the
+// drift would make the two runs bit-identical.
+TEST(DmcDriver, DriftMovesTheProposalCentre)
+{
+  struct LayoutCase
+  {
+    SpoLayout spo;
+    bool optimized;
+    const char* name;
+  };
+  // AoS and SoA read the drift gradient from different output layouts.
+  const LayoutCase cases[] = {{SpoLayout::AoS, false, "AoS"}, {SpoLayout::SoA, true, "SoA"}};
+  for (const auto& lc : cases) {
+    MiniQMCConfig full = dmc_cfg(lc.spo, lc.optimized, 1);
+    full.dmc_generations = 1;
+    full.dmc_gen_steps = 1;
+    full.dmc_weight_min = 1.0;
+    full.dmc_weight_max = 1.0;
+    MiniQMCConfig replay = full;
+    replay.dmc_replay = true;
+    const MiniQMCResult drifted = run_miniqmc(full);
+    const MiniQMCResult plain = run_miniqmc(replay);
+    EXPECT_EQ(drifted.dmc_births, 0u) << lc.name;
+    EXPECT_EQ(drifted.dmc_deaths, 0u) << lc.name;
+    EXPECT_EQ(drifted.moves_attempted, plain.moves_attempted) << lc.name;
+    ASSERT_EQ(drifted.walker_log_det.size(), plain.walker_log_det.size()) << lc.name;
+    EXPECT_NE(drifted.walker_log_det, plain.walker_log_det)
+        << lc.name << ": full DMC proposed exactly like replay — the drift never engaged";
+  }
+}
+
 // Crash consistency for dynamic populations: snapshot at a generation
 // boundary mid-run, resume, and land bit-for-bit on the uninterrupted run —
 // population trace tail, cumulative birth/death counters, trial energy and

@@ -109,6 +109,21 @@ TEST(WalkerPopulationSuite, MatchesRunMiniqmcBitForBit)
   expect_same_trajectory(ref, got, "population vs run_miniqmc");
 }
 
+TEST(WalkerPopulationSuite, SecondsIncludeTheWalkerBuild)
+{
+  // result().seconds spans the walker build and resume, as run_miniqmc's
+  // always has (wall time - seconds leaves the system build and teardown), and
+  // then accumulates every sweep.
+  PopulationConfig pcfg;
+  pcfg.qmc = make_cfg(4, 2);
+  pcfg.num_shards = 1;
+  WalkerPopulation pop(pcfg);
+  const double built = pop.result().seconds;
+  EXPECT_GT(built, 0.0);
+  pop.run_to_step(2);
+  EXPECT_GT(pop.result().seconds, built);
+}
+
 TEST(WalkerPopulationSuite, ShardCountIsTrajectoryNeutral)
 {
   const MiniQMCConfig cfg = make_cfg();

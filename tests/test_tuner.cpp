@@ -85,25 +85,6 @@ TEST(Wisdom, JointKeyRoundTripWithPosBlock)
   std::remove(path.c_str());
 }
 
-TEST(Wisdom, LoadsLegacyV1Lines)
-{
-  // A pre-v2 wisdom file has three-field lines; pos_block defaults to 1.
-  const std::string path = std::filesystem::temp_directory_path() / "mqc_wisdom_v1_test.txt";
-  {
-    std::ofstream out(path);
-    out << "# miniqmcpp wisdom v1: key tile_size throughput\n";
-    out << "vgh:float:N=512:grid=48x48x48 128 2.5e+09\n";
-  }
-  Wisdom r;
-  ASSERT_TRUE(r.load(path));
-  const auto e = r.lookup("vgh:float:N=512:grid=48x48x48");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->tile_size, 128);
-  EXPECT_EQ(e->pos_block, 1);
-  EXPECT_NEAR(e->throughput, 2.5e9, 1.0);
-  std::remove(path.c_str());
-}
-
 TEST(Wisdom, V3RoundTripWithCrowdSize)
 {
   // The v3 schema adds the tuned crowd size to the (Nb, P) pair.
@@ -166,71 +147,6 @@ TEST(Wisdom, V5RoundTripWithPrecision)
   std::remove(path.c_str());
 }
 
-TEST(Wisdom, LoadsLegacyV4Lines)
-{
-  // A pre-v5 wisdom file has six-field lines (key + 5 numbers); precision
-  // defaults to 0 (= native) so old files keep feeding the default path.
-  const std::string path = std::filesystem::temp_directory_path() / "mqc_wisdom_v4line_test.txt";
-  {
-    std::ofstream out(path);
-    out << "# miniqmcpp wisdom v4: key tile_size pos_block crowd_size inner_threads throughput\n";
-    out << "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 3.5e+09\n";
-  }
-  Wisdom r;
-  ASSERT_TRUE(r.load(path));
-  const auto e = r.lookup("v2:miniqmc:float:N=512:grid=32x32x32:nw=16");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->tile_size, 128);
-  EXPECT_EQ(e->pos_block, 8);
-  EXPECT_EQ(e->crowd_size, 4);
-  EXPECT_EQ(e->inner_threads, 2);
-  EXPECT_EQ(e->precision, 0);
-  EXPECT_NEAR(e->throughput, 3.5e9, 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(Wisdom, LoadsLegacyV3Lines)
-{
-  // A pre-v4 wisdom file has five-field lines; inner_threads defaults to 0
-  // (= not tuned, drivers fall back to the topology auto split).
-  const std::string path = std::filesystem::temp_directory_path() / "mqc_wisdom_v3line_test.txt";
-  {
-    std::ofstream out(path);
-    out << "# miniqmcpp wisdom v3: key tile_size pos_block crowd_size throughput\n";
-    out << "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 3.5e+09\n";
-  }
-  Wisdom r;
-  ASSERT_TRUE(r.load(path));
-  const auto e = r.lookup("v2:miniqmc:float:N=512:grid=32x32x32:nw=16");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->tile_size, 128);
-  EXPECT_EQ(e->pos_block, 8);
-  EXPECT_EQ(e->crowd_size, 4);
-  EXPECT_EQ(e->inner_threads, 0);
-  EXPECT_NEAR(e->throughput, 3.5e9, 1.0);
-  std::remove(path.c_str());
-}
-
-TEST(Wisdom, LoadsLegacyV2Lines)
-{
-  // A pre-v3 wisdom file has four-field lines; crowd_size defaults to 0.
-  const std::string path = std::filesystem::temp_directory_path() / "mqc_wisdom_v2line_test.txt";
-  {
-    std::ofstream out(path);
-    out << "# miniqmcpp wisdom v2: key tile_size pos_block throughput\n";
-    out << "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 4 2.5e+09\n";
-  }
-  Wisdom r;
-  ASSERT_TRUE(r.load(path));
-  const auto e = r.lookup("v2:vgh:float:N=512:grid=48x48x48:nw=8");
-  ASSERT_TRUE(e.has_value());
-  EXPECT_EQ(e->tile_size, 128);
-  EXPECT_EQ(e->pos_block, 4);
-  EXPECT_EQ(e->crowd_size, 0);
-  EXPECT_NEAR(e->throughput, 2.5e9, 1.0);
-  std::remove(path.c_str());
-}
-
 // ---------------------------------------------------------------------------
 // Load hardening: a truncated or garbage wisdom file must never crash and
 // never silently half-load — the whole file is rejected, existing entries
@@ -242,7 +158,10 @@ namespace {
 
 /// Write @p body to a temp wisdom file, load it into a Wisdom that already
 /// holds one good entry, and require the all-or-nothing rejection contract.
-void expect_rejected(const std::string& tag, const std::string& body)
+/// @p detail_has names the validator the file must reach: the diagnosis
+/// has to contain it.
+void expect_rejected(const std::string& tag, const std::string& body,
+                     const std::string& detail_has)
 {
   const std::string path =
       std::filesystem::temp_directory_path() / ("mqc_wisdom_corrupt_" + tag + ".txt");
@@ -256,7 +175,8 @@ void expect_rejected(const std::string& tag, const std::string& body)
   EXPECT_TRUE(w.load_status().attempted) << tag;
   EXPECT_FALSE(w.load_status().ok) << tag;
   EXPECT_GE(w.load_status().lines_rejected, 1) << tag;
-  EXPECT_FALSE(w.load_status().detail.empty()) << tag;
+  EXPECT_NE(w.load_status().detail.find(detail_has), std::string::npos)
+      << tag << ": " << w.load_status().detail;
   // Nothing merged, nothing lost: the corrupt file's parseable lines must
   // NOT leak in, and entries present before the load must survive.
   EXPECT_EQ(w.size(), 1u) << tag;
@@ -266,43 +186,90 @@ void expect_rejected(const std::string& tag, const std::string& body)
 
 } // namespace
 
+// Only v5 lines load.  Loading a file with a v1-v4 line shape (two to five
+// numeric fields) rejects the whole file, and the detail names the pre-v5
+// field count.  The LoadsLegacyV*Lines names date from when these shapes
+// were upgraded on load; each test now pins the rejection of its shape.
+namespace {
+
+void expect_pre_v5_rejected(const std::string& version, const std::string& line, int fields)
+{
+  expect_rejected("pre_v5_" + version, "good:key 128 8 4 2 0 2.5e+09\n" + line,
+                  std::to_string(fields) + " numeric fields is the pre-v5");
+}
+
+} // namespace
+
+TEST(Wisdom, LoadsLegacyV1Lines)
+{
+  expect_pre_v5_rejected("v1", "vgh:float:N=512:grid=48x48x48 128 2.5e+09\n", 2);
+}
+
+TEST(Wisdom, LoadsLegacyV2Lines)
+{
+  expect_pre_v5_rejected("v2", "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 4 2.5e+09\n", 3);
+}
+
+TEST(Wisdom, LoadsLegacyV3Lines)
+{
+  expect_pre_v5_rejected("v3", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 3.5e+09\n", 4);
+}
+
+TEST(Wisdom, LoadsLegacyV4Lines)
+{
+  expect_pre_v5_rejected("v4", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 3.5e+09\n",
+                         5);
+}
+
+// The hardening cases below are v5 lines, each damaged so that it reaches
+// the validator the test name promises.
 TEST(WisdomHardening, TruncatedV1LineRejectsWholeFile)
 {
-  // v1 line cut off mid-entry: key + tile but no throughput.
-  expect_rejected("v1_truncated", "good:key 128 2.5e+09\n"
-                                  "vgh:float:N=512:grid=48x48x48 128\n");
+  // Line cut off mid-entry: key + tile but nothing after it.
+  expect_rejected("v5_truncated",
+                  "good:key 128 8 4 2 0 2.5e+09\n"
+                  "vgh:float:N=512:grid=48x48x48 128\n",
+                  "too few fields");
 }
 
 TEST(WisdomHardening, GarbageTokenInV2LineRejectsWholeFile)
 {
-  expect_rejected("v2_garbage", "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 four 2.5e+09\n");
+  expect_rejected("v5_garbage", "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 four 4 2 0 2.5e+09\n",
+                  "unexpected field 'four'");
 }
 
 TEST(WisdomHardening, NegativeKnobInV3LineRejectsWholeFile)
 {
-  expect_rejected("v3_negative", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 -4 3.5e+09\n");
+  expect_rejected("v5_negative",
+                  "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 -4 2 0 3.5e+09\n",
+                  "non-negative integers");
 }
 
 TEST(WisdomHardening, ExtraFieldsInV4LineRejectsWholeFile)
 {
-  expect_rejected("v4_extra", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 3.5e+09 junk\n");
+  expect_rejected("v5_extra",
+                  "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 0 3.5e+09 junk\n",
+                  "unexpected field 'junk'");
 }
 
 TEST(WisdomHardening, OutOfRangePrecisionRejectsWholeFile)
 {
   // precision is an enum ordinal: only 0 (native) and 1 (mixed) exist.
   expect_rejected("v5_bad_precision",
-                  "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 3 3.5e+09\n");
+                  "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 3 3.5e+09\n",
+                  "non-negative integers");
 }
 
 TEST(WisdomHardening, NonIntegralKnobRejectsWholeFile)
 {
-  expect_rejected("v2_fractional", "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 4.5 2.5e+09\n");
+  expect_rejected("v5_fractional", "v2:vgh:float:N=512:grid=48x48x48:nw=8 128 4.5 4 2 0 2.5e+09\n",
+                  "non-negative integers");
 }
 
 TEST(WisdomHardening, NonFiniteThroughputRejectsWholeFile)
 {
-  expect_rejected("v4_nan", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 nan\n");
+  expect_rejected("v5_nan", "v2:miniqmc:float:N=512:grid=32x32x32:nw=16 128 8 4 2 0 nan\n",
+                  "throughput must be finite");
 }
 
 TEST(WisdomHardening, UnreadablePathSurfacesOpenFailure)

@@ -24,6 +24,11 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       default-constructed standard engines are banned in src/:
                       trajectories must be bit-for-bit reproducible from the
                       config seed (common/rng.h).
+  * sweep-body        the per-walker move/measure steps (`metropolis_move`,
+                      `quadrature_dist_jastrow`, `full_jastrow`) are called
+                      only from crowd_sweep_steps (qmc/crowd_sweep.h), the one
+                      move/measure loop every driver runs; a second loop
+                      would let drivers drift apart bit by bit.
 
 Escape hatch: a comment `// mqc-lint: allow(<rule>)` on the offending line or
 the line directly above it silences that one finding — use it with a
@@ -130,6 +135,17 @@ RULES = [
         r"(\b(mt19937(_64)?|default_random_engine|minstd_rand0?)\b\s*\w*\s*(\(\s*\)|\{\s*\})?\s*;)",
         "trajectories must be bit-for-bit reproducible from the config seed: "
         "use common/rng.h (Xoshiro256) seeded from the run configuration",
+    ),
+    Rule(
+        "sweep-body",
+        "per-walker move/measure step called outside the one crowd sweep",
+        # A call, not the `inline void name(` definitions in miniqmc_context.h.
+        r"(?<!void )\b(metropolis_move|quadrature_dist_jastrow|full_jastrow)\s*\(",
+        "crowd_sweep_steps (qmc/crowd_sweep.h) is the only move/measure loop: "
+        "every driver advances walkers through it (per-walker = crowds of one, "
+        "DMC drift = its proposal-centre argument), so trajectories agree bit "
+        "for bit by construction",
+        allowed_paths=("src/qmc/crowd_sweep.h",),
     ),
 ]
 
