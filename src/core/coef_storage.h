@@ -8,6 +8,16 @@
 // consecutive rows i..i+3 without any modulo in the hot loop.  The spline
 // dimension N is innermost and padded to the SIMD lane count, which makes
 // every P[i][j][k] row 64-byte aligned.
+//
+// Memory: every table gets its buffer from the one table allocator
+// (core/table_memory.h).  A table of 2 MiB or more is a 2 MiB-aligned
+// mapping advised onto transparent huge pages, which the kernel hands out
+// zeroed, so no value-init pass runs and the first write is the first touch;
+// a smaller one is a zero-filled 64-byte aligned block.  size_bytes() is the
+// logical size either way.  Padding lanes (n >= num_splines) hold 0 in every
+// table this library builds, fill_random included, so a table of N <= Nb
+// splines is byte for byte the tile an AoSoA split would copy out of it, and
+// MultiBspline adopts it as its only tile instead of copying it.
 #ifndef MQC_CORE_COEF_STORAGE_H
 #define MQC_CORE_COEF_STORAGE_H
 
@@ -15,12 +25,14 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
-#include "common/aligned_allocator.h"
 #include "common/config.h"
 #include "common/rng.h"
 #include "core/grid.h"
+#include "core/table_memory.h"
 
 namespace mqc {
 
@@ -48,6 +60,12 @@ enum class PrecisionPath
 }
 
 template <typename T>
+class CoefStorage;
+
+template <typename T>
+void fill_random_split(std::span<CoefStorage<T>* const> parts, std::uint64_t seed);
+
+template <typename T>
 class CoefStorage
 {
 public:
@@ -57,7 +75,7 @@ public:
       : grid_(grid), num_splines_(num_splines), n_pad_(aligned_size<T>(num_splines)),
         zs_(n_pad_), ys_(static_cast<std::size_t>(grid.z.num + 3) * zs_),
         xs_(static_cast<std::size_t>(grid.y.num + 3) * ys_),
-        data_(static_cast<std::size_t>(grid.x.num + 3) * xs_, T(0))
+        data_(static_cast<std::size_t>(grid.x.num + 3) * xs_, sizeof(T))
   {
     assert(num_splines > 0);
   }
@@ -68,19 +86,19 @@ public:
   [[nodiscard]] std::size_t stride_x() const noexcept { return xs_; }
   [[nodiscard]] std::size_t stride_y() const noexcept { return ys_; }
   [[nodiscard]] std::size_t stride_z() const noexcept { return zs_; }
-  [[nodiscard]] std::size_t size_bytes() const noexcept { return data_.size() * sizeof(T); }
+  [[nodiscard]] std::size_t size_bytes() const noexcept { return data_.size_bytes(); }
 
   /// Base of the length-Npad coefficient row at padded indices (i,j,k);
   /// i in [0, nx+3) etc.  Guaranteed 64-byte aligned.
   [[nodiscard]] const T* row(int i, int j, int k) const noexcept
   {
-    return data_.data() + static_cast<std::size_t>(i) * xs_ + static_cast<std::size_t>(j) * ys_ +
-           static_cast<std::size_t>(k) * zs_;
+    return static_cast<const T*>(data_.data()) + static_cast<std::size_t>(i) * xs_ +
+           static_cast<std::size_t>(j) * ys_ + static_cast<std::size_t>(k) * zs_;
   }
   [[nodiscard]] T* row(int i, int j, int k) noexcept
   {
-    return data_.data() + static_cast<std::size_t>(i) * xs_ + static_cast<std::size_t>(j) * ys_ +
-           static_cast<std::size_t>(k) * zs_;
+    return static_cast<T*>(data_.data()) + static_cast<std::size_t>(i) * xs_ +
+           static_cast<std::size_t>(j) * ys_ + static_cast<std::size_t>(k) * zs_;
   }
 
   [[nodiscard]] T coef(int i, int j, int k, int n) const noexcept { return row(i, j, k)[n]; }
@@ -127,12 +145,12 @@ public:
   /// Fill with deterministic pseudo-random coefficients.  Kernel performance
   /// is independent of coefficient values, so the bench harness uses this to
   /// avoid the (expensive, irrelevant) interpolation solve at N=4096 — the
-  /// same shortcut miniQMC takes.
+  /// same shortcut miniQMC takes.  One uniform draw per padded lane, row by
+  /// row in storage order; padding lanes discard their draw and store 0.
   void fill_random(std::uint64_t seed)
   {
-    Xoshiro256 rng(seed);
-    for (auto& v : data_)
-      v = static_cast<T>(rng.uniform(-0.5, 0.5));
+    CoefStorage* self = this;
+    fill_random_split(std::span<CoefStorage* const>(&self, 1), seed);
   }
 
   /// Copy splines [first, first+count) of @p src into this storage's
@@ -157,8 +175,46 @@ private:
   int num_splines_ = 0;
   std::size_t n_pad_ = 0;
   std::size_t zs_ = 0, ys_ = 0, xs_ = 0;
-  aligned_vector<T> data_;
+  TableBlock data_;
 };
+
+/// The tables one engine reads: one for BsplineAoS/BsplineSoA, the tiles in
+/// order for MultiBspline.
+template <typename T>
+using CoefTables = std::vector<std::shared_ptr<const CoefStorage<T>>>;
+
+/// Fill @p parts — consecutive spline ranges of one logical table on one
+/// grid, in order (the tiles of an AoSoA split) — with exactly what
+/// CoefStorage::fill_random(seed) writes into that untiled table: per storage
+/// row, one draw per padded lane of each part in turn, 0 stored in padding
+/// lanes.  Every part but the last must be padding-free, so the parts' lanes
+/// line up with the untiled table's; throws std::invalid_argument otherwise.
+template <typename T>
+void fill_random_split(std::span<CoefStorage<T>* const> parts, std::uint64_t seed)
+{
+  if (parts.empty())
+    return;
+  const Grid3D<T>& g = parts.front()->grid();
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    const Grid3D<T>& gp = parts[p]->grid();
+    if (gp.x.num != g.x.num || gp.y.num != g.y.num || gp.z.num != g.z.num ||
+        (p + 1 < parts.size() &&
+         parts[p]->padded_splines() != static_cast<std::size_t>(parts[p]->num_splines())))
+      throw std::invalid_argument("fill_random_split: parts are not one table's split");
+  }
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < g.x.num + 3; ++i)
+    for (int j = 0; j < g.y.num + 3; ++j)
+      for (int k = 0; k < g.z.num + 3; ++k)
+        for (CoefStorage<T>* part : parts) {
+          T* r = part->row(i, j, k);
+          const std::size_t count = static_cast<std::size_t>(part->num_splines());
+          for (std::size_t n = 0; n < part->padded_splines(); ++n) {
+            const T v = static_cast<T>(rng.uniform(-0.5, 0.5));
+            r[n] = n < count ? v : T(0);
+          }
+        }
+}
 
 /// Convert a grid between element types, recomputing delta/delta_inv in the
 /// destination precision (never round-tripping the derived members through
@@ -200,41 +256,45 @@ template <typename TDst, typename TSrc>
   return dst;
 }
 
-/// Per-shard (per-socket) replicas of one read-only coefficient table.
+/// Per-shard (per-socket) replicas of the read-only coefficient tables one
+/// engine reads (CoefTables: the single table of a SoA/AoS engine, or every
+/// tile of an AoSoA engine — never an untiled table the engine does not read).
 ///
 /// On a NUMA host the table is the bandwidth wall (paper §IV; Luo et al.,
 /// arXiv:1805.07406): a single allocation lands on one socket and every
 /// other socket's inner teams pull all spline traffic across the
 /// interconnect.  A WalkerPopulation therefore gives each shard its own
-/// copy, materialized by `replicate(s)` ON the shard's own thread — under
-/// Linux's default first-touch policy the copy's pages land on the socket
-/// of the thread that writes them.  Shard 0 always resolves to the master
-/// itself (no copy; it was first-touched by whoever built it), and each
-/// shard's engines/OrbitalSet facade are then constructed over its replica,
-/// so every facade evaluation on that shard reads socket-local memory.
+/// copy of the set, materialized by `replicate(s)` ON the shard's own
+/// thread — under Linux's default first-touch policy the copy's pages land
+/// on the socket of the thread that writes them.  Shard 0 always resolves to
+/// the master set itself (no copy; it was first-touched by whoever built
+/// it), and each shard's engines/OrbitalSet facade are then constructed over
+/// its replica, so every facade evaluation on that shard reads socket-local
+/// memory.
 ///
-/// Replicas are exact element-wise copies, so which replica serves a walker
-/// is trajectory-neutral: bit-for-bit identical results for any shard count.
+/// Replicas are exact byte copies, so which replica serves a walker is
+/// trajectory-neutral: bit-for-bit identical results for any shard count.
 template <typename T>
 class CoefReplicaSet
 {
 public:
   CoefReplicaSet() = default;
 
-  /// @p master becomes shard 0's table (no copy); shards 1..n-1 start empty
-  /// until their owning thread calls replicate().
-  CoefReplicaSet(std::shared_ptr<CoefStorage<T>> master, int num_shards)
+  /// @p master (one engine's tables) becomes shard 0's set (no copy);
+  /// shards 1..n-1 start empty until their owning thread calls replicate().
+  CoefReplicaSet(CoefTables<T> master, int num_shards)
       : replicas_(static_cast<std::size_t>(num_shards < 1 ? 1 : num_shards))
   {
-    assert(master != nullptr);
+    assert(!master.empty());
     replicas_[0] = std::move(master);
   }
 
   /// Wide-master (mixed-precision) mode: the authoritative table is a DP
-  /// build and EVERY shard — including shard 0 — materializes its replica by
-  /// narrowing it through convert_storage<T>() at replicate() time, on the
-  /// shard's own thread (conversion and first-touch happen in one pass over
-  /// the pages).  The wide master itself is never handed to an engine.
+  /// build and EVERY shard — including shard 0 — materializes its one-table
+  /// set by narrowing it through convert_storage<T>() at replicate() time,
+  /// on the shard's own thread (conversion and first-touch happen in one
+  /// pass over the pages).  The wide master itself is never handed to an
+  /// engine.
   CoefReplicaSet(std::shared_ptr<const CoefStorage<double>> wide_master, int num_shards)
       : replicas_(static_cast<std::size_t>(num_shards < 1 ? 1 : num_shards)),
         wide_master_(std::move(wide_master))
@@ -247,51 +307,56 @@ public:
   /// True when this set narrows a wide (DP) master at replicate() time.
   [[nodiscard]] bool narrows() const noexcept { return wide_master_ != nullptr; }
 
-  /// Materialize shard @p s's replica, allocated and written by the CALLING
+  /// Materialize shard @p s's set, allocated and written by the CALLING
   /// thread (the first-touch point — call it from the shard's own team): a
-  /// copy of the master in same-type mode, a convert_storage<T>() narrowing
-  /// of the wide master in wide-master mode (where shard 0 narrows too).
-  /// Idempotent: an existing replica is returned as-is.  Distinct shards may
-  /// replicate concurrently (each writes only its own pre-sized slot).
-  std::shared_ptr<CoefStorage<T>> replicate(int s)
+  /// copy of every master table in same-type mode, a convert_storage<T>()
+  /// narrowing of the wide master in wide-master mode (where shard 0 narrows
+  /// too).  Idempotent: an existing set is returned as-is.  Distinct shards
+  /// may replicate concurrently (each writes only its own pre-sized slot).
+  const CoefTables<T>& replicate(int s)
   {
     auto& slot = replicas_[static_cast<std::size_t>(s)];
-    if (!slot)
-      slot = wide_master_ ? convert_storage<T>(*wide_master_)
-                          : std::make_shared<CoefStorage<T>>(*replicas_[0]);
+    if (slot.empty()) {
+      if (wide_master_)
+        slot.push_back(convert_storage<T>(*wide_master_));
+      else
+        for (const auto& table : replicas_[0])
+          slot.push_back(std::make_shared<CoefStorage<T>>(*table));
+    }
     return slot;
   }
 
-  /// The shard-local table: its replica when materialized, else the master.
-  /// In wide-master mode shard 0 has no implicit table — replicate(0) must
+  /// The shard-local set: its replica when materialized, else the master.
+  /// In wide-master mode shard 0 has no implicit set — replicate(0) must
   /// run (on shard 0's thread) before local() resolves for any shard.
-  [[nodiscard]] std::shared_ptr<CoefStorage<T>> local(int s) const
+  [[nodiscard]] const CoefTables<T>& local(int s) const
   {
     const auto& slot = replicas_[static_cast<std::size_t>(s)];
-    return slot ? slot : replicas_[0];
+    return slot.empty() ? replicas_[0] : slot;
   }
 
-  /// Bytes held by shard @p s's materialized replica (0 until replicate(s);
+  /// Bytes held by shard @p s's materialized set (0 until replicate(s);
   /// shard 0 reports the master it adopted in same-type mode).
   [[nodiscard]] std::size_t replica_bytes(int s) const noexcept
   {
-    const auto& slot = replicas_[static_cast<std::size_t>(s)];
-    return slot ? slot->size_bytes() : 0;
+    std::size_t total = 0;
+    for (const auto& table : replicas_[static_cast<std::size_t>(s)])
+      total += table->size_bytes();
+    return total;
   }
 
-  /// Total bytes across all materialized replicas — what the population
-  /// actually pinned across sockets for this table.
+  /// Total bytes across all materialized sets — what the population
+  /// actually pinned across sockets for these tables.
   [[nodiscard]] std::size_t total_replica_bytes() const noexcept
   {
     std::size_t total = 0;
-    for (const auto& r : replicas_)
-      if (r)
-        total += r->size_bytes();
+    for (int s = 0; s < num_shards(); ++s)
+      total += replica_bytes(s);
     return total;
   }
 
 private:
-  std::vector<std::shared_ptr<CoefStorage<T>>> replicas_;
+  std::vector<CoefTables<T>> replicas_;
   std::shared_ptr<const CoefStorage<double>> wide_master_;
 };
 

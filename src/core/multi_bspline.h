@@ -8,9 +8,19 @@
 // is exactly the parallelism Opt C (nested threading) exploits.
 //
 // Slice layout: tile t writes component q at  base + q*stride + offset(t)
-// where offset(t) is the sum of padded sizes of tiles < t.  Because every
-// tile except possibly the last has Nb % simd_lanes == 0, each slice is
-// 64-byte aligned and the union of slices is exactly the padded full set.
+// where offset(t) is the sum of padded sizes of tiles < t.  A requested
+// width is rounded up to a whole number of SIMD lanes (tile_width), so every
+// tile except possibly the last is padding-free: each slice is 64-byte
+// aligned, offset(t) = t*Nb, orbital n lands at output index n exactly as in
+// BsplineSoA, and the union of slices is exactly the padded full set.
+//
+// Tables: the engine reads its tiles' tables and holds nothing else.  Built
+// from a shared table of N <= Nb splines it adopts that table as its only
+// tile (no copy: padding lanes are 0 in every table this library builds, so
+// the table IS the tile a split would copy).  Built from pre-split tiles
+// (make_random_tiles fills them straight from the generator; a shard
+// replica copies them) it adopts those.  Only the const-reference
+// constructor copies: it is the reference split the tests compare against.
 //
 // Precision split: like BsplineSoA, the element type is two parameters
 // `MultiBspline<TStore, TCompute>` (storage/interface type vs internal
@@ -21,8 +31,11 @@
 #ifndef MQC_CORE_MULTI_BSPLINE_H
 #define MQC_CORE_MULTI_BSPLINE_H
 
-#include <cassert>
+#include <algorithm>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -31,6 +44,34 @@
 #include "core/coef_storage.h"
 
 namespace mqc {
+
+/// The AoSoA tile width used for a requested @p tile_size: rounded up to a
+/// whole number of SIMD lanes of T, so every tile but the last is
+/// padding-free.  Tile width is trajectory-neutral, so rounding changes no
+/// result and rejects nothing.  Throws std::invalid_argument below 1: a zero
+/// or negative width (a hostile wisdom entry, say) never reaches the split.
+template <typename T>
+[[nodiscard]] int tile_width(int tile_size)
+{
+  if (tile_size < 1)
+    throw std::invalid_argument("MultiBspline: tile_size must be >= 1, got " +
+                                std::to_string(tile_size));
+  constexpr long long lanes = static_cast<long long>(simd_lanes<T>);
+  const long long up = (tile_size + lanes - 1) / lanes * lanes;
+  return static_cast<int>(std::min(up, std::numeric_limits<int>::max() / lanes * lanes));
+}
+
+/// Spline counts of the tiles of a @p num_splines table split at
+/// @p tile_size: full tiles of tile_width<T>(tile_size), then the remainder.
+template <typename T>
+[[nodiscard]] std::vector<int> tile_counts(int num_splines, int tile_size)
+{
+  const int nb = tile_width<T>(tile_size);
+  std::vector<int> counts;
+  for (int left = num_splines; left > 0; left -= nb)
+    counts.push_back(std::min(nb, left));
+  return counts;
+}
 
 template <typename TStore, typename TCompute = TStore>
 class MultiBspline
@@ -41,23 +82,43 @@ public:
   using tile_type = BsplineSoA<TStore, TCompute>;
   using weights_type = typename tile_type::weights_type;
 
-  /// Split an existing full coefficient table into tiles of @p tile_size.
-  /// tile_size must be a multiple of the SIMD lane count; the last tile
-  /// absorbs any remainder of num_splines.
+  /// The reference split: copy @p full into tiles of tile_width(tile_size)
+  /// splines; the last tile absorbs any remainder of num_splines.
   MultiBspline(const CoefStorage<TStore>& full, int tile_size)
-      : num_splines_(full.num_splines()), tile_size_(tile_size)
+      : MultiBspline(split(full, tile_size), tile_size)
   {
-    assert(tile_size > 0);
-    assert(static_cast<std::size_t>(tile_size) % simd_lanes<TStore> == 0);
-    const int n = full.num_splines();
+  }
+
+  /// Adopt @p full: when its splines fit one tile it IS the only tile (no
+  /// copy); otherwise it is split as above, and a table the caller moved in
+  /// is freed once the engine is built.
+  MultiBspline(std::shared_ptr<const CoefStorage<TStore>> full, int tile_size)
+      : MultiBspline(full->num_splines() <= tile_width<TStore>(tile_size)
+                         ? CoefTables<TStore>{std::move(full)}
+                         : split(*full, tile_size),
+                     tile_size)
+  {
+  }
+
+  /// Adopt pre-split @p tiles (make_random_tiles, shard replicas): tile t
+  /// holds splines [t*Nb, t*Nb + count) on one grid.  Throws
+  /// std::invalid_argument when they are not the tile_counts split.
+  MultiBspline(CoefTables<TStore> tiles, int tile_size) : tile_size_(tile_width<TStore>(tile_size))
+  {
+    if (tiles.empty())
+      throw std::invalid_argument("MultiBspline: no tiles");
+    const Grid3D<TStore>& g = tiles.front()->grid();
     std::size_t offset = 0;
-    for (int first = 0; first < n; first += tile_size) {
-      const int count = std::min(tile_size, n - first);
-      auto tile_coefs = std::make_shared<CoefStorage<TStore>>(full.grid(), count);
-      tile_coefs->assign_spline_range(full, first, count);
+    for (std::size_t t = 0; t < tiles.size(); ++t) {
+      const CoefStorage<TStore>& c = *tiles[t];
+      if (c.grid().x.num != g.x.num || c.grid().y.num != g.y.num || c.grid().z.num != g.z.num ||
+          c.num_splines() > tile_size_ || (t + 1 < tiles.size() && c.num_splines() != tile_size_))
+        throw std::invalid_argument("MultiBspline: tiles are not a split at width " +
+                                    std::to_string(tile_size_));
+      num_splines_ += c.num_splines();
       offsets_.push_back(offset);
-      offset += tile_coefs->padded_splines();
-      tiles_.emplace_back(std::move(tile_coefs));
+      offset += c.padded_splines();
+      tiles_.emplace_back(std::move(tiles[t]));
     }
     padded_splines_ = offset;
   }
@@ -212,7 +273,20 @@ public:
   }
 
 private:
-  int num_splines_;
+  static CoefTables<TStore> split(const CoefStorage<TStore>& full, int tile_size)
+  {
+    CoefTables<TStore> tiles;
+    int first = 0;
+    for (const int count : tile_counts<TStore>(full.num_splines(), tile_size)) {
+      auto tile = std::make_shared<CoefStorage<TStore>>(full.grid(), count);
+      tile->assign_spline_range(full, first, count);
+      tiles.push_back(std::move(tile));
+      first += count;
+    }
+    return tiles;
+  }
+
+  int num_splines_ = 0;
   int tile_size_;
   std::size_t padded_splines_ = 0;
   std::vector<std::size_t> offsets_;

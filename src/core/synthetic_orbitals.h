@@ -25,6 +25,7 @@
 #include "common/vec3.h"
 #include "core/bspline_builder.h"
 #include "core/coef_storage.h"
+#include "core/multi_bspline.h"
 
 namespace mqc {
 
@@ -154,6 +155,27 @@ std::shared_ptr<CoefStorage<T>> make_random_storage(const Grid3D<T>& grid, int n
   auto storage = std::make_shared<CoefStorage<T>>(grid, num_splines);
   storage->fill_random(seed);
   return storage;
+}
+
+/// The AoSoA tiles of make_random_storage(grid, num_splines, seed) split at
+/// @p tile_size (tile_counts), filled straight from the generator in the
+/// untiled draw order: byte for byte the tiles
+/// MultiBspline(*make_random_storage(...), tile_size) copies out, without
+/// the untiled table ever existing.  With num_splines <= tile_width the one
+/// tile is the make_random_storage table itself.
+template <typename T>
+CoefTables<T> make_random_tiles(const Grid3D<T>& grid, int num_splines, int tile_size,
+                                std::uint64_t seed)
+{
+  CoefTables<T> tiles;
+  std::vector<CoefStorage<T>*> parts;
+  for (const int count : tile_counts<T>(num_splines, tile_size)) {
+    auto tile = std::make_shared<CoefStorage<T>>(grid, count);
+    parts.push_back(tile.get());
+    tiles.push_back(std::move(tile));
+  }
+  fill_random_split<T>(parts, seed);
+  return tiles;
 }
 
 } // namespace mqc

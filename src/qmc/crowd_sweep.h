@@ -293,11 +293,13 @@ inline std::vector<CrowdRef> decompose_population(int nw, int num_shards, int cr
 }
 
 /// The shard systems (paper §IV-V + the mctop placement model): shard 0's
-/// system generates the coefficient table, and every other shard builds its
-/// engines and OrbitalSet facade over a FIRST-TOUCH replica of it
-/// (CoefReplicaSet), copied by one team member per shard on its own thread so
-/// the pages land on that thread's socket.  Identical table values make this
-/// bit-for-bit neutral.  Built once; only the walker -> shard map may change.
+/// system generates its engine's coefficient tables, and every other shard
+/// builds its engines and OrbitalSet facade over a FIRST-TOUCH replica of
+/// exactly those tables (CoefReplicaSet: one copy of the engine's set per
+/// shard, never an untiled table the engine does not read), copied by one
+/// team member per shard on its own thread so the pages land on that
+/// thread's socket.  Identical table bytes make this bit-for-bit neutral.
+/// Built once; only the walker -> shard map may change.
 struct ShardSystems
 {
   /// @p requested_shards: 0 = auto (MQC_SHARDS, else one per socket;
@@ -307,7 +309,7 @@ struct ShardSystems
     sys.push_back(std::make_unique<MiniQMCSystem>(cfg));
     const int n = std::min(resolve_shard_count(requested_shards), sys.front()->nw);
     sys.resize(static_cast<std::size_t>(n));
-    replicas = CoefReplicaSet<qmc_real>(sys.front()->coefs, n);
+    replicas = CoefReplicaSet<qmc_real>(sys.front()->tables, n);
     team_for(TeamHandle::of(n), n, [&](int s) {
       if (s > 0)
         sys[static_cast<std::size_t>(s)] =

@@ -45,19 +45,26 @@ namespace mqc::detail {
 using qmc_real = float; ///< kernel precision (the paper's miniQMC is all SP)
 
 /// Everything shared read-only across walkers: the crystal, the coefficient
-/// table and engines, the Jastrow functors, and the ion sets.
+/// tables and engines, the Jastrow functors, and the ion sets.
+///
+/// Tables: the system holds exactly the tables its configured engine reads
+/// (`tables`), once.  SoA and AoS read one generated table.  AoSoA reads its
+/// tiles, generated straight into the tiles in the untiled draw order
+/// (make_random_tiles), so no untiled table is ever built; when N fits one
+/// tile, that tile is the generated table.  Every table comes from the
+/// huge-page table allocator (core/table_memory.h).
 struct MiniQMCSystem
 {
-  /// @p replica (optional) is a pre-built coefficient table this system
-  /// adopts instead of generating its own — the WalkerPopulation's NUMA
-  /// path: each shard passes its socket-local CoefReplicaSet copy here, so
-  /// the engines and the OrbitalSet facade built below resolve every
-  /// evaluation through shard-local memory.  A replica must be an exact
-  /// copy of the table this config would generate (asserted on shape);
-  /// since the generated table is a deterministic function of (grid, norb,
-  /// seed), adopting a copy is trajectory-neutral bit-for-bit.
-  explicit MiniQMCSystem(const MiniQMCConfig& cfg,
-                         std::shared_ptr<CoefStorage<qmc_real>> replica = nullptr)
+  /// @p replica (optional) is a pre-built set of tables this system adopts
+  /// instead of generating its own — the WalkerPopulation's NUMA path: each
+  /// shard passes its socket-local CoefReplicaSet copy of the first shard's
+  /// `tables` here, so the engines and the OrbitalSet facade built below
+  /// resolve every evaluation through shard-local memory.  A replica must be
+  /// an exact copy of the tables this config would generate (asserted on
+  /// shape; MultiBspline rejects a set that is not its tile split); since
+  /// they are a deterministic function of (grid, norb, tile width, seed),
+  /// adopting a copy is trajectory-neutral bit-for-bit.
+  explicit MiniQMCSystem(const MiniQMCConfig& cfg, CoefTables<qmc_real> replica = {})
       : crystal(make_graphite_supercell(cfg.supercell[0], cfg.supercell[1], cfg.supercell[2]))
   {
     norb = cfg.num_splines > 0 ? cfg.num_splines : crystal.num_orbitals();
@@ -72,14 +79,6 @@ struct MiniQMCSystem
     for (const auto& row : crystal.lattice.rows())
       lmax = std::max(lmax, std::abs(row.x) + std::abs(row.y) + std::abs(row.z));
     const auto grid = Grid3D<qmc_real>::cube(cfg.grid_size, static_cast<qmc_real>(lmax));
-    if (replica) {
-      assert(replica->num_splines() == norb);
-      assert(replica->grid().x.num == grid.x.num && replica->grid().y.num == grid.y.num &&
-             replica->grid().z.num == grid.z.num);
-      coefs = std::move(replica);
-    } else {
-      coefs = make_random_storage<qmc_real>(grid, norb, cfg.seed);
-    }
 
     // Precision resolution BEFORE wisdom consumption: the AoS baseline has
     // no mixed variant (it predates the SoA stream kernels the wide
@@ -110,41 +109,54 @@ struct MiniQMCSystem
       tuned_inner_threads = tuned->inner_threads;
     }
 
+    // The tables, once the tile width is known.
+    if (!replica.empty()) {
+      for ([[maybe_unused]] const auto& t : replica)
+        assert(t->grid().x.num == grid.x.num && t->grid().y.num == grid.y.num &&
+               t->grid().z.num == grid.z.num);
+      tables = std::move(replica);
+    } else if (cfg.spo == SpoLayout::AoSoA) {
+      tables = make_random_tiles<qmc_real>(grid, norb, tile_size, cfg.seed);
+    } else {
+      tables = {make_random_storage<qmc_real>(grid, norb, cfg.seed)};
+    }
+
     // Engines: only the configured layout is exercised in the sweep.  The
     // OrbitalSet facade over the configured engine is THE evaluation entry
     // point for both drivers; the raw engine members stay for tests that
     // cross-check against direct kernel calls.  The mixed engines read the
-    // SAME float coefficient table (mixed changes how it is accumulated,
-    // not what is stored — and a direct qmc_real build is bit-identical to
-    // a convert_storage-narrowed DP build, since the synthetic builders
-    // fill from double-valued sources).
-    out_pad = coefs->padded_splines();
+    // SAME float tables (mixed changes how they are accumulated, not what
+    // is stored — and a direct qmc_real build is bit-identical to a
+    // convert_storage-narrowed DP build, since the synthetic builders fill
+    // from double-valued sources).
+    out_pad = tables.front()->padded_splines();
     switch (cfg.spo) {
     case SpoLayout::AoS:
-      spo_aos = std::make_unique<BsplineAoS<qmc_real>>(coefs);
+      spo_aos = std::make_unique<BsplineAoS<qmc_real>>(tables.front());
       spo = OrbitalSet<qmc_real>(*spo_aos);
       break;
     case SpoLayout::SoA:
       if (precision == PrecisionPath::Mixed) {
-        spo_soa_mixed = std::make_unique<BsplineSoA<qmc_real, double>>(coefs);
+        spo_soa_mixed = std::make_unique<BsplineSoA<qmc_real, double>>(tables.front());
         spo = OrbitalSet<qmc_real>(*spo_soa_mixed);
       } else {
-        spo_soa = std::make_unique<BsplineSoA<qmc_real>>(coefs);
+        spo_soa = std::make_unique<BsplineSoA<qmc_real>>(tables.front());
         spo = OrbitalSet<qmc_real>(*spo_soa);
       }
       break;
     case SpoLayout::AoSoA:
       if (precision == PrecisionPath::Mixed) {
-        spo_aosoa_mixed = std::make_unique<MultiBspline<qmc_real, double>>(*coefs, tile_size);
+        spo_aosoa_mixed = std::make_unique<MultiBspline<qmc_real, double>>(tables, tile_size);
         out_pad = spo_aosoa_mixed->padded_splines();
         spo = OrbitalSet<qmc_real>(*spo_aosoa_mixed);
       } else {
-        spo_aosoa = std::make_unique<MultiBspline<qmc_real>>(*coefs, tile_size);
+        spo_aosoa = std::make_unique<MultiBspline<qmc_real>>(tables, tile_size);
         out_pad = spo_aosoa->padded_splines();
         spo = OrbitalSet<qmc_real>(*spo_aosoa);
       }
       break;
     }
+    assert(spo.capabilities().num_splines == norb);
     if (tuned)
       spo.set_pos_block(tuned->pos_block);
     aos_outputs = cfg.spo == SpoLayout::AoS;
@@ -173,7 +185,9 @@ struct MiniQMCSystem
   int nel = 0;
   int nw = 0; ///< walker count
   int nq = 1; ///< pseudopotential quadrature points per electron
-  std::shared_ptr<CoefStorage<qmc_real>> coefs;
+  /// The tables the configured engine reads, and no others (see above);
+  /// what a shard replica copies.
+  CoefTables<qmc_real> tables;
   std::unique_ptr<BsplineAoS<qmc_real>> spo_aos;
   std::unique_ptr<BsplineSoA<qmc_real>> spo_soa;
   std::unique_ptr<MultiBspline<qmc_real>> spo_aosoa;

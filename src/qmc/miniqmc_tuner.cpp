@@ -115,7 +115,12 @@ Wisdom::Entry tune_miniqmc(Wisdom& wisdom, const MiniQMCConfig& cfg, double min_
   entry.precision = sys.precision == PrecisionPath::Mixed ? 1 : 0;
   const auto tiles = default_tile_candidates(sys.norb, static_cast<int>(simd_lanes<float>));
   const auto blocks = default_block_candidates(sys.nw);
-  const auto joint = tune_tile_block_vgh(*sys.coefs, tiles, blocks, sys.nw, min_seconds);
+  // The sweep splits its own untiled copy of the driver's table at every
+  // candidate width (the system holds only its engine's tiles); the copy
+  // dies with this statement.
+  const auto joint = tune_tile_block_vgh(
+      *make_random_storage<detail::qmc_real>(sys.tables.front()->grid(), sys.norb, cfg.seed),
+      tiles, blocks, sys.nw, min_seconds);
   entry.tile_size = joint.best_tile;
   entry.pos_block = joint.best_block;
   entry.throughput = joint.best_throughput;

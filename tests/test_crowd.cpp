@@ -328,6 +328,30 @@ TEST(CrowdDriver, InnerThreadsResolutionExplicitAutoAndTuned)
   EXPECT_GE(run_miniqmc(cfg).inner_threads_used, 1);
 }
 
+// A wisdom entry is untrusted input: a tile width that is not a lane multiple
+// rounds up to one (tile width is trajectory-neutral), so Nb = 8 runs the
+// Nb = 16 trajectory bit for bit instead of misplacing orbitals.
+TEST(CrowdDriver, WisdomTileWidthRoundsUpToALaneMultiple)
+{
+  auto cfg = crowd_test_config();
+  cfg.num_splines = 32;
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.optimized_dt_jastrow = true;
+  cfg.driver = DriverMode::Crowd;
+  cfg.crowd_size = 2;
+  cfg.tile_size = 16;
+  const auto lane_width = run_miniqmc(cfg);
+
+  Wisdom wisdom;
+  Wisdom::Entry entry;
+  entry.tile_size = 8;
+  entry.pos_block = 2;
+  wisdom.insert(miniqmc_wisdom_key(cfg.num_splines, cfg.grid_size, cfg.num_walkers), entry);
+  cfg.wisdom = &wisdom;
+  cfg.tile_size = 64; // the wisdom entry wins over the explicit width
+  expect_identical_trajectories(lane_width, run_miniqmc(cfg), "wisdom Nb = 8 vs Nb = 16");
+}
+
 TEST(CrowdDriver, BitForBitMatchesPerWalkerWithDelayedUpdates)
 {
   auto cfg = crowd_test_config();

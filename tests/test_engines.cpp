@@ -5,6 +5,8 @@
 // periodic wrapping, and thread-safety of the shared coefficient table.
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -320,6 +322,52 @@ TEST(MultiBspline, TileGeometry)
   EXPECT_EQ(mb.tile_offset(3), 96u);
   EXPECT_EQ(mb.padded_splines(), 96u + aligned_size<float>(4));
   EXPECT_GT(mb.tile_bytes(0), 0u);
+}
+
+// The width contract holds in every build, not only under assert: a width
+// below 1 is refused by name, and the tiles constructor refuses a set that
+// is not a split at its width.
+TEST(MultiBspline, TileWidthBelowOneThrows)
+{
+  const auto grid = Grid3D<float>::cube(4, 1.0f);
+  auto coefs = make_random_storage<float>(grid, 32, 8);
+  for (const int bad : {0, -16}) {
+    try {
+      MultiBspline<float> mb(*coefs, bad);
+      ADD_FAILURE() << "tile_size " << bad << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(std::to_string(bad)), std::string::npos) << e.what();
+    }
+    EXPECT_THROW(MultiBspline<float>(std::shared_ptr<const CoefStorage<float>>(coefs), bad),
+                 std::invalid_argument);
+  }
+  EXPECT_THROW(MultiBspline<float>(make_random_tiles<float>(grid, 32, 16, 8), 32),
+               std::invalid_argument);
+}
+
+// A width that is not a lane multiple rounds up to one, so every tile but the
+// last is padding-free and orbital n lands at output index n, as in BsplineSoA.
+TEST(MultiBspline, NonLaneMultipleWidthRoundsUp)
+{
+  const auto grid = Grid3D<float>::cube(6, 1.0f);
+  auto coefs = make_random_storage<float>(grid, 32, 12);
+  const BsplineSoA<float> ref(coefs);
+  const MultiBspline<float> mb(*coefs, 8);
+  EXPECT_EQ(mb.tile_size(), 16);
+  EXPECT_EQ(mb.num_tiles(), 2);
+  ASSERT_EQ(mb.out_stride(), ref.out_stride());
+  WalkerSoA<float> wr(ref.out_stride()), wm(mb.out_stride());
+  for (const auto& p : mqc::test::random_positions(grid, 3, 13)) {
+    ref.evaluate_vgh(p[0], p[1], p[2], wr.v.data(), wr.g.data(), wr.h.data());
+    mb.evaluate_vgh(p[0], p[1], p[2], wm.v.data(), wm.g.data(), wm.h.data(), wm.stride);
+    for (std::size_t n = 0; n < 32; ++n) {
+      ASSERT_EQ(wr.v[n], wm.v[n]) << "orbital " << n;
+      for (int c = 0; c < 3; ++c)
+        ASSERT_EQ(wr.g[c * wr.stride + n], wm.g[c * wm.stride + n]) << "orbital " << n;
+      for (int c = 0; c < 6; ++c)
+        ASSERT_EQ(wr.h[c * wr.stride + n], wm.h[c * wm.stride + n]) << "orbital " << n;
+    }
+  }
 }
 
 TEST(MultiBspline, PerTileEvaluationEqualsWholeSet)

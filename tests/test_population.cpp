@@ -26,6 +26,9 @@
 
 #include "common/threading.h"
 #include "core/coef_storage.h"
+#include "core/synthetic_orbitals.h"
+#include "core/table_memory.h"
+#include "qmc/crowd_sweep.h"
 #include "qmc/job_queue.h"
 #include "qmc/miniqmc_driver.h"
 #include "qmc/walker_population.h"
@@ -207,27 +210,101 @@ TEST(WalkerPopulationSuite, ResolveShardCountFollowsTopologyAndEnv)
 
 TEST(WalkerPopulationSuite, ReplicasAreExactCopiesOfTheMaster)
 {
+  // Two masters: one table (what a SoA engine reads), and the three tiles an
+  // AoSoA engine reads at Nb = 16 (16 + 16 + a remainder of 8 splines).
   const auto grid = Grid3D<float>::cube(4);
   auto master = std::make_shared<CoefStorage<float>>(grid, 8);
   master->fill_random(1234);
+  const CoefTables<float> one_table{master};
+  const CoefTables<float> tiles = make_random_tiles<float>(grid, 40, 16, 1234);
+  ASSERT_EQ(tiles.size(), 3u);
 
-  CoefReplicaSet<float> set(master, 3);
-  EXPECT_EQ(set.num_shards(), 3);
-  EXPECT_EQ(set.replicate(0).get(), master.get()); // shard 0 IS the master
-  EXPECT_EQ(set.local(1).get(), master.get());     // not yet materialized
+  for (const CoefTables<float>* engine_tables : {&one_table, &tiles}) {
+    CoefReplicaSet<float> set(*engine_tables, 3);
+    EXPECT_EQ(set.num_shards(), 3);
+    EXPECT_EQ(set.replicate(0), *engine_tables); // shard 0 IS the master
+    EXPECT_EQ(set.local(1), *engine_tables);     // not yet materialized
 
-  const auto rep = set.replicate(1);
-  ASSERT_NE(rep.get(), master.get());
-  EXPECT_EQ(set.replicate(1).get(), rep.get()); // idempotent
-  EXPECT_EQ(set.local(1).get(), rep.get());
-  for (int i = 0; i < grid.x.num + 3; ++i)
-    for (int j = 0; j < grid.y.num + 3; ++j)
-      for (int k = 0; k < grid.z.num + 3; ++k) {
-        const float* a = master->row(i, j, k);
-        const float* b = rep->row(i, j, k);
-        ASSERT_EQ(0, std::memcmp(a, b, master->padded_splines() * sizeof(float)))
-            << "replica row (" << i << "," << j << "," << k << ") differs";
+    const CoefTables<float>& rep = set.replicate(1);
+    EXPECT_EQ(&set.replicate(1), &rep); // idempotent
+    EXPECT_EQ(&set.local(1), &rep);
+    ASSERT_EQ(rep.size(), engine_tables->size());
+    std::size_t engine_bytes = 0;
+    for (std::size_t t = 0; t < rep.size(); ++t) {
+      const CoefStorage<float>& a = *(*engine_tables)[t];
+      ASSERT_NE(rep[t].get(), &a);
+      ASSERT_EQ(rep[t]->size_bytes(), a.size_bytes());
+      ASSERT_EQ(0, std::memcmp(a.row(0, 0, 0), rep[t]->row(0, 0, 0), a.size_bytes()))
+          << "replica table " << t << " differs";
+      engine_bytes += a.size_bytes();
+    }
+    // A shard pins exactly one engine's tables, padding included.
+    EXPECT_EQ(set.replica_bytes(1), engine_bytes);
+    EXPECT_EQ(set.replica_bytes(2), 0u);
+    EXPECT_EQ(set.total_replica_bytes(), 2 * engine_bytes);
+  }
+}
+
+// A system holds exactly the tables its engine reads.  At N = 40 one 64-wide
+// tile covers every orbital, so that tile IS the generated table; at Nb = 16
+// the system holds the three tiles and never an untiled table.
+TEST(WalkerPopulationSuite, SystemsHoldOnlyTheirEngineTables)
+{
+  MiniQMCConfig cfg = make_cfg(3, 1);
+  cfg.grid_size = 8;
+  cfg.num_splines = 40;
+  cfg.spo = SpoLayout::AoSoA;
+  for (const int tile : {64, 16}) {
+    cfg.tile_size = tile;
+    const std::size_t before = live_table_bytes();
+    const detail::MiniQMCSystem sys(cfg);
+    const MultiBspline<float>& engine = *sys.spo_aosoa;
+    EXPECT_EQ(live_table_bytes() - before, engine.coef_bytes()) << "Nb = " << tile;
+    ASSERT_EQ(sys.tables.size(), static_cast<std::size_t>(engine.num_tiles()));
+    for (int t = 0; t < engine.num_tiles(); ++t)
+      EXPECT_EQ(sys.tables[static_cast<std::size_t>(t)].get(), &engine.tile(t).coefs());
+    if (tile == 64) {
+      ASSERT_EQ(engine.num_tiles(), 1);
+      const auto generated = make_random_storage<float>(sys.tables[0]->grid(), 40, cfg.seed);
+      ASSERT_EQ(sys.tables[0]->size_bytes(), generated->size_bytes());
+      EXPECT_EQ(0, std::memcmp(sys.tables[0]->row(0, 0, 0), generated->row(0, 0, 0),
+                               generated->size_bytes()));
+    } else {
+      EXPECT_EQ(engine.num_tiles(), 3);
+    }
+  }
+}
+
+// Each shard's engine reads its own first-touch copy of one engine's tables —
+// the tiles, byte for byte — and the shards together hold nothing else.
+TEST(WalkerPopulationSuite, ShardsReplicateTheEngineTables)
+{
+  MiniQMCConfig cfg = make_cfg(3, 1);
+  cfg.grid_size = 8;
+  cfg.num_splines = 40;
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.tile_size = 16;
+  const std::size_t before = live_table_bytes();
+  const detail::ShardSystems shards(cfg, 3);
+  ASSERT_EQ(shards.size(), 3);
+  const CoefTables<float>& master = shards.master().tables;
+  const std::size_t engine_bytes = shards.master().spo_aosoa->coef_bytes();
+  EXPECT_EQ(live_table_bytes() - before, 3 * engine_bytes);
+  for (int s = 0; s < shards.size(); ++s) {
+    const detail::MiniQMCSystem& sys = shards[s];
+    EXPECT_EQ(shards.replicas.replica_bytes(s), engine_bytes) << "shard " << s;
+    ASSERT_EQ(sys.tables.size(), master.size());
+    for (std::size_t t = 0; t < master.size(); ++t) {
+      EXPECT_EQ(sys.tables[t].get(), &sys.spo_aosoa->tile(static_cast<int>(t)).coefs());
+      if (s > 0) {
+        EXPECT_NE(sys.tables[t].get(), master[t].get()) << "shard " << s;
       }
+      ASSERT_EQ(sys.tables[t]->size_bytes(), master[t]->size_bytes());
+      EXPECT_EQ(0, std::memcmp(sys.tables[t]->row(0, 0, 0), master[t]->row(0, 0, 0),
+                               master[t]->size_bytes()))
+          << "shard " << s << " tile " << t;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

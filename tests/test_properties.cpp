@@ -6,6 +6,7 @@
 //   * tiling invariance (any tile size gives the same orbital values),
 //   * output determinism (same inputs, bit-identical outputs).
 #include <cmath>
+#include <cstring>
 #include <ostream>
 #include <tuple>
 
@@ -137,6 +138,36 @@ TEST_P(TileInvariance, AoSoAValuesIndependentOfTileSize)
       ASSERT_EQ(wr.v[static_cast<std::size_t>(n)], wm.v[m]) << "tile=" << tile << " n=" << n;
       ASSERT_EQ(wr.gx()[static_cast<std::size_t>(n)], wm.gx()[m]);
       ASSERT_EQ(wr.hcomp(5)[static_cast<std::size_t>(n)], wm.hcomp(5)[m]);
+    }
+  }
+}
+
+// The three ways to build an engine's tiles hold the same bytes, padding
+// included: the reference split of an untiled table, the shared-table
+// constructor (which adopts the table itself when it fits one tile), and
+// tiles filled straight from the generator in the untiled draw order.
+TEST_P(TileInvariance, AdoptedAndDirectTilesEqualTheSplit)
+{
+  const int tile = GetParam().tile;
+  const int n_splines = GetParam().num_splines;
+  const auto grid = Grid3D<float>::cube(10, 1.0f);
+  auto full = make_random_storage<float>(grid, n_splines, 9);
+  const MultiBspline<float> split(*full, tile);
+  const MultiBspline<float> adopted(std::shared_ptr<const CoefStorage<float>>(full), tile);
+  const MultiBspline<float> direct(make_random_tiles<float>(grid, n_splines, tile, 9), tile);
+  if (n_splines <= tile) {
+    EXPECT_EQ(&adopted.tile(0).coefs(), full.get()) << "one tile: the table itself";
+  }
+  for (const MultiBspline<float>* mb : {&adopted, &direct}) {
+    ASSERT_EQ(mb->num_tiles(), split.num_tiles());
+    ASSERT_EQ(mb->padded_splines(), split.padded_splines());
+    for (int t = 0; t < split.num_tiles(); ++t) {
+      const CoefStorage<float>& want = split.tile(t).coefs();
+      const CoefStorage<float>& got = mb->tile(t).coefs();
+      ASSERT_EQ(got.num_splines(), want.num_splines()) << "tile " << t;
+      ASSERT_EQ(got.size_bytes(), want.size_bytes()) << "tile " << t;
+      EXPECT_EQ(0, std::memcmp(got.row(0, 0, 0), want.row(0, 0, 0), want.size_bytes()))
+          << "tile " << t << " of " << split.num_tiles();
     }
   }
 }

@@ -1,15 +1,22 @@
 // Tests for the 4D coefficient storage: padding/alignment guarantees, the
-// periodic control-point scatter, tile splitting, and deterministic fills.
+// periodic control-point scatter, tile splitting, deterministic fills, and
+// the table allocator (core/table_memory.h).
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <fstream>
+#include <limits>
+#include <new>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "core/bspline_ref.h"
 #include "core/coef_storage.h"
 #include "core/synthetic_orbitals.h"
+#include "core/table_memory.h"
 #include "test_utils.h"
 
 using namespace mqc;
@@ -92,6 +99,34 @@ TEST(Storage, FillRandomDeterministicAndBounded)
   EXPECT_GT(diffs, 0);
 }
 
+// fill_random keeps the historical draw order — one uniform draw per padded
+// lane, row by row — so every logical coefficient is what it always was;
+// padding lanes discard their draw and hold 0, as a tile copy's do.
+template <typename T>
+void expect_reference_draw(int ng, int n, std::uint64_t seed, std::size_t lanes)
+{
+  const auto grid = Grid3D<T>::cube(ng, T(1));
+  CoefStorage<T> s(grid, n);
+  ASSERT_EQ(s.padded_splines(), lanes);
+  s.fill_random(seed);
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < ng + 3; ++i)
+    for (int j = 0; j < ng + 3; ++j)
+      for (int k = 0; k < ng + 3; ++k)
+        for (std::size_t l = 0; l < lanes; ++l) {
+          const T drawn = static_cast<T>(rng.uniform(-0.5, 0.5));
+          ASSERT_EQ(s.row(i, j, k)[l], static_cast<int>(l) < n ? drawn : T(0))
+              << "N=" << n << " (" << i << ',' << j << ',' << k << ") lane " << l;
+        }
+}
+
+TEST(Storage, FillRandomKeepsTheDrawOrderAndZeroesPadding)
+{
+  expect_reference_draw<float>(4, 10, 77, 16);
+  expect_reference_draw<float>(4, 16, 78, 16);
+  expect_reference_draw<double>(5, 3, 79, 8);
+}
+
 TEST(Storage, AssignSplineRangeExtractsTile)
 {
   const auto grid = Grid3D<float>::cube(4, 1.0f);
@@ -118,6 +153,83 @@ TEST(Storage, PaddingLanesStayZeroAfterBuild)
       for (int k = 0; k < ng + 3; ++k)
         for (std::size_t n = 3; n < s.padded_splines(); ++n)
           ASSERT_FLOAT_EQ(s.row(i, j, k)[n], 0.0f);
+}
+
+// ---------------------------------------------------------------------------
+// The table allocator: 2 MiB and up is a huge-page-advised mapping, below
+// that a zero-filled 64-byte aligned block.
+// ---------------------------------------------------------------------------
+
+namespace {
+
+bool all_zero(const void* p, std::size_t bytes)
+{
+  const auto* b = static_cast<const unsigned char*>(p);
+  return std::all_of(b, b + bytes, [](unsigned char c) { return c == 0; });
+}
+
+/// The process's virtual size in kB (VmSize): a mapping left behind grows it.
+std::size_t virtual_kb()
+{
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmSize:", 0) == 0)
+      return std::stoul(line.substr(7));
+  return 0;
+}
+
+} // namespace
+
+TEST(TableMemory, LargeTablesAreHugePageAlignedZeroAndCopyEqual)
+{
+  // 32^3 rows x 16 floats = exactly 2 MiB, and one element more.
+  const auto grid = Grid3D<float>::cube(29, 1.0f);
+  CoefStorage<float> s(grid, 16);
+  ASSERT_EQ(s.size_bytes(), kHugePageBytes);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(s.row(0, 0, 0)) % kHugePageBytes, 0u);
+  EXPECT_TRUE(all_zero(s.row(0, 0, 0), s.size_bytes())); // zero before any write
+  s.fill_random(5);
+
+  const CoefStorage<float> copy(s);
+  EXPECT_NE(copy.row(0, 0, 0), s.row(0, 0, 0));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(copy.row(0, 0, 0)) % kHugePageBytes, 0u);
+  EXPECT_EQ(0, std::memcmp(copy.row(0, 0, 0), s.row(0, 0, 0), s.size_bytes()));
+
+  const TableBlock at(kHugePageBytes / sizeof(float), sizeof(float));
+  const TableBlock below(kHugePageBytes / sizeof(float) - 1, sizeof(float));
+  EXPECT_TRUE(at.mapped());
+  EXPECT_FALSE(below.mapped());
+  EXPECT_EQ(below.size_bytes(), kHugePageBytes - sizeof(float)); // logical, not rounded
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(below.data()) % kAlignment, 0u);
+  EXPECT_TRUE(all_zero(below.data(), below.size_bytes()));
+}
+
+TEST(TableMemory, LiveBytesFollowTheTables)
+{
+  const std::size_t before = live_table_bytes();
+  {
+    const auto grid = Grid3D<double>::cube(30, 1.0); // 33^3 x 8 doubles: mapped
+    CoefStorage<double> big(grid, 5);
+    CoefStorage<float> small(Grid3D<float>::cube(3, 1.0f), 5);
+    const CoefStorage<double> copy(big);
+    EXPECT_EQ(live_table_bytes() - before, 2 * big.size_bytes() + small.size_bytes());
+  }
+  EXPECT_EQ(live_table_bytes(), before);
+}
+
+TEST(TableMemory, OverflowingCountThrowsBadAllocWithoutMapping)
+{
+  const std::size_t huge = std::numeric_limits<std::size_t>::max() / sizeof(float) + 1;
+  // Warm up the exception path so its own allocations do not count below.
+  EXPECT_THROW(TableBlock(huge, sizeof(float)), std::bad_alloc);
+  const std::size_t vm = virtual_kb();
+  const std::size_t live = live_table_bytes();
+  EXPECT_THROW(TableBlock(huge, sizeof(float)), std::bad_alloc);
+  // count * size fits, but rounding it up to whole 2 MiB pages would not.
+  EXPECT_THROW(TableBlock(std::numeric_limits<std::size_t>::max() - kHugePageBytes, 1),
+               std::bad_alloc);
+  EXPECT_EQ(virtual_kb(), vm);
+  EXPECT_EQ(live_table_bytes(), live);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +336,8 @@ TEST(CoefReplicaSetWide, EveryShardNarrowsIdentically)
   EXPECT_EQ(set.num_shards(), 3);
   const auto expected = convert_storage<float>(*wide);
   for (int s = 0; s < 3; ++s) {
-    const auto rep = set.replicate(s);
+    ASSERT_EQ(set.replicate(s).size(), 1u);
+    const auto rep = set.replicate(s).front();
     ASSERT_NE(rep, nullptr);
     for (int i = 0; i < 8; ++i)
       for (int j = 0; j < 8; ++j)
@@ -242,8 +355,8 @@ TEST(CoefReplicaSetWide, ReplicateIsIdempotentAndBytesAccounted)
   CoefReplicaSet<float> set(std::shared_ptr<const CoefStorage<double>>(wide), 2);
   EXPECT_EQ(set.replica_bytes(0), 0u); // nothing materialized yet
   EXPECT_EQ(set.total_replica_bytes(), 0u);
-  const auto first = set.replicate(0);
-  EXPECT_EQ(set.replicate(0), first); // idempotent: same object back
+  const auto first = set.replicate(0).front();
+  EXPECT_EQ(set.replicate(0).front(), first); // idempotent: same object back
   EXPECT_EQ(set.replica_bytes(0), first->size_bytes());
   EXPECT_EQ(set.replica_bytes(1), 0u);
   set.replicate(1);

@@ -29,6 +29,11 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       only from crowd_sweep_steps (qmc/crowd_sweep.h), the one
                       move/measure loop every driver runs; a second loop
                       would let drivers drift apart bit by bit.
+  * table-alloc       `mmap`, `munmap`, `madvise`, `aligned_alloc` and
+                      `posix_memalign` appear only in the table allocator
+                      (core/table_memory.cpp) and common/aligned_allocator.h,
+                      so page size, alignment and release of the coefficient
+                      tables have one audited owner.
 
 Escape hatch: a comment `// mqc-lint: allow(<rule>)` on the offending line or
 the line directly above it silences that one finding — use it with a
@@ -146,6 +151,17 @@ RULES = [
         "DMC drift = its proposal-centre argument), so trajectories agree bit "
         "for bit by construction",
         allowed_paths=("src/qmc/crowd_sweep.h",),
+    ),
+    Rule(
+        "table-alloc",
+        "raw page mapping or aligned allocation outside the audited allocators",
+        r"\b(mmap(64)?|munmap|madvise|aligned_alloc|posix_memalign)\b",
+        "coefficient tables get their memory from the one table allocator "
+        "(core/table_memory.cpp: 2 MiB-aligned MADV_HUGEPAGE mappings from 2 MiB "
+        "up, zero-filled 64-byte blocks below) and other aligned buffers from "
+        "common/aligned_allocator.h, so page size, alignment, zeroing and "
+        "release each have one owner",
+        allowed_paths=("src/common/aligned_allocator.h", "src/core/table_memory.cpp"),
     ),
 ]
 
