@@ -1,4 +1,5 @@
-// Ablation studies for the design choices DESIGN.md calls out:
+// Ablation studies for two of the paper's design choices (README, "Benchmarks
+// -> paper figures/tables"):
 //   1. z-loop unrolling inside the SoA VGH kernel (paper §V-A "other
 //      optimizations"): SoA layout with and without fused z-sums.
 //   2. Explicit thread partition vs letting a second OpenMP level schedule

@@ -279,9 +279,9 @@ public:
     evaluate_vgh(x, y, z, v, g, h, out_stride());
   }
 
-  /// Ablation variant (DESIGN.md #1): SoA output layout but WITHOUT the
-  /// fused z-sums — the inner loop still walks all 64 (i,j,k) sub-cubes as
-  /// the baseline does.  Isolates the layout transformation from the z-loop
+  /// Ablation variant (study 1 of bench_ablation): SoA output layout but
+  /// WITHOUT the fused z-sums — the inner loop still walks all 64 (i,j,k)
+  /// sub-cubes as the baseline does.  Isolates the layout transformation from the z-loop
   /// unrolling so the bench harness can attribute the Opt-A gain.  Also kept
   /// on the old fill_n-then-accumulate scheme, so it doubles as the ablation
   /// reference for the zero-fill elimination.  Same-type engines only — the

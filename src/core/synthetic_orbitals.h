@@ -10,7 +10,8 @@
 // They exercise the identical code path (a dense 4D coefficient table with
 // random access) and, unlike random coefficients, have analytic
 // value/gradient/Hessian so accuracy tests can verify the whole pipeline
-// (builder + engine) end to end.  See DESIGN.md, substitution table.
+// (builder + engine) end to end.  The substitution changes what the table
+// holds, not how it is read, so the kernel measurements are unaffected.
 #ifndef MQC_CORE_SYNTHETIC_ORBITALS_H
 #define MQC_CORE_SYNTHETIC_ORBITALS_H
 

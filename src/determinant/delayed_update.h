@@ -1,6 +1,7 @@
 // Delayed (rank-k) determinant updates — the QMCPACK follow-on optimization
-// to the per-move Sherman-Morrison path (listed as an extension in
-// DESIGN.md; McDaniel et al., J. Chem. Phys. 147, 174107).
+// to the per-move Sherman-Morrison path, beyond the paper's scope (McDaniel
+// et al., J. Chem. Phys. 147, 174107).  README "Crowd driver and delayed
+// determinant updates" covers how delay_rank selects it and where it wins.
 //
 // Accepted column replacements are accumulated as a rank-k correction and
 // applied to the stored inverse only when the delay window is full (or a

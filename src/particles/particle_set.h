@@ -37,6 +37,8 @@ public:
   }
   [[nodiscard]] const Vec3<T>* data() const noexcept { return r_.data(); }
 
+  void set(int i, const Vec3<T>& r) noexcept { r_[static_cast<std::size_t>(i)] = r; }
+
 private:
   std::vector<Vec3<T>> r_;
 };

@@ -9,6 +9,7 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <variant>
 
 #include "qmc/miniqmc_context.h"
 
@@ -547,6 +548,20 @@ bool restore_det(BlobReader& r, DetUpdater& det, int norb)
   return r.ok();
 }
 
+/// Call @p f(data, count) on each committed array of a distance table, in
+/// codec order: the distances, then the displacements (the SoA tables' three
+/// component planes, or the AoS tables' one interleaved xyz array).  Stops
+/// at the first false.
+template <typename Table, typename F>
+bool each_state_array(Table& t, F&& f)
+{
+  const std::size_t n = t.state_count();
+  if constexpr (requires { t.state_dx(); })
+    return f(t.state_r(), n) && f(t.state_dx(), n) && f(t.state_dy(), n) && f(t.state_dz(), n);
+  else
+    return f(t.state_r(), n) && f(reinterpret_cast<qmc_real*>(t.state_dr()), 3 * n);
+}
+
 std::vector<std::uint8_t> serialize_walker(WalkerState& w, const MiniQMCSystem& sys,
                                            const MiniQMCConfig& cfg, int wid,
                                            bool include_dets = true)
@@ -565,35 +580,26 @@ std::vector<std::uint8_t> serialize_walker(WalkerState& w, const MiniQMCSystem& 
   out.u64(static_cast<std::uint64_t>(w.orbital_evals));
 
   out.u32(static_cast<std::uint32_t>(sys.nel));
-  for (int e = 0; e < sys.nel; ++e) {
-    const Vec3<qmc_real> r = w.elec_soa[e];
-    out.f32(r.x);
-    out.f32(r.y);
-    out.f32(r.z);
-  }
-
-  // Committed distance tables of the configured layout pair, verbatim (the
-  // other pair is never evaluated in the sweep; see state_r() rationale).
-  out.u8(cfg.optimized_dt_jastrow ? 1 : 0);
   auto dump = [&](const qmc_real* p, std::size_t count) {
     out.u64(static_cast<std::uint64_t>(count));
     out.raw(p, count * sizeof(qmc_real));
+    return true;
   };
-  if (cfg.optimized_dt_jastrow) {
-    dump(w.ee_soa->state_r(), w.ee_soa->state_count());
-    dump(w.ee_soa->state_dx(), w.ee_soa->state_count());
-    dump(w.ee_soa->state_dy(), w.ee_soa->state_count());
-    dump(w.ee_soa->state_dz(), w.ee_soa->state_count());
-    dump(w.ei_soa->state_r(), w.ei_soa->state_count());
-    dump(w.ei_soa->state_dx(), w.ei_soa->state_count());
-    dump(w.ei_soa->state_dy(), w.ei_soa->state_count());
-    dump(w.ei_soa->state_dz(), w.ei_soa->state_count());
-  } else {
-    dump(w.ee_aos->state_r(), w.ee_aos->state_count());
-    dump(reinterpret_cast<const qmc_real*>(w.ee_aos->state_dr()), 3 * w.ee_aos->state_count());
-    dump(w.ei_aos->state_r(), w.ei_aos->state_count());
-    dump(reinterpret_cast<const qmc_real*>(w.ei_aos->state_dr()), 3 * w.ei_aos->state_count());
-  }
+  std::visit(
+      [&](auto& el) {
+        for (int e = 0; e < sys.nel; ++e) {
+          const Vec3<qmc_real> r = el.r[e];
+          out.f32(r.x);
+          out.f32(r.y);
+          out.f32(r.z);
+        }
+        // The committed distance tables of the walker's layout, verbatim
+        // (see the state_r() rationale), behind the layout tag.
+        out.u8(cfg.optimized_dt_jastrow ? 1 : 0);
+        each_state_array(*el.ee, dump);
+        each_state_array(*el.ei, dump);
+      },
+      w.electrons);
 
   if (include_dets) {
     serialize_det(out, w.det_up);
@@ -613,7 +619,8 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
   Xoshiro256::State rs;
   for (auto& word : rs.s)
     word = r.u64();
-  rs.have_gauss = r.u8() != 0;
+  const std::uint8_t have_gauss = r.u8();
+  rs.have_gauss = have_gauss == 1;
   rs.cached_gauss = r.f64();
 
   const std::uint64_t accepted = r.u64();
@@ -630,8 +637,10 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
     p.z = r.f32();
   }
 
-  const bool optimized = r.u8() != 0;
-  if (!r.ok() || optimized != cfg.optimized_dt_jastrow)
+  // Flag bytes are exactly 0 or 1: any other value is a forged or damaged
+  // payload, not a "true".
+  const std::uint8_t optimized = r.u8();
+  if (!r.ok() || have_gauss > 1 || optimized > 1 || (optimized == 1) != cfg.optimized_dt_jastrow)
     return false;
   auto load = [&](qmc_real* p, std::size_t count) {
     if (static_cast<std::size_t>(r.u64()) != count)
@@ -639,24 +648,9 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
     r.raw(p, count * sizeof(qmc_real));
     return r.ok();
   };
-  bool tables_ok;
-  if (optimized) {
-    tables_ok = load(w.ee_soa->state_r(), w.ee_soa->state_count()) &&
-                load(w.ee_soa->state_dx(), w.ee_soa->state_count()) &&
-                load(w.ee_soa->state_dy(), w.ee_soa->state_count()) &&
-                load(w.ee_soa->state_dz(), w.ee_soa->state_count()) &&
-                load(w.ei_soa->state_r(), w.ei_soa->state_count()) &&
-                load(w.ei_soa->state_dx(), w.ei_soa->state_count()) &&
-                load(w.ei_soa->state_dy(), w.ei_soa->state_count()) &&
-                load(w.ei_soa->state_dz(), w.ei_soa->state_count());
-  } else {
-    tables_ok = load(w.ee_aos->state_r(), w.ee_aos->state_count()) &&
-                load(reinterpret_cast<qmc_real*>(w.ee_aos->state_dr()),
-                     3 * w.ee_aos->state_count()) &&
-                load(w.ei_aos->state_r(), w.ei_aos->state_count()) &&
-                load(reinterpret_cast<qmc_real*>(w.ei_aos->state_dr()),
-                     3 * w.ei_aos->state_count());
-  }
+  const bool tables_ok = std::visit(
+      [&](auto& el) { return each_state_array(*el.ee, load) && each_state_array(*el.ei, load); },
+      w.electrons);
   if (!tables_ok)
     return false;
 
@@ -671,10 +665,12 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
   w.accepted = static_cast<std::size_t>(accepted);
   w.attempted = static_cast<std::size_t>(attempted);
   w.orbital_evals = static_cast<std::size_t>(orbital_evals);
-  for (int e = 0; e < nel; ++e) {
-    w.elec_soa.set(e, pos[static_cast<std::size_t>(e)]);
-    w.elec_aos[e] = pos[static_cast<std::size_t>(e)];
-  }
+  std::visit(
+      [&](auto& el) {
+        for (int e = 0; e < nel; ++e)
+          el.r.set(e, pos[static_cast<std::size_t>(e)]);
+      },
+      w.electrons);
   return true;
 }
 
@@ -928,20 +924,8 @@ int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg
 }
 
 // --------------------------------------------------------------------------
-// Walker-state blob accessors (shared with the DMC clone path)
+// Walker clone (the DMC birth path)
 // --------------------------------------------------------------------------
-
-std::vector<std::uint8_t> serialize_walker_state(WalkerState& w, const MiniQMCSystem& sys,
-                                                 const MiniQMCConfig& cfg, int wid)
-{
-  return serialize_walker(w, sys, cfg, wid);
-}
-
-bool restore_walker_state(const std::vector<std::uint8_t>& payload, WalkerState& w,
-                          const MiniQMCSystem& sys, const MiniQMCConfig& cfg, int wid)
-{
-  return restore_walker(payload, w, sys, cfg, wid);
-}
 
 void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem& sys,
                         const MiniQMCConfig& cfg)

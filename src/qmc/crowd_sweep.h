@@ -23,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
+#include <variant>
 #include <vector>
 
 #include "core/coef_storage.h"
@@ -51,19 +52,10 @@ struct CrowdScratch
     for (int i = 0; i < count; ++i) {
       WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
       const auto ui = static_cast<std::size_t>(i);
-      // The facade writes into the layout-appropriate walker buffer: AoS
-      // component groups for the baseline engine, SoA streams otherwise.
-      if (sys.aos_outputs) {
-        v[ui] = w.out_aos->v.data();
-        g[ui] = w.out_aos->g.data();
-        h[ui] = w.out_aos->h.data();
-        l[ui] = w.out_aos->l.data();
-      } else {
-        v[ui] = w.out_soa->v.data();
-        g[ui] = w.out_soa->g.data();
-        h[ui] = w.out_soa->h.data();
-        l[ui] = w.out_soa->l.data();
-      }
+      v[ui] = w.out.v.data();
+      g[ui] = w.out.g.data();
+      h[ui] = w.out.h.data();
+      l[ui] = w.out.l.data();
       for (int q = 0; q < sys.nq; ++q)
         quad_v[ui * static_cast<std::size_t>(sys.nq) + static_cast<std::size_t>(q)] =
             w.quad_v_ptrs[static_cast<std::size_t>(q)];
@@ -77,46 +69,21 @@ struct CrowdScratch
   OrbitalResource<qmc_real> ores;      ///< weight sets for the crowd's batches
 };
 
-/// One VGH request for the crowd's trial positions (scr.rnew[0..count)),
-/// landing in each walker's own output buffers.  @p team is the crowd's
-/// inner team: with more than one thread the facade forks the (tile,
-/// position-block) sweep under this crowd's outer thread (Opt C).
-inline void crowd_eval_vgh(const MiniQMCSystem& sys, std::vector<WalkerState>& walkers, int first,
-                           int count, CrowdScratch& scr, TeamHandle team)
+/// One VGH (move) or VGL (kinetic energy) request for the crowd's positions
+/// in scr.rnew[0..count), landing in each walker's own output buffer.
+/// @p team is the crowd's inner team: with more than one thread the facade
+/// forks the (tile, position-block) sweep under this crowd's outer thread
+/// (Opt C).
+inline void crowd_eval(const MiniQMCSystem& sys, std::vector<WalkerState>& walkers, int first,
+                       int count, DerivLevel deriv, CrowdScratch& scr, TeamHandle team)
 {
   OrbitalEvalRequest<qmc_real> rq;
-  rq.deriv = DerivLevel::VGH;
+  rq.deriv = deriv;
   rq.positions = scr.rnew.data();
   rq.count = count;
   rq.v = scr.v.data();
   rq.g = scr.g.data();
-  rq.lh = scr.h.data();
-  rq.stride = sys.out_pad;
-  rq.parallel = team.parallel();
-  rq.team = team;
-  sys.spo.evaluate(rq, scr.ores);
-  for (int i = 0; i < count; ++i)
-    walkers[static_cast<std::size_t>(first + i)].orbital_evals +=
-        static_cast<std::size_t>(sys.norb);
-}
-
-/// One VGL request at the crowd's current positions of electron e (kinetic
-/// energy measurement).
-inline void crowd_eval_vgl(const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
-                           std::vector<WalkerState>& walkers, int first, int count, int e,
-                           CrowdScratch& scr, TeamHandle team)
-{
-  for (int i = 0; i < count; ++i) {
-    const WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-    scr.rnew[static_cast<std::size_t>(i)] = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-  }
-  OrbitalEvalRequest<qmc_real> rq;
-  rq.deriv = DerivLevel::VGL;
-  rq.positions = scr.rnew.data();
-  rq.count = count;
-  rq.v = scr.v.data();
-  rq.g = scr.g.data();
-  rq.lh = scr.l.data();
+  rq.lh = deriv == DerivLevel::VGH ? scr.h.data() : scr.l.data();
   rq.stride = sys.out_pad;
   rq.parallel = team.parallel();
   rq.team = team;
@@ -160,17 +127,10 @@ inline Vec3<qmc_real> drift_centre(const WalkerState& w, const MiniQMCSystem& sy
                                    const Vec3<qmc_real>& r, double tau)
 {
   const int col = e < sys.norb ? e : e - sys.norb;
-  double gx, gy, gz;
-  if (sys.aos_outputs) {
-    const qmc_real* g = w.out_aos->g.data();
-    gx = static_cast<double>(g[3 * col + 0]);
-    gy = static_cast<double>(g[3 * col + 1]);
-    gz = static_cast<double>(g[3 * col + 2]);
-  } else {
-    gx = static_cast<double>(w.out_soa->gx()[col]);
-    gy = static_cast<double>(w.out_soa->gy()[col]);
-    gz = static_cast<double>(w.out_soa->gz()[col]);
-  }
+  const qmc_real* g = w.out.g.data() + static_cast<std::size_t>(col) * w.out.g_orb;
+  const auto gx = static_cast<double>(g[0]);
+  const auto gy = static_cast<double>(g[w.out.g_comp]);
+  const auto gz = static_cast<double>(g[2 * w.out.g_comp]);
   const double vmax = 1.0 / std::sqrt(tau);
   const double vnorm = std::sqrt(gx * gx + gy * gy + gz * gz);
   const double scale = vnorm > vmax ? tau * vmax / vnorm : tau;
@@ -196,58 +156,71 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
                               CrowdScratch& scr, ProfileRegistry& cprof, TeamHandle inner,
                               int step_begin, int step_end, double drift_tau = 0.0)
 {
-  const bool drift = drift_tau > 0.0;
-  for (int s = step_begin; s < step_end; ++s) {
-    // Drift-diffusion phase: the whole crowd moves electron e together.
-    for (int e = 0; e < sys.nel; ++e) {
-      if (drift) {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
-      }
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        ++w.attempted;
-        const Vec3<qmc_real> r_old = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-        const Vec3<qmc_real> centre = drift ? drift_centre(w, sys, e, r_old, drift_tau) : r_old;
-        scr.rnew[static_cast<std::size_t>(i)] = propose(w.rng, centre, cfg.move_sigma);
-      }
-      {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgh(sys, walkers, first, count, scr, inner);
-      }
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        const qmc_real* v = sys.aos_outputs ? w.out_aos->v.data() : w.out_soa->v.data();
-        metropolis_move(w, sys, cfg, e, scr.rnew[static_cast<std::size_t>(i)], v);
-      }
-    }
+  if (count <= 0)
+    return;
+  // Every walker holds the electron layout its config selects: resolve it
+  // once here, and run the body below on that one layout.
+  std::visit(
+      [&]<typename E>(E&) {
+        const auto walker = [&](int i) -> WalkerState& {
+          return walkers[static_cast<std::size_t>(first + i)];
+        };
+        const auto electrons = [&](int i) -> E& { return std::get<E>(walker(i).electrons); };
+        // One VGL request at the crowd's current positions of electron e.
+        const auto eval_vgl_at = [&](int e) {
+          ScopedTimer t(cprof, kSectionBspline);
+          for (int i = 0; i < count; ++i)
+            scr.rnew[static_cast<std::size_t>(i)] = electrons(i).r[e];
+          crowd_eval(sys, walkers, first, count, DerivLevel::VGL, scr, inner);
+        };
+        const bool drift = drift_tau > 0.0;
+        for (int s = step_begin; s < step_end; ++s) {
+          // Drift-diffusion phase: the whole crowd moves electron e together.
+          for (int e = 0; e < sys.nel; ++e) {
+            if (drift)
+              eval_vgl_at(e);
+            for (int i = 0; i < count; ++i) {
+              WalkerState& w = walker(i);
+              ++w.attempted;
+              const Vec3<qmc_real> r_old = electrons(i).r[e];
+              const Vec3<qmc_real> centre =
+                  drift ? drift_centre(w, sys, e, r_old, drift_tau) : r_old;
+              scr.rnew[static_cast<std::size_t>(i)] = propose(w.rng, centre, cfg.move_sigma);
+            }
+            {
+              ScopedTimer t(cprof, kSectionBspline);
+              crowd_eval(sys, walkers, first, count, DerivLevel::VGH, scr, inner);
+            }
+            for (int i = 0; i < count; ++i)
+              metropolis_move(walker(i), electrons(i), sys, e,
+                              scr.rnew[static_cast<std::size_t>(i)]);
+          }
 
-    // Measurement phase, electron by electron across the crowd: one VGL
-    // request (kinetic energy), per-walker quadrature proposals and
-    // distance/Jastrow ratios, then one V request over all count*nq
-    // quadrature points.  Proposing every point before the V request draws
-    // the same rng sequence as point-by-point evaluation, since neither the
-    // distance tables nor the kernels consume randomness.
-    for (int e = 0; e < sys.nel; ++e) {
-      {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_vgl(sys, cfg, walkers, first, count, e, scr, inner);
-      }
-      for (int i = 0; i < count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(first + i)];
-        const Vec3<qmc_real> re = cfg.optimized_dt_jastrow ? w.elec_soa[e] : w.elec_aos[e];
-        for (int q = 0; q < cfg.quadrature_points; ++q)
-          w.quad_r[static_cast<std::size_t>(q)] = propose(w.rng, re, 0.5);
-        quadrature_dist_jastrow(w, sys, cfg, e);
-      }
-      if (cfg.quadrature_points > 0) {
-        ScopedTimer t(cprof, kSectionBspline);
-        crowd_eval_quad_v(sys, cfg, walkers, first, count, scr, inner);
-      }
-    }
-    for (int i = 0; i < count; ++i)
-      full_jastrow(walkers[static_cast<std::size_t>(first + i)], sys, cfg);
-  }
+          // Measurement phase, electron by electron across the crowd: one VGL
+          // request (kinetic energy), per-walker quadrature proposals and
+          // distance/Jastrow ratios, then one V request over all count*nq
+          // quadrature points.  Proposing every point before the V request
+          // draws the same rng sequence as point-by-point evaluation, since
+          // neither the distance tables nor the kernels consume randomness.
+          for (int e = 0; e < sys.nel; ++e) {
+            eval_vgl_at(e);
+            for (int i = 0; i < count; ++i) {
+              WalkerState& w = walker(i);
+              const Vec3<qmc_real> re = electrons(i).r[e];
+              for (int q = 0; q < cfg.quadrature_points; ++q)
+                w.quad_r[static_cast<std::size_t>(q)] = propose(w.rng, re, 0.5);
+              quadrature_dist_jastrow(w, electrons(i), sys, cfg, e);
+            }
+            if (cfg.quadrature_points > 0) {
+              ScopedTimer t(cprof, kSectionBspline);
+              crowd_eval_quad_v(sys, cfg, walkers, first, count, scr, inner);
+            }
+          }
+          for (int i = 0; i < count; ++i)
+            full_jastrow(walker(i), electrons(i), sys);
+        }
+      },
+      walkers[static_cast<std::size_t>(first)].electrons);
 }
 
 // --------------------------------------------------------------------------

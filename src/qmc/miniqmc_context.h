@@ -18,8 +18,10 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <variant>
 #include <vector>
 
+#include "common/aligned_allocator.h"
 #include "common/rng.h"
 #include "common/threading.h"
 #include "common/timer.h"
@@ -38,14 +40,13 @@
 #include "qmc/checkpoint.h"
 #include "qmc/miniqmc_driver.h"
 #include "qmc/miniqmc_tuner.h"
-#include "qmc/walker.h"
 
 namespace mqc::detail {
 
 using qmc_real = float; ///< kernel precision (the paper's miniQMC is all SP)
 
 /// Everything shared read-only across walkers: the crystal, the coefficient
-/// tables and engines, the Jastrow functors, and the ion sets.
+/// tables and engines, the Jastrow functors, and the ion set.
 ///
 /// Tables: the system holds exactly the tables its configured engine reads
 /// (`tables`), once.  SoA and AoS read one generated table.  AoSoA reads its
@@ -159,7 +160,6 @@ struct MiniQMCSystem
     assert(spo.capabilities().num_splines == norb);
     if (tuned)
       spo.set_pos_block(tuned->pos_block);
-    aos_outputs = cfg.spo == SpoLayout::AoS;
 
     // Shared Jastrow functors: e-e with the antiparallel cusp, e-ion smooth.
     const double rcut = std::min(crystal.lattice.wigner_seitz_radius(), 6.0);
@@ -168,13 +168,16 @@ struct MiniQMCSystem
     j1_functor = BsplineJastrowFunctor<qmc_real>::make_exponential(qmc_real(-1.0), qmc_real(0.75),
                                                                    static_cast<qmc_real>(rcut));
 
-    ions_soa = ParticleSetSoA<qmc_real>(crystal.num_ions());
+    ParticleSetSoA<qmc_real> ion_set(crystal.num_ions());
     for (int i = 0; i < crystal.num_ions(); ++i) {
       const auto r = crystal.ions[i];
-      ions_soa.set(i, Vec3<qmc_real>{static_cast<qmc_real>(r.x), static_cast<qmc_real>(r.y),
-                                     static_cast<qmc_real>(r.z)});
+      ion_set.set(i, Vec3<qmc_real>{static_cast<qmc_real>(r.x), static_cast<qmc_real>(r.y),
+                                    static_cast<qmc_real>(r.z)});
     }
-    ions_aos = to_aos(ions_soa);
+    if (cfg.optimized_dt_jastrow)
+      ions = std::move(ion_set);
+    else
+      ions = to_aos(ion_set);
   }
 
   MiniQMCSystem(const MiniQMCSystem&) = delete;
@@ -200,35 +203,77 @@ struct MiniQMCSystem
   /// after the AoS resolution) — surfaced as MiniQMCResult::precision_path
   /// and mixed into the checkpoint config hash.
   PrecisionPath precision = PrecisionPath::Native;
-  bool aos_outputs = false;  ///< walkers fill their AoS-shaped output buffers
   int tuned_crowd_size = 0;  ///< from cfg.wisdom (0 = none; see crowd driver)
   int tuned_inner_threads = 0; ///< from cfg.wisdom (0 = none; see drivers)
   std::size_t out_pad = 0;
+  // The walkers' e-ion tables point at `ions` and their Jastrow evaluators
+  // at the functors; the deleted copy/move keep those pointers valid for
+  // the system's lifetime.
   BsplineJastrowFunctor<qmc_real> j2_functor, j1_functor;
-  // The Jastrow evaluators hold pointers to the functors above; the deleted
-  // copy/move keep those pointers valid for the system's lifetime.
-  TwoBodyJastrowAoS<qmc_real> j2_aos{j2_functor};
-  TwoBodyJastrowSoA<qmc_real> j2_soa{j2_functor};
-  OneBodyJastrowAoS<qmc_real> j1_aos{j1_functor};
-  OneBodyJastrowSoA<qmc_real> j1_soa{j1_functor};
-  ParticleSetSoA<qmc_real> ions_soa;
-  ParticleSetAoS<qmc_real> ions_aos;
+  /// The ion positions, in the layout cfg.optimized_dt_jastrow selects.
+  std::variant<ParticleSetAoS<qmc_real>, ParticleSetSoA<qmc_real>> ions;
+};
+
+/// One walker's electrons in one layout (paper §V-A): the positions and the
+/// e-e and e-ion distance tables over them.  ElectronsAoS is the baseline,
+/// ElectronsSoA the optimized layout; cfg.optimized_dt_jastrow picks one per
+/// run, and the per-walker steps below are written once over either.  Both
+/// use the fast minimum image, the same approximation on each side, so the
+/// Table II/III comparison measures the layout alone.
+template <typename ParticleSet, typename TableAA, typename TableAB, typename TwoBody,
+          typename OneBody>
+struct Electrons
+{
+  Electrons() = default;
+  explicit Electrons(const MiniQMCSystem& sys)
+      : r(sys.nel),
+        ee(std::make_unique<TableAA>(sys.crystal.lattice, sys.nel, MinImageMode::Fast)),
+        ei(std::make_unique<TableAB>(sys.crystal.lattice, std::get<ParticleSet>(sys.ions),
+                                     sys.nel, MinImageMode::Fast))
+  {
+  }
+
+  /// The Jastrow evaluators over these tables: stateless views of the
+  /// system's functors.
+  [[nodiscard]] TwoBody j2(const MiniQMCSystem& sys) const { return TwoBody(sys.j2_functor); }
+  [[nodiscard]] OneBody j1(const MiniQMCSystem& sys) const { return OneBody(sys.j1_functor); }
+
+  ParticleSet r;
+  std::unique_ptr<TableAA> ee;
+  std::unique_ptr<TableAB> ei;
+};
+
+using ElectronsAoS = Electrons<ParticleSetAoS<qmc_real>, DistanceTableAA_AoS<qmc_real>,
+                               DistanceTableAB_AoS<qmc_real>, TwoBodyJastrowAoS<qmc_real>,
+                               OneBodyJastrowAoS<qmc_real>>;
+using ElectronsSoA = Electrons<ParticleSetSoA<qmc_real>, DistanceTableAA_SoA<qmc_real>,
+                               DistanceTableAB_SoA<qmc_real>, TwoBodyJastrowSoA<qmc_real>,
+                               OneBodyJastrowSoA<qmc_real>>;
+
+/// One walker's orbital outputs, in the shape its engine writes: the AoS
+/// baseline's interleaved groups (as WalkerAoS: G[N][3], H[N][3][3]) or the
+/// component streams of stride out_pad every other engine writes (as
+/// WalkerSoA).  The drift reads gradients back through g_comp and g_orb.
+struct OrbitalOutputs
+{
+  OrbitalOutputs() = default;
+  OrbitalOutputs(std::size_t pad, bool aos)
+      : v(pad), g(3 * pad), l(pad), h((aos ? 9 : 6) * pad), g_comp(aos ? 1 : pad),
+        g_orb(aos ? 3 : 1)
+  {
+  }
+
+  aligned_vector<qmc_real> v, g, l, h;
+  std::size_t g_comp = 0; ///< offset between the x, y, z gradients of one orbital
+  std::size_t g_orb = 0;  ///< offset between the gradients of consecutive orbitals
 };
 
 /// Everything one walker owns.  The coefficient table and functors are
 /// shared; all buffers below are thread-private (paper Fig. 3).
 struct WalkerState
 {
-  ParticleSetAoS<qmc_real> elec_aos;
-  ParticleSetSoA<qmc_real> elec_soa;
-  // Distance tables in both layouts; only the configured one is used in the
-  // sweep, but both exist so tests can cross-check paths cheaply.
-  std::unique_ptr<DistanceTableAA_AoS<qmc_real>> ee_aos;
-  std::unique_ptr<DistanceTableAB_AoS<qmc_real>> ei_aos;
-  std::unique_ptr<DistanceTableAA_SoA<qmc_real>> ee_soa;
-  std::unique_ptr<DistanceTableAB_SoA<qmc_real>> ei_soa;
-  std::unique_ptr<WalkerAoS<qmc_real>> out_aos;
-  std::unique_ptr<WalkerSoA<qmc_real>> out_soa;
+  std::variant<ElectronsAoS, ElectronsSoA> electrons; ///< the run's one layout
+  OrbitalOutputs out;
   // Pseudopotential quadrature batch: one V output slice per quadrature
   // point, filled by the crowd's multi-position quadrature request.
   aligned_vector<qmc_real> quad_v;
@@ -245,15 +290,13 @@ struct WalkerState
   std::size_t orbital_evals = 0;
 
   /// Single-position V at @p r through the OrbitalSet facade, into the
-  /// walker's layout-appropriate output buffer (the AoS baseline fills AoS
-  /// component groups, every other engine SoA streams): the walker build's
-  /// determinant columns.  The sweep evaluates through crowd requests.
+  /// walker's output buffer: the walker build's determinant columns.  The
+  /// sweep evaluates through crowd requests.
   const qmc_real* eval_v(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
   {
     orbital_evals += static_cast<std::size_t>(sys.norb);
-    qmc_real* v = sys.aos_outputs ? out_aos->v.data() : out_soa->v.data();
-    sys.spo.evaluate_one(DerivLevel::V, r, v, nullptr, nullptr, out_soa->stride);
-    return v;
+    sys.spo.evaluate_one(DerivLevel::V, r, out.v.data(), nullptr, nullptr, sys.out_pad);
+    return out.v.data();
   }
 
   /// Hand this walker its inner team (common/threading.h): the delayed
@@ -300,27 +343,19 @@ inline Vec3<qmc_real> propose(Xoshiro256& rng, const Vec3<qmc_real>& r, double s
 }
 
 /// Allocate every buffer of @p w for (@p sys, @p cfg) without computing any
-/// physical state: particle sets, distance tables, output/scratch buffers,
-/// and determinant engines sized for cfg.delay_rank.  This is the shared
-/// shell of init_walker and of the restore/clone paths (qmc/checkpoint.cpp,
-/// qmc/dmc_driver.cpp), which overwrite the full committed state anyway and
-/// must not pay the O(norb) orbital evaluations of a fresh build.
+/// physical state: the electrons in the configured layout, output/scratch
+/// buffers, and determinant engines sized for cfg.delay_rank.  This is the
+/// shared shell of init_walker and of the restore/clone paths
+/// (qmc/checkpoint.cpp, qmc/dmc_driver.cpp), which overwrite the full
+/// committed state anyway and must not pay the O(norb) orbital evaluations
+/// of a fresh build.
 inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg)
 {
-  w.elec_soa = ParticleSetSoA<qmc_real>(sys.nel);
-  w.elec_aos = ParticleSetAoS<qmc_real>(sys.nel);
-  // Fast minimum image for both layouts: identical approximation, so the
-  // AoS/SoA comparison isolates the layout (see DESIGN.md).
-  w.ee_aos = std::make_unique<DistanceTableAA_AoS<qmc_real>>(sys.crystal.lattice, sys.nel,
-                                                             MinImageMode::Fast);
-  w.ei_aos = std::make_unique<DistanceTableAB_AoS<qmc_real>>(sys.crystal.lattice, sys.ions_aos,
-                                                             sys.nel, MinImageMode::Fast);
-  w.ee_soa = std::make_unique<DistanceTableAA_SoA<qmc_real>>(sys.crystal.lattice, sys.nel,
-                                                             MinImageMode::Fast);
-  w.ei_soa = std::make_unique<DistanceTableAB_SoA<qmc_real>>(sys.crystal.lattice, sys.ions_soa,
-                                                             sys.nel, MinImageMode::Fast);
-  w.out_aos = std::make_unique<WalkerAoS<qmc_real>>(sys.out_pad);
-  w.out_soa = std::make_unique<WalkerSoA<qmc_real>>(sys.out_pad);
+  if (cfg.optimized_dt_jastrow)
+    w.electrons.emplace<ElectronsSoA>(sys);
+  else
+    w.electrons.emplace<ElectronsAoS>(sys);
+  w.out = OrbitalOutputs(sys.out_pad, /*aos=*/cfg.spo == SpoLayout::AoS);
   w.quad_v.resize(static_cast<std::size_t>(sys.nq) * sys.out_pad);
   w.quad_v_ptrs.resize(static_cast<std::size_t>(sys.nq));
   for (int q = 0; q < sys.nq; ++q)
@@ -342,27 +377,27 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
 {
   init_walker_shell(w, sys, cfg);
   w.rng = Xoshiro256::for_stream(cfg.seed, static_cast<std::uint64_t>(wid));
-  w.elec_soa = random_particles<qmc_real>(sys.nel, sys.crystal.lattice,
-                                          cfg.seed + 1000 + static_cast<std::uint64_t>(wid));
-  w.elec_aos = to_aos(w.elec_soa);
-  if (cfg.optimized_dt_jastrow) {
-    w.ee_soa->evaluate(w.elec_soa);
-    w.ei_soa->evaluate(w.elec_soa);
-  } else {
-    w.ee_aos->evaluate(w.elec_aos);
-    w.ei_aos->evaluate(w.elec_aos);
-  }
+  const ParticleSetSoA<qmc_real> r0 = random_particles<qmc_real>(
+      sys.nel, sys.crystal.lattice, cfg.seed + 1000 + static_cast<std::uint64_t>(wid));
+  std::visit(
+      [&](auto& el) {
+        for (int e = 0; e < sys.nel; ++e)
+          el.r.set(e, r0[e]);
+        el.ee->evaluate(el.r);
+        el.ei->evaluate(el.r);
+      },
+      w.electrons);
 
   // Determinants from the initial configuration (double precision).
   {
     Matrix<double> a_up(sys.norb), a_dn(sys.norb);
     for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, w.elec_soa[e]);
+      const qmc_real* v = w.eval_v(sys, r0[e]);
       for (int n = 0; n < sys.norb; ++n)
         a_up(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0); // diagonal boost
     }
     for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, w.elec_soa[sys.norb + e]);
+      const qmc_real* v = w.eval_v(sys, r0[sys.norb + e]);
       for (int n = 0; n < sys.norb; ++n)
         a_dn(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0);
     }
@@ -377,29 +412,23 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
 
 /// Price and decide one electron move once the trial position and its
 /// orbital values are known: distance-table temp rows, Jastrow ratio,
-/// determinant ratio, Metropolis accept/reject with commits.  @p v is the
-/// walker's slice of the crowd's VGH request at @p r_new; everything inside
-/// is arithmetic on the walker's own state and rng stream.
-inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
-                            int e, const Vec3<qmc_real>& r_new, const qmc_real* v)
+/// determinant ratio, Metropolis accept/reject with commits.  The values are
+/// the walker's slice of the crowd's VGH request at @p r_new, in w.out;
+/// everything inside is arithmetic on the walker's own state (@p el is its
+/// electrons) and rng stream.
+template <typename E>
+inline void metropolis_move(WalkerState& w, E& el, const MiniQMCSystem& sys, int e,
+                            const Vec3<qmc_real>& r_new)
 {
   double log_jr = 0.0;
   {
     ScopedTimer t(w.profile, kSectionDistance);
-    if (cfg.optimized_dt_jastrow) {
-      w.ee_soa->compute_temp(w.elec_soa, r_new, e);
-      w.ei_soa->compute_temp(r_new);
-    } else {
-      w.ee_aos->compute_temp(w.elec_aos, r_new, e);
-      w.ei_aos->compute_temp(r_new);
-    }
+    el.ee->compute_temp(el.r, r_new, e);
+    el.ei->compute_temp(r_new);
   }
   {
     ScopedTimer t(w.profile, kSectionJastrow);
-    if (cfg.optimized_dt_jastrow)
-      log_jr = sys.j2_soa.ratio_log(*w.ee_soa, e) + sys.j1_soa.ratio_log(*w.ei_soa, e);
-    else
-      log_jr = sys.j2_aos.ratio_log(*w.ee_aos, e) + sys.j1_aos.ratio_log(*w.ei_aos, e);
+    log_jr = el.j2(sys).ratio_log(*el.ee, e) + el.j1(sys).ratio_log(*el.ei, e);
   }
 
   double det_ratio;
@@ -407,6 +436,7 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
   const int col = e < sys.norb ? e : e - sys.norb;
   {
     ScopedTimer t(w.profile, kSectionDeterminant);
+    const qmc_real* v = w.out.v.data();
     for (int n = 0; n < sys.norb; ++n)
       w.phi[static_cast<std::size_t>(n)] = static_cast<double>(v[n]) + (n == col ? 1.0 : 0.0);
     det_ratio = det.ratio(w.phi.data(), col);
@@ -417,58 +447,43 @@ inline void metropolis_move(WalkerState& w, const MiniQMCSystem& sys, const Mini
     ++w.accepted;
     {
       ScopedTimer t(w.profile, kSectionDistance);
-      if (cfg.optimized_dt_jastrow) {
-        w.ee_soa->accept_move(e);
-        w.ei_soa->accept_move(e);
-      } else {
-        w.ee_aos->accept_move(e);
-        w.ei_aos->accept_move(e);
-      }
+      el.ee->accept_move(e);
+      el.ei->accept_move(e);
     }
     {
       ScopedTimer t(w.profile, kSectionDeterminant);
       det.accept_move(w.phi.data(), col);
     }
-    w.elec_soa.set(e, r_new);
-    w.elec_aos[e] = r_new;
+    el.r.set(e, r_new);
   }
 }
 
 /// Measurement-phase quadrature for one electron, minus the V batch: the
 /// per-point distance rows and one-body Jastrow ratios.  The quadrature
 /// positions must already be in w.quad_r (proposed from the walker's rng).
-inline void quadrature_dist_jastrow(WalkerState& w, const MiniQMCSystem& sys,
+template <typename E>
+inline void quadrature_dist_jastrow(WalkerState& w, E& el, const MiniQMCSystem& sys,
                                     const MiniQMCConfig& cfg, int e)
 {
   for (int q = 0; q < cfg.quadrature_points; ++q) {
     {
       ScopedTimer t(w.profile, kSectionDistance);
-      if (cfg.optimized_dt_jastrow)
-        w.ei_soa->compute_temp(w.quad_r[static_cast<std::size_t>(q)]);
-      else
-        w.ei_aos->compute_temp(w.quad_r[static_cast<std::size_t>(q)]);
+      el.ei->compute_temp(w.quad_r[static_cast<std::size_t>(q)]);
     }
     {
       ScopedTimer t(w.profile, kSectionJastrow);
-      if (cfg.optimized_dt_jastrow)
-        (void)sys.j1_soa.ratio_log(*w.ei_soa, e);
-      else
-        (void)sys.j1_aos.ratio_log(*w.ei_aos, e);
+      (void)el.j1(sys).ratio_log(*el.ei, e);
     }
   }
 }
 
 /// Full Jastrow gradients/Laplacians once per step (local energy analogue).
-inline void full_jastrow(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg)
+template <typename E>
+inline void full_jastrow(WalkerState& w, const E& el, const MiniQMCSystem& sys)
 {
   ScopedTimer t(w.profile, kSectionJastrow);
-  if (cfg.optimized_dt_jastrow) {
-    (void)sys.j2_soa.evaluate_log(*w.ee_soa, w.jgrad.data(), w.jlap.data());
-    (void)sys.j1_soa.evaluate_log(*w.ei_soa, w.jgrad.data(), w.jlap.data());
-  } else {
-    (void)sys.j2_aos.evaluate_log(*w.ee_aos, w.jgrad.data(), w.jlap.data());
-    (void)sys.j1_aos.evaluate_log(*w.ei_aos, w.jgrad.data(), w.jlap.data());
-  }
+  (void)el.j2(sys).evaluate_log(*el.ee, w.jgrad.data(), w.jlap.data());
+  (void)el.j1(sys).evaluate_log(*el.ei, w.jgrad.data(), w.jlap.data());
 }
 
 /// Reduce per-walker state into the result (profiles, counters, per-walker
@@ -553,7 +568,7 @@ void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& 
                                          MiniQMCResult& result);
 
 // --------------------------------------------------------------------------
-// Walker-state blob accessors (implemented in qmc/checkpoint.cpp).
+// Walker clone (implemented in qmc/checkpoint.cpp).
 //
 // The checkpoint Walker-section codec doubles as the DMC walker-clone path:
 // a spawned child is exactly a snapshot round-trip of its parent (positions,
@@ -561,20 +576,6 @@ void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& 
 // configured layout, determinant engine state), so clone fidelity is pinned
 // by the same code the resume tests already pin bit-for-bit.
 // --------------------------------------------------------------------------
-
-/// Serialize the full resumable state of @p w as a checkpoint Walker-section
-/// payload tagged with slot id @p wid.
-[[nodiscard]] std::vector<std::uint8_t> serialize_walker_state(WalkerState& w,
-                                                               const MiniQMCSystem& sys,
-                                                               const MiniQMCConfig& cfg, int wid);
-
-/// Restore @p w from a Walker-section payload written for slot id @p wid.
-/// @p w must be shell-initialized (init_walker_shell or init_walker) for the
-/// same (sys, cfg) shape.  Validates everything before mutating; returns
-/// false (walker untouched) on any mismatch.
-[[nodiscard]] bool restore_walker_state(const std::vector<std::uint8_t>& payload, WalkerState& w,
-                                        const MiniQMCSystem& sys, const MiniQMCConfig& cfg,
-                                        int wid);
 
 /// Clone the FULL per-walker state of @p src into @p dst (the DMC birth
 /// path): blob round-trip for positions/rng/counters/distance tables plus a

@@ -8,12 +8,14 @@
 //                  Sherman-Morrison update and table row commits;
 //   per step:      a measurement phase (B-spline VGL for kinetic energy,
 //                  V at quadrature points for the pseudopotential analogue).
-// The pseudopotential quadrature points of one electron are evaluated as a
-// single multi-position V batch (evaluate_v_multi): the SoA/AoSoA engines
-// sweep the coefficient table once for the whole quadrature set instead of
-// once per point.  Walkers run one per OpenMP thread and share the read-only
-// coefficient table; every section is timed into a ProfileRegistry from
-// which the Table II/III percentage rows are printed.
+// Every driver runs the one crowd sweep (qmc/crowd_sweep.h): a crowd of
+// walkers moves the same electron in lock-step, so each phase's positions,
+// every walker's quadrature points included, become one multi-position
+// OrbitalSet request.  Crowds (of one walker under DriverMode::PerWalker) run
+// one per OpenMP thread and share the read-only coefficient table.  A walker
+// holds its electrons in the one layout optimized_dt_jastrow selects, which
+// is independent of the spline layout `spo`.  Every section is timed into a
+// ProfileRegistry from which the Table II/III percentage rows are printed.
 #ifndef MQC_QMC_MINIQMC_DRIVER_H
 #define MQC_QMC_MINIQMC_DRIVER_H
 

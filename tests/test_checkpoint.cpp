@@ -169,9 +169,13 @@ TEST(CheckpointRoundTrip, BitExactAcrossLayoutsDriversAndDelayRank)
     bool optimized;
     const char* name;
   };
+  // The engine and the distance-table layout are independent choices: the
+  // last two rows cross them (the first is what bench_table3_profile runs).
   const Layout layouts[] = {{SpoLayout::AoS, false, "aos"},
                             {SpoLayout::SoA, true, "soa"},
-                            {SpoLayout::AoSoA, true, "aosoa"}};
+                            {SpoLayout::AoSoA, true, "aosoa"},
+                            {SpoLayout::AoS, true, "aos_soatables"},
+                            {SpoLayout::AoSoA, false, "aosoa_aostables"}};
   for (const auto& layout : layouts)
     for (const DriverMode driver : {DriverMode::PerWalker, DriverMode::Crowd})
       for (const int delay : {1, 4}) {
@@ -568,6 +572,58 @@ TEST(CheckpointFormat, ForgedDmcWalkerCountIsRejectedEvenWithValidCrc)
   EXPECT_NE(got.resume_error.find("claims 2147483647"), std::string::npos) << got.resume_error;
   EXPECT_NE(got.resume_error.find("at most " + std::to_string(possible)), std::string::npos)
       << got.resume_error;
+}
+
+TEST(CheckpointFormat, ForgedWalkerFlagBytesAreRejectedEvenWithValidCrc)
+{
+  ScopedCkpt ck("format_walker_flags");
+  MiniQMCConfig cfg = make_cfg(DriverMode::PerWalker, SpoLayout::SoA, true, 1);
+  cfg.steps = 2;
+  cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_interval = 1;
+  ASSERT_GE(run_miniqmc(cfg).checkpoints_written, 1);
+  const std::vector<std::uint8_t> written = slurp(ck.path);
+
+  // Walker section 0 follows the 28-byte file header and the Meta section
+  // (20-byte section header, then its payload); its CRC sits at +16 of its
+  // own section header.  In the walker payload the rng's have_gauss byte is
+  // at +36 (after the slot id and four state words), nel at +69, and the
+  // distance-table layout tag right after the positions, at +73 + 12 * nel.
+  // Both flags are 0 or 1; set each to 0x02 and RE-COMPUTE the section CRC,
+  // so only the flag check itself can reject the walker.
+  constexpr std::size_t kMeta = 28;
+  ASSERT_GE(written.size(), kMeta + 20);
+  std::uint64_t meta_len = 0;
+  std::memcpy(&meta_len, written.data() + kMeta + 8, sizeof meta_len);
+  const std::size_t walker = kMeta + 20 + static_cast<std::size_t>(meta_len);
+  const std::size_t payload = walker + 20;
+  ASSERT_GE(written.size(), payload + 73);
+  std::uint32_t id = 0, index = 0, nel = 0;
+  std::uint64_t len = 0;
+  std::memcpy(&id, written.data() + walker, sizeof id);
+  std::memcpy(&index, written.data() + walker + 4, sizeof index);
+  std::memcpy(&len, written.data() + walker + 8, sizeof len);
+  std::memcpy(&nel, written.data() + payload + 69, sizeof nel);
+  ASSERT_EQ(id, static_cast<std::uint32_t>(ckpt::SectionId::Walker));
+  ASSERT_EQ(index, 0u);
+  const std::size_t tag = 73 + 12 * static_cast<std::size_t>(nel);
+  ASSERT_GT(len, tag);
+  ASSERT_EQ(written[payload + tag], 1u) << "expected the SoA-table layout tag";
+
+  for (const auto& [at, what] : {std::pair{std::size_t{36}, "have_gauss"}, std::pair{tag, "layout"}}) {
+    std::vector<std::uint8_t> bytes = written;
+    bytes[payload + at] = 0x02;
+    const std::uint32_t crc = ckpt::crc32(bytes.data() + payload, static_cast<std::size_t>(len));
+    std::memcpy(bytes.data() + walker + 16, &crc, sizeof crc);
+    spit(ck.path, bytes);
+
+    MiniQMCConfig rest = cfg;
+    rest.resume = true;
+    const MiniQMCResult got = run_miniqmc(rest);
+    EXPECT_EQ(got.resumed_from_step, -1) << what << ": " << got.resume_error;
+    EXPECT_NE(got.resume_error.find("walker section 0 failed layout checks"), std::string::npos)
+        << what << ": " << got.resume_error;
+  }
 }
 
 TEST(CheckpointFormat, ConfigHashMismatchIsRejected)

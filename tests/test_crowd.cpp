@@ -75,9 +75,13 @@ TEST(CrowdDriver, BitForBitMatchesPerWalkerAcrossCrowdSizes)
     bool optimized;
     const char* name;
   };
+  // The engine and the distance-table layout are independent choices: the
+  // last two rows cross them (the first is what bench_table3_profile runs).
   const LayoutCase cases[] = {{SpoLayout::AoS, false, "AoS"},
                               {SpoLayout::SoA, true, "SoA"},
-                              {SpoLayout::AoSoA, true, "AoSoA"}};
+                              {SpoLayout::AoSoA, true, "AoSoA"},
+                              {SpoLayout::AoS, true, "AoS engine, SoA tables"},
+                              {SpoLayout::AoSoA, false, "AoSoA engine, AoS tables"}};
   for (const auto& lc : cases) {
     auto cfg = crowd_test_config();
     cfg.spo = lc.spo;

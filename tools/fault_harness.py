@@ -43,7 +43,9 @@ detected or a resumed trajectory diverges from the uninterrupted reference:
                         .prev, still land on the reference.
 
 Scenarios run for both drivers under two MQC_PARTITION shapes so the resume
-invariant is exercised across schedules, not just one thread layout.  Every
+invariant is exercised across schedules, not just one thread layout.
+kill -> resume and corrupt -> fall back also run under --layout aos, so the
+AoS distance-table half of the walker codec sees injected faults too.  Every
 scenario that injects file damage also asserts the binary CONFIRMED the
 injection on stderr (`fault-injected:`) — an injection that quietly becomes
 a no-op is itself a harness failure.
@@ -381,26 +383,31 @@ def main(argv=None):
         ("malformed-spec", scenario_malformed_spec),
         ("population-resume", scenario_population_resume),
     ]
-    for driver in ("per-walker", "crowd"):
-        for partition in ("1x2", "2x1"):
-            env = {"MQC_PARTITION": partition}
-            base_args = ["--driver", driver, "--walkers", "4", "--delay", "4"]
-            label = f"driver={driver} partition={partition}"
-            ref = None
-            for name, fn in scenarios:
-                tag = f"{driver}-{partition.replace('x', '_')}-{name}"
-                ran += 1
-                try:
-                    if name == "kill-resume":
-                        ref = scenario_kill_resume(args.binary, workdir, base_args, env, tag)
-                    else:
-                        if ref is None:
-                            raise Failure("no reference trajectory (kill-resume failed)")
-                        fn(args.binary, workdir, base_args, env, tag, ref)
-                    print(f"PASS {name} [{label}]")
-                except Failure as e:
-                    print(f"FAIL {name} [{label}]: {e}")
-                    failures += 1
+    # The default layout (SoA engine, SoA distance tables) only ever writes
+    # the SoA-table half of the walker codec; kill-resume and corrupt-fallback
+    # run again under --layout aos (AoS engine, AoS tables) for the other half.
+    layouts = [("soa", [], scenarios), ("aos", ["--layout", "aos"], scenarios[:2])]
+    for layout, layout_args, layout_scenarios in layouts:
+        for driver in ("per-walker", "crowd"):
+            for partition in ("1x2", "2x1"):
+                env = {"MQC_PARTITION": partition}
+                base_args = ["--driver", driver, "--walkers", "4", "--delay", "4"] + layout_args
+                label = f"layout={layout} driver={driver} partition={partition}"
+                ref = None
+                for name, fn in layout_scenarios:
+                    tag = f"{layout}-{driver}-{partition.replace('x', '_')}-{name}"
+                    ran += 1
+                    try:
+                        if name == "kill-resume":
+                            ref = scenario_kill_resume(args.binary, workdir, base_args, env, tag)
+                        else:
+                            if ref is None:
+                                raise Failure("no reference trajectory (kill-resume failed)")
+                            fn(args.binary, workdir, base_args, env, tag, ref)
+                        print(f"PASS {name} [{label}]")
+                    except Failure as e:
+                        print(f"FAIL {name} [{label}]: {e}")
+                        failures += 1
 
     # DMC branching scenarios: dynamic populations have their own driver and
     # their own provenance to protect, so they get their own loop (the shared

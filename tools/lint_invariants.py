@@ -16,6 +16,11 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       only called inside src/core/ — everything above the
                       facade goes through OrbitalSet so batching, zero-fill
                       elimination and tuner decisions apply uniformly.
+  * checkpoint-io     snapshot file I/O and the blob codec (`write_snapshot`,
+                      `read_snapshot*`, `apply_file_faults`, `BlobWriter`,
+                      `BlobReader`) appear only in src/qmc/checkpoint.{h,cpp},
+                      so the on-disk format, CRC framing and atomic-rename
+                      protocol have one owner.
   * precision-cast    narrowing `static_cast<float>` of coefficient data is
                       the mixed-precision storage decision and is confined to
                       the convert_storage seam (core/coef_storage.h); engines
