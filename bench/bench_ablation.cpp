@@ -56,8 +56,8 @@ int main()
                               std::to_string(n));
   {
     const double t_unrolled =
-        measure_throughput(Layout::SoA, Kernel::VGH, *coefs, n, scale.ns, scale.min_seconds);
-    const double t_plain = measure_throughput(Layout::SoANoZUnroll, Kernel::VGH, *coefs, n,
+        measure_throughput(Layout::SoA, DerivLevel::VGH, *coefs, n, scale.ns, scale.min_seconds);
+    const double t_plain = measure_throughput(Layout::SoANoZUnroll, DerivLevel::VGH, *coefs, n,
                                               scale.ns, scale.min_seconds);
     TablePrinter tp({"variant", "T (Meval/s)", "relative"});
     tp.add_row({"SoA, 64-subcube loop", TablePrinter::cell(t_plain / 1e6, 2),
@@ -82,7 +82,7 @@ int main()
     cfg.num_walkers = 1;
     cfg.ns = scale.ns;
     cfg.niters = iters;
-    cfg.kernel = NestedKernel::VGH;
+    cfg.kernel = DerivLevel::VGH;
     const auto explicit_part = run_nested(engine, cfg);
     const double t_omp = run_omp_nested_vgh(engine, nth, scale.ns, iters, 99);
 

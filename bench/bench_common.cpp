@@ -12,7 +12,7 @@ using EvalBatch = std::function<void()>;
 
 /// Build the per-walker batch evaluator for a layout/kernel pair.  Buffers
 /// and positions are owned by the returned closure (thread-private).
-EvalBatch make_batch(Layout layout, Kernel kernel, const CoefStorage<float>& full,
+EvalBatch make_batch(Layout layout, DerivLevel kernel, const CoefStorage<float>& full,
                      const std::shared_ptr<const CoefStorage<float>>& shared,
                      const std::shared_ptr<MultiBspline<float>>& aosoa, int ns,
                      std::uint64_t seed)
@@ -27,14 +27,14 @@ EvalBatch make_batch(Layout layout, Kernel kernel, const CoefStorage<float>& ful
       for (int s = 0; s < ns; ++s) {
         const auto u = static_cast<std::size_t>(s);
         switch (kernel) {
-        case Kernel::V:
+        case DerivLevel::V:
           engine->evaluate_v(pos->x[u], pos->y[u], pos->z[u], w->v.data());
           break;
-        case Kernel::VGL:
+        case DerivLevel::VGL:
           engine->evaluate_vgl(pos->x[u], pos->y[u], pos->z[u], w->v.data(), w->g.data(),
                                w->l.data());
           break;
-        case Kernel::VGH:
+        case DerivLevel::VGH:
           engine->evaluate_vgh(pos->x[u], pos->y[u], pos->z[u], w->v.data(), w->g.data(),
                                w->h.data());
           break;
@@ -51,14 +51,14 @@ EvalBatch make_batch(Layout layout, Kernel kernel, const CoefStorage<float>& ful
       for (int s = 0; s < ns; ++s) {
         const auto u = static_cast<std::size_t>(s);
         switch (kernel) {
-        case Kernel::V:
+        case DerivLevel::V:
           engine->evaluate_v(pos->x[u], pos->y[u], pos->z[u], w->v.data());
           break;
-        case Kernel::VGL:
+        case DerivLevel::VGL:
           engine->evaluate_vgl(pos->x[u], pos->y[u], pos->z[u], w->v.data(), w->g.data(),
                                w->l.data(), w->stride);
           break;
-        case Kernel::VGH:
+        case DerivLevel::VGH:
           if (no_unroll)
             engine->evaluate_vgh_no_zunroll(pos->x[u], pos->y[u], pos->z[u], w->v.data(),
                                             w->g.data(), w->h.data(), w->stride);
@@ -76,14 +76,14 @@ EvalBatch make_batch(Layout layout, Kernel kernel, const CoefStorage<float>& ful
       for (int s = 0; s < ns; ++s) {
         const auto u = static_cast<std::size_t>(s);
         switch (kernel) {
-        case Kernel::V:
+        case DerivLevel::V:
           aosoa->evaluate_v(pos->x[u], pos->y[u], pos->z[u], w->v.data());
           break;
-        case Kernel::VGL:
+        case DerivLevel::VGL:
           aosoa->evaluate_vgl(pos->x[u], pos->y[u], pos->z[u], w->v.data(), w->g.data(),
                               w->l.data(), w->stride);
           break;
-        case Kernel::VGH:
+        case DerivLevel::VGH:
           aosoa->evaluate_vgh(pos->x[u], pos->y[u], pos->z[u], w->v.data(), w->g.data(),
                               w->h.data(), w->stride);
           break;
@@ -97,7 +97,7 @@ EvalBatch make_batch(Layout layout, Kernel kernel, const CoefStorage<float>& ful
 
 } // namespace
 
-double measure_throughput(Layout layout, Kernel kernel, const CoefStorage<float>& full, int tile,
+double measure_throughput(Layout layout, DerivLevel kernel, const CoefStorage<float>& full, int tile,
                           int ns, double min_seconds, std::uint64_t seed)
 {
   const int nw = max_threads();
@@ -136,7 +136,7 @@ double measure_throughput(Layout layout, Kernel kernel, const CoefStorage<float>
   return best;
 }
 
-double measure_seconds_per_eval(Layout layout, Kernel kernel, const CoefStorage<float>& full,
+double measure_seconds_per_eval(Layout layout, DerivLevel kernel, const CoefStorage<float>& full,
                                 int tile, int ns, double min_seconds, std::uint64_t seed)
 {
   std::shared_ptr<const CoefStorage<float>> alias(&full, [](const CoefStorage<float>*) {});

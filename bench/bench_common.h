@@ -25,6 +25,7 @@
 #include "core/bspline_aos.h"
 #include "core/bspline_soa.h"
 #include "core/multi_bspline.h"
+#include "core/orbital_set.h"
 #include "core/synthetic_orbitals.h"
 #include "qmc/walker.h"
 
@@ -53,21 +54,14 @@ inline const char* layout_name(Layout l)
   return "?";
 }
 
-enum class Kernel
-{
-  V,
-  VGL,
-  VGH
-};
-
-inline const char* kernel_name(Kernel k)
+inline const char* kernel_name(DerivLevel k)
 {
   switch (k) {
-  case Kernel::V:
+  case DerivLevel::V:
     return "V";
-  case Kernel::VGL:
+  case DerivLevel::VGL:
     return "VGL";
-  case Kernel::VGH:
+  case DerivLevel::VGH:
     return "VGH";
   }
   return "?";
@@ -136,12 +130,12 @@ Positions<T> random_eval_positions(const Grid3D<T>& grid, int ns, std::uint64_t 
 /// (layout, kernel) combination.  One walker per OpenMP thread; each walker
 /// evaluates `ns` random positions per repetition, and the repetition count
 /// is calibrated so the measurement window is at least `min_seconds`.
-double measure_throughput(Layout layout, Kernel kernel, const CoefStorage<float>& full, int tile,
+double measure_throughput(Layout layout, DerivLevel kernel, const CoefStorage<float>& full, int tile,
                           int ns, double min_seconds, std::uint64_t seed = 7);
 
 /// Free-function used by the roofline bench: seconds per single evaluation
 /// (one walker, serial).
-double measure_seconds_per_eval(Layout layout, Kernel kernel, const CoefStorage<float>& full,
+double measure_seconds_per_eval(Layout layout, DerivLevel kernel, const CoefStorage<float>& full,
                                 int tile, int ns, double min_seconds, std::uint64_t seed = 7);
 
 /// Machine-readable result emission for the tier-1-adjacent benches: pass

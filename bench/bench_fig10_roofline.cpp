@@ -43,7 +43,7 @@ int main()
 
   TablePrinter tp({"variant", "AI (FLOP/B)", "GFLOPS", "roof @ AI", "% of roof"});
   for (const auto& p : points) {
-    const double sec = measure_seconds_per_eval(p.layout, Kernel::VGH, *coefs, tune.best_tile,
+    const double sec = measure_seconds_per_eval(p.layout, DerivLevel::VGH, *coefs, tune.best_tile,
                                                 scale.ns, scale.min_seconds);
     const auto model = kernel_cost_model(KernelId::VGH, p.soa_model, n, sizeof(float));
     const double gflops = model.flops / sec / 1e9;

@@ -22,9 +22,9 @@ int main(int argc, char** argv)
     const auto grid = Grid3D<float>::cube(scale.grid, 1.0f);
     auto coefs = make_random_storage<float>(grid, n, 7000 + static_cast<std::uint64_t>(n));
     const double t_aos =
-        measure_throughput(Layout::AoS, Kernel::VGH, *coefs, n, scale.ns, scale.min_seconds);
+        measure_throughput(Layout::AoS, DerivLevel::VGH, *coefs, n, scale.ns, scale.min_seconds);
     const double t_soa =
-        measure_throughput(Layout::SoA, Kernel::VGH, *coefs, n, scale.ns, scale.min_seconds);
+        measure_throughput(Layout::SoA, DerivLevel::VGH, *coefs, n, scale.ns, scale.min_seconds);
     tp.add_row({TablePrinter::cell(n), TablePrinter::cell(t_aos / 1e6, 2),
                 TablePrinter::cell(t_soa / 1e6, 2), TablePrinter::cell(t_soa / t_aos, 2)});
     json.add("vgh_aos_n" + std::to_string(n), t_aos, "eval/s");

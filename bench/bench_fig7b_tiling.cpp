@@ -32,9 +32,9 @@ int main(int argc, char** argv)
     auto coefs = make_random_storage<float>(grid, n, 7100 + static_cast<std::uint64_t>(n));
     const int tile = std::min(nb, n);
     const double t_soa =
-        measure_throughput(Layout::SoA, Kernel::VGH, *coefs, tile, scale.ns, scale.min_seconds);
+        measure_throughput(Layout::SoA, DerivLevel::VGH, *coefs, tile, scale.ns, scale.min_seconds);
     const double t_aosoa =
-        measure_throughput(Layout::AoSoA, Kernel::VGH, *coefs, tile, scale.ns, scale.min_seconds);
+        measure_throughput(Layout::AoSoA, DerivLevel::VGH, *coefs, tile, scale.ns, scale.min_seconds);
     tp.add_row({TablePrinter::cell(n), TablePrinter::cell(t_soa / 1e6, 2),
                 TablePrinter::cell(t_aosoa / 1e6, 2), TablePrinter::cell(t_aosoa / t_soa, 2)});
     json.add("vgh_soa_n" + std::to_string(n), t_soa, "eval/s");

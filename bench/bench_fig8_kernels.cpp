@@ -30,7 +30,7 @@ int main()
     auto coefs = make_random_storage<float>(grid, n, 8000 + static_cast<std::uint64_t>(n));
     const int tile = std::min(nb, n);
     std::vector<std::string> row{TablePrinter::cell(n)};
-    for (Kernel k : {Kernel::V, Kernel::VGL, Kernel::VGH}) {
+    for (DerivLevel k : {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH}) {
       const double base =
           measure_throughput(Layout::AoS, k, *coefs, tile, scale.ns, scale.min_seconds);
       const double opt =

@@ -36,7 +36,7 @@ int main()
 
   NestedConfig cfg;
   cfg.ns = scale.ns;
-  cfg.kernel = NestedKernel::VGH;
+  cfg.kernel = DerivLevel::VGH;
   cfg.num_walkers = 1; // strong scaling: one walker served by nth threads
 
   // Reference point (nth=1) with a calibrated measurement window; every

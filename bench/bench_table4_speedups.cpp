@@ -46,9 +46,9 @@ int main()
   const char* paper_b_bgq[3] = {"1.3 (A/B)", "9.5", "2.7"};
   const char* paper_c_bgq[3] = {"2.0", "15.8", "5.2"};
 
-  const Kernel kernels[3] = {Kernel::V, Kernel::VGL, Kernel::VGH};
+  const DerivLevel kernels[3] = {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH};
   for (int k = 0; k < 3; ++k) {
-    const Kernel kernel = kernels[k];
+    const DerivLevel kernel = kernels[k];
     const double t_base =
         measure_throughput(Layout::AoS, kernel, *coefs, nb, scale.ns, scale.min_seconds);
     const double t_soa =
@@ -63,9 +63,7 @@ int main()
     NestedConfig ncfg;
     ncfg.ns = scale.ns;
     ncfg.niters = 2;
-    ncfg.kernel = kernel == Kernel::V    ? NestedKernel::V
-                  : kernel == Kernel::VGL ? NestedKernel::VGL
-                                          : NestedKernel::VGH;
+    ncfg.kernel = kernel;
     ncfg.nth = 1;
     ncfg.num_walkers = 1;
     const auto serial = run_nested(engine, ncfg);

@@ -146,9 +146,9 @@ int main()
 
   // Vectorized paths (single thread for an apples-to-apples ratio).
   const double t_soa_vec =
-      measure_seconds_per_eval(Layout::SoA, Kernel::VGH, *coefs, n, scale.ns, scale.min_seconds);
+      measure_seconds_per_eval(Layout::SoA, DerivLevel::VGH, *coefs, n, scale.ns, scale.min_seconds);
   const double t_aos_vec =
-      measure_seconds_per_eval(Layout::AoS, Kernel::VGH, *coefs, n, scale.ns, scale.min_seconds);
+      measure_seconds_per_eval(Layout::AoS, DerivLevel::VGH, *coefs, n, scale.ns, scale.min_seconds);
 
   // Scalar twins.
   std::shared_ptr<const mqc::CoefStorage<float>> alias(&*coefs,

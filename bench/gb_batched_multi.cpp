@@ -1,15 +1,15 @@
-// google-benchmark: per-(tile, walker) batched evaluation vs the fused
-// multi-position path (core/batched.h) at paper scale (N >= 1024, a walker
-// population of 8+).  The fused path precomputes one weight set per
-// position, sweeps each tile's coefficient slice once per position block,
-// and stores on the first weight iteration instead of zero-filling.
+// google-benchmark: the batched multi-position path (core/batched.h) at
+// paper scale (N >= 1024, a walker population of 8+), one position per tile
+// pass (P = 1) vs position blocks.  Every request precomputes one weight set
+// per position; a block of P positions then sweeps each tile's coefficient
+// slice once instead of P times.
 //
-// The headline BM_*_FusedVsPerPair benchmarks interleave the two paths in
+// The headline BM_*_BlockVsOne benchmarks interleave the two block sizes in
 // one timing loop and report both throughputs plus their ratio as counters
-// ("fused_speedup" > 1 means the fused path wins) — paired measurement, so
-// host noise (CPU steal, frequency drift) hits both paths equally instead of
+// ("block_speedup" > 1 means the block wins) — paired measurement, so host
+// noise (CPU steal, frequency drift) hits both sides equally instead of
 // whichever benchmark ran during a bad window.  The reported Time column is
-// the fused path's (manual time).
+// the block side's (manual time).
 #include <map>
 #include <memory>
 #include <vector>
@@ -63,74 +63,47 @@ struct Population
 
 // -- paired comparisons (the acceptance-criterion benchmarks) ---------------
 
-void BM_BatchedVGH_FusedVsPerPair(benchmark::State& state)
-{
-  const int n = static_cast<int>(state.range(0));
-  const int nb = static_cast<int>(state.range(1));
-  const int nw = static_cast<int>(state.range(2));
-  const int pb = static_cast<int>(state.range(3)); // position block P (0 = whole population)
-  Population pop(n, nb, nw);
-  double t_pair = 0.0, t_fused = 0.0;
-  for (auto _ : state) {
-    Stopwatch a;
-    evaluate_vgh_batched(*pop.engine, pop.positions, pop.out_ptrs);
-    t_pair += a.elapsed();
-    Stopwatch b;
-    evaluate_vgh_batched_multi(*pop.engine, pop.positions, pop.out_ptrs, pb);
-    const double fused = b.elapsed();
-    t_fused += fused;
-    state.SetIterationTime(fused);
-    benchmark::DoNotOptimize(pop.outs[0]->v.data());
-  }
-  const double evals = static_cast<double>(n) * nw * static_cast<double>(state.iterations());
-  state.counters["per_pair_evals_per_s"] = evals / t_pair;
-  state.counters["fused_evals_per_s"] = evals / t_fused;
-  state.counters["fused_speedup"] = t_pair / t_fused;
-  state.SetItemsProcessed(state.iterations() * n * nw);
-}
-
-void BM_BatchedV_FusedVsPerPair(benchmark::State& state)
+/// One interleaved timing loop over the same population at P = 1 and at
+/// P = state.range(3) (0 = whole population).
+void paired_block_vs_one(benchmark::State& state, DerivLevel deriv)
 {
   const int n = static_cast<int>(state.range(0));
   const int nb = static_cast<int>(state.range(1));
   const int nw = static_cast<int>(state.range(2));
   const int pb = static_cast<int>(state.range(3));
   Population pop(n, nb, nw);
-  double t_pair = 0.0, t_fused = 0.0;
+  double t_one = 0.0, t_block = 0.0;
   for (auto _ : state) {
     Stopwatch a;
-    evaluate_v_batched(*pop.engine, pop.positions, pop.out_ptrs);
-    t_pair += a.elapsed();
+    evaluate_batched(*pop.engine, deriv, pop.positions, pop.out_ptrs, 1);
+    t_one += a.elapsed();
     Stopwatch b;
-    evaluate_v_batched_multi(*pop.engine, pop.positions, pop.out_ptrs, pb);
-    const double fused = b.elapsed();
-    t_fused += fused;
-    state.SetIterationTime(fused);
+    evaluate_batched(*pop.engine, deriv, pop.positions, pop.out_ptrs, pb);
+    const double block = b.elapsed();
+    t_block += block;
+    state.SetIterationTime(block);
     benchmark::DoNotOptimize(pop.outs[0]->v.data());
   }
   const double evals = static_cast<double>(n) * nw * static_cast<double>(state.iterations());
-  state.counters["per_pair_evals_per_s"] = evals / t_pair;
-  state.counters["fused_evals_per_s"] = evals / t_fused;
-  state.counters["fused_speedup"] = t_pair / t_fused;
+  state.counters["one_evals_per_s"] = evals / t_one;
+  state.counters["block_evals_per_s"] = evals / t_block;
+  state.counters["block_speedup"] = t_one / t_block;
   state.SetItemsProcessed(state.iterations() * n * nw);
 }
 
-// -- standalone per-path latencies ------------------------------------------
-
-void BM_BatchedVGH_PerPair(benchmark::State& state)
+void BM_BatchedVGH_BlockVsOne(benchmark::State& state)
 {
-  const int n = static_cast<int>(state.range(0));
-  const int nb = static_cast<int>(state.range(1));
-  const int nw = static_cast<int>(state.range(2));
-  Population pop(n, nb, nw);
-  for (auto _ : state) {
-    evaluate_vgh_batched(*pop.engine, pop.positions, pop.out_ptrs);
-    benchmark::DoNotOptimize(pop.outs[0]->v.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n * nw);
+  paired_block_vs_one(state, DerivLevel::VGH);
 }
 
-void BM_BatchedVGH_FusedMulti(benchmark::State& state)
+void BM_BatchedV_BlockVsOne(benchmark::State& state)
+{
+  paired_block_vs_one(state, DerivLevel::V);
+}
+
+// -- standalone latency -------------------------------------------------------
+
+void BM_BatchedVGH_Block(benchmark::State& state)
 {
   const int n = static_cast<int>(state.range(0));
   const int nb = static_cast<int>(state.range(1));
@@ -138,7 +111,7 @@ void BM_BatchedVGH_FusedMulti(benchmark::State& state)
   const int pb = static_cast<int>(state.range(3));
   Population pop(n, nb, nw);
   for (auto _ : state) {
-    evaluate_vgh_batched_multi(*pop.engine, pop.positions, pop.out_ptrs, pb);
+    evaluate_batched(*pop.engine, DerivLevel::VGH, pop.positions, pop.out_ptrs, pb);
     benchmark::DoNotOptimize(pop.outs[0]->v.data());
   }
   state.SetItemsProcessed(state.iterations() * n * nw);
@@ -146,7 +119,7 @@ void BM_BatchedVGH_FusedMulti(benchmark::State& state)
 
 // -- facade overhead (the OrbitalSet acceptance criterion) -------------------
 //
-// Same paired-interleave recipe as FusedVsPerPair: one timing loop runs the
+// Same paired-interleave recipe as BlockVsOne: one timing loop runs the
 // identical serial multi-position sweep twice, once through the raw engine
 // entry points and once through an OrbitalSet request.  The facade is a
 // variant dispatch plus a scratch lookup per request, amortized over N*nw
@@ -247,7 +220,7 @@ void BM_BatchedVGH_NestedVsFlat(benchmark::State& state)
   double t_flat = 0.0, t_nested = 0.0;
   for (auto _ : state) {
     Stopwatch a;
-    evaluate_vgh_batched_multi(*pop.engine, pop.positions, pop.out_ptrs, 0);
+    evaluate_batched(*pop.engine, DerivLevel::VGH, pop.positions, pop.out_ptrs, 0);
     t_flat += a.elapsed();
     Stopwatch b;
     // parallel-for over slice ids (not thread_id indexing) so every crowd
@@ -288,12 +261,10 @@ void BM_BatchedVGH_NestedVsFlat(benchmark::State& state)
 } // namespace
 
 // Paper scale (N=1024..2048, 8..16 walkers) across tile sizes from the
-// fine-tiled end (Nb=32, where per-pair pays one weight recomputation per
-// tile per walker and the fused path's up-front weight batch wins most) to
-// the paper's BDW-tuned Nb=64/128, plus one smaller CI-friendly point.
-// Args: {N, Nb, nw, P}; P=0 means one block spanning the whole population
-// (maximum table reuse).
-BENCHMARK(BM_BatchedVGH_FusedVsPerPair)
+// fine-tiled end (Nb=32) to the paper's BDW-tuned Nb=64/128, plus one
+// smaller CI-friendly point.  Args: {N, Nb, nw, P}; P=0 means one block
+// spanning the whole population (maximum table reuse).
+BENCHMARK(BM_BatchedVGH_BlockVsOne)
     ->Args({512, 64, 8, 0})
     ->Args({1024, 32, 8, 0})
     ->Args({1024, 64, 8, 0})
@@ -301,9 +272,11 @@ BENCHMARK(BM_BatchedVGH_FusedVsPerPair)
     ->Args({2048, 32, 16, 0})
     ->Args({2048, 128, 16, 0})
     ->UseManualTime();
-BENCHMARK(BM_BatchedV_FusedVsPerPair)->Args({1024, 128, 8, 0})->UseManualTime();
-BENCHMARK(BM_BatchedVGH_PerPair)->Args({1024, 128, 8});
-BENCHMARK(BM_BatchedVGH_FusedMulti)->Args({1024, 128, 8, 0})->Args({1024, 128, 8, 4});
+BENCHMARK(BM_BatchedV_BlockVsOne)->Args({1024, 128, 8, 0})->UseManualTime();
+BENCHMARK(BM_BatchedVGH_Block)
+    ->Args({1024, 128, 8, 1})
+    ->Args({1024, 128, 8, 0})
+    ->Args({1024, 128, 8, 4});
 BENCHMARK(BM_BatchedVGH_FacadeVsDirect)->Args({1024, 128, 8})->UseManualTime();
 // Args: {N, Nb, nw, outer crowds}; the inner team per crowd comes from the
 // topology partition (ThreadPartition::resolve), so this row demonstrates

@@ -29,7 +29,7 @@ int main(int argc, char** argv)
   NestedConfig cfg;
   cfg.ns = 64;
   cfg.niters = 8;
-  cfg.kernel = NestedKernel::VGH;
+  cfg.kernel = DerivLevel::VGH;
   cfg.num_walkers = 1;
 
   double t1 = 0.0;

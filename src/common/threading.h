@@ -293,17 +293,17 @@ inline TeamPath classify_team_path(int outer, int inner) noexcept
 }
 
 // ---------------------------------------------------------------------------
-// Team-scheduled loops: THE routing seam for parallel sweeps
+// Team-scheduled loop: THE routing seam for parallel sweeps
 // ---------------------------------------------------------------------------
 //
-// Every parallel loop in src/ goes through these helpers (or through the
-// facade sweeps in core/orbital_set.h, which keep their pragmas for exact
-// hot-path codegen): the TeamHandle decides the width, the helper owns the
-// raw `#pragma omp parallel` — so no other layer opens regions, re-derives
-// the machine size, or hides a `num_threads` the partition didn't grant.
+// Every parallel loop in src/ goes through team_for (or through the facade
+// sweeps in core/orbital_set.h, which keep their pragmas for exact hot-path
+// codegen): the TeamHandle decides the width, the helper owns the raw
+// `#pragma omp parallel` — so no other layer opens regions, re-derives the
+// machine size, or hides a `num_threads` the partition didn't grant.
 // tools/lint_invariants.py enforces exactly that (rule `omp-parallel`).
 //
-// Both helpers only distribute independent iterations, so any team size is
+// team_for only distributes independent iterations, so any team size is
 // trajectory-neutral by construction; a team resolving to 1 thread runs the
 // plain serial loop without opening a region at all.
 
@@ -320,27 +320,6 @@ void team_for(TeamHandle team, int n, Fn&& fn)
   } else {
     for (int i = 0; i < n; ++i)
       fn(i);
-  }
-}
-
-/// Run fn(i, j) over the collapsed [0, n1) x [0, n2) space on the team's
-/// threads — the (tile, walker) / (tile, position-block) sweep shape.
-template <typename Fn>
-void team_for_collapse2(TeamHandle team, int n1, int n2, Fn&& fn)
-{
-  const long long total = static_cast<long long>(n1) * n2;
-  const int cap = total > static_cast<long long>(max_threads()) ? max_threads()
-                                                                : static_cast<int>(total);
-  const int nth = total > 1 ? std::min(team.resolve(), cap) : 1;
-  if (nth > 1) {
-#pragma omp parallel for collapse(2) schedule(static) num_threads(nth)
-    for (int i = 0; i < n1; ++i)
-      for (int j = 0; j < n2; ++j)
-        fn(i, j);
-  } else {
-    for (int i = 0; i < n1; ++i)
-      for (int j = 0; j < n2; ++j)
-        fn(i, j);
   }
 }
 

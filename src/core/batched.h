@@ -1,37 +1,26 @@
-// Batched multi-walker evaluation — population-wide convenience wrappers
+// Batched multi-walker evaluation — the population-wide convenience wrapper
 // over the OrbitalSet facade (core/orbital_set.h), which owns the actual
 // dispatch: weights once per position, tile-outer / position-block-inner
 // sweeps, OpenMP over (tile, block) work items.
 //
-// Two schedules over the same (walker, tile) work:
-//
-//  * Per-pair (ablation reference, evaluate_*_batched): one flat parallel
-//    loop over (tile, walker) pairs, each pair an independent single-position
-//    tile kernel call.  NOTE: with `collapse(2) schedule(static)` the pairs
-//    of one tile are CONTIGUOUS in the collapsed index, so a thread revisits
-//    a tile's table slice across consecutive walkers only when its static
-//    chunk happens to span several pairs of that tile — coefficient reuse is
-//    incidental, not guaranteed.  Every call also recomputes the position's
-//    weight set and (pre zero-fill-elimination) re-zeroed its output slice.
-//
-//  * Position-blocked (evaluate_*_batched_multi): a parallel multi-position
-//    facade request.  The guarantee: within one work item the tile's
-//    4*Ng*Nb-byte coefficient slice is streamed from memory once and reused
-//    from cache by all P positions of the block, and with static scheduling
-//    consecutive blocks of the same tile extend that residency across the
-//    whole population.  P trades input reuse against the output working set
-//    (40*P*Nb bytes for VGH) and is tuned jointly with Nb (core/tuner.h).
+// The guarantee: within one work item the tile's 4*Ng*Nb-byte coefficient
+// slice is streamed from memory once and reused from cache by all P
+// positions of the block, and with static scheduling consecutive blocks of
+// the same tile extend that residency across the whole population.  P trades
+// input reuse against the output working set (40*P*Nb bytes for VGH) and is
+// tuned jointly with Nb (core/tuner.h); P = 1 is the one-position-per-pass
+// schedule the blocked one is benchmarked against (bench/gb_batched_multi).
 //
 // Scratch (weight sets, output pointer tables) is the facade's
-// OrbitalResource; these population-wide wrappers use the shared per-thread
-// instance so steady-state driver iterations allocate nothing.
+// OrbitalResource; the wrapper uses the shared per-thread instance so
+// steady-state driver iterations allocate nothing.
 //
 // Threading routes through the TeamHandle seam (common/threading.h): the
-// fused wrappers take the caller's team and hand it to the facade request,
-// defaulting to whole_machine() — the right size for their usual top-level,
+// wrapper takes the caller's team and hands it to the facade request,
+// defaulting to whole_machine() — the right size for its usual top-level,
 // ownerless call sites.  Callers already inside a partitioned region (a
-// crowd's outer member) pass their inner team instead, so these wrappers
-// never blindly re-derive the machine size inside someone else's region.
+// crowd's outer member) pass their inner team instead, so the wrapper never
+// blindly re-derives the machine size inside someone else's region.
 #ifndef MQC_CORE_BATCHED_H
 #define MQC_CORE_BATCHED_H
 
@@ -46,162 +35,44 @@
 
 namespace mqc {
 
-namespace detail {
-
-/// Gather each walker's component slot pointers into the resource's tables:
-/// values always, gradients when @p want_g, and Hessians (@p want_h) or
-/// Laplacians as the third stream family.  Returns the shared stride.
+/// Evaluate positions[w] into outs[w] for every walker w at level @p deriv:
+/// one parallel facade request, @p pos_block positions per tile pass (0 =
+/// the whole population).  All output buffers must share one component
+/// stride; VGL writes each walker's Laplacian stream, VGH its Hessians.
 template <typename T>
-std::size_t gather_walker_slots(const std::vector<WalkerSoA<T>*>& outs, OrbitalResource<T>& res,
-                                bool want_g, bool want_h)
+void evaluate_batched(const MultiBspline<T>& engine, DerivLevel deriv,
+                      const std::vector<Vec3<T>>& positions,
+                      const std::vector<WalkerSoA<T>*>& outs, int pos_block = 0,
+                      TeamHandle team = TeamHandle::whole_machine())
 {
-  const int nw = static_cast<int>(outs.size());
+  assert(positions.size() == outs.size());
+  if (positions.empty())
+    return;
+  const int nw = static_cast<int>(positions.size());
+  auto& res = OrbitalResource<T>::thread_instance();
   res.resize_tables(nw);
-  const std::size_t stride = outs.empty() ? 0 : outs[0]->stride;
-  for (int i = 0; i < nw; ++i) {
-    WalkerSoA<T>& out = *outs[static_cast<std::size_t>(i)];
+  const std::size_t stride = outs[0]->stride;
+  for (std::size_t i = 0; i < outs.size(); ++i) {
+    WalkerSoA<T>& out = *outs[i];
     assert(out.stride == stride && "batched outputs must share one component stride");
-    const auto ui = static_cast<std::size_t>(i);
-    res.v[ui] = out.v.data();
-    if (want_g)
-      res.g[ui] = out.g.data();
-    res.lh[ui] = want_h ? out.h.data() : out.l.data();
+    res.v[i] = out.v.data();
+    res.g[i] = out.g.data();
+    res.lh[i] = deriv == DerivLevel::VGH ? out.h.data() : out.l.data();
   }
-  return stride;
-}
-
-} // namespace detail
-
-// ---------------------------------------------------------------------------
-// Position-blocked fused path (facade-dispatched)
-// ---------------------------------------------------------------------------
-
-/// Fused multi-position VGH over a population: one parallel facade request.
-/// All output buffers must share one component stride.
-template <typename T>
-void evaluate_vgh_batched_multi(const MultiBspline<T>& engine,
-                                const std::vector<Vec3<T>>& positions,
-                                std::vector<WalkerSoA<T>*>& outs, int pos_block = 0,
-                                TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  if (positions.empty())
-    return;
-  auto& res = OrbitalResource<T>::thread_instance();
   OrbitalEvalRequest<T> rq;
-  rq.deriv = DerivLevel::VGH;
+  rq.deriv = deriv;
   rq.positions = positions.data();
-  rq.count = static_cast<int>(positions.size());
-  rq.stride = detail::gather_walker_slots(outs, res, true, true);
+  rq.count = nw;
   rq.v = res.v.data();
-  rq.g = res.g.data();
-  rq.lh = res.lh.data();
+  if (deriv != DerivLevel::V) {
+    rq.g = res.g.data();
+    rq.lh = res.lh.data();
+  }
+  rq.stride = stride;
   rq.pos_block = pos_block;
   rq.parallel = team.parallel();
   rq.team = team;
   OrbitalSet<T>(engine).evaluate(rq, res);
-}
-
-/// Fused multi-position values-only path (pseudopotential quadrature batches).
-template <typename T>
-void evaluate_v_batched_multi(const MultiBspline<T>& engine, const std::vector<Vec3<T>>& positions,
-                              std::vector<WalkerSoA<T>*>& outs, int pos_block = 0,
-                              TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  if (positions.empty())
-    return;
-  auto& res = OrbitalResource<T>::thread_instance();
-  OrbitalEvalRequest<T> rq;
-  rq.deriv = DerivLevel::V;
-  rq.positions = positions.data();
-  rq.count = static_cast<int>(positions.size());
-  rq.stride = detail::gather_walker_slots(outs, res, false, false);
-  rq.v = res.v.data();
-  rq.pos_block = pos_block;
-  rq.parallel = team.parallel();
-  rq.team = team;
-  OrbitalSet<T>(engine).evaluate(rq, res);
-}
-
-/// Fused multi-position VGL (local-energy measurement over a population).
-template <typename T>
-void evaluate_vgl_batched_multi(const MultiBspline<T>& engine,
-                                const std::vector<Vec3<T>>& positions,
-                                std::vector<WalkerSoA<T>*>& outs, int pos_block = 0,
-                                TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  if (positions.empty())
-    return;
-  auto& res = OrbitalResource<T>::thread_instance();
-  OrbitalEvalRequest<T> rq;
-  rq.deriv = DerivLevel::VGL;
-  rq.positions = positions.data();
-  rq.count = static_cast<int>(positions.size());
-  rq.stride = detail::gather_walker_slots(outs, res, true, false);
-  rq.v = res.v.data();
-  rq.g = res.g.data();
-  rq.lh = res.lh.data();
-  rq.pos_block = pos_block;
-  rq.parallel = team.parallel();
-  rq.team = team;
-  OrbitalSet<T>(engine).evaluate(rq, res);
-}
-
-// ---------------------------------------------------------------------------
-// Per-(tile, walker) path — kept as the ablation reference the position-
-// blocked schedule is benchmarked against (bench/gb_batched_multi.cpp).
-// ---------------------------------------------------------------------------
-
-/// Evaluate VGH at positions[w] into outs[w] for every walker w, one
-/// single-position tile kernel call per (tile, walker) pair.
-template <typename T>
-void evaluate_vgh_batched(const MultiBspline<T>& engine, const std::vector<Vec3<T>>& positions,
-                          std::vector<WalkerSoA<T>*>& outs,
-                          TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  const int nw = static_cast<int>(positions.size());
-  const int nt = engine.num_tiles();
-  team_for_collapse2(team, nt, nw, [&](int t, int w) {
-    const Vec3<T>& r = positions[static_cast<std::size_t>(w)];
-    WalkerSoA<T>& out = *outs[static_cast<std::size_t>(w)];
-    engine.evaluate_vgh_tile(t, r.x, r.y, r.z, out.v.data(), out.g.data(), out.h.data(),
-                             out.stride);
-  });
-}
-
-/// Batched values-only evaluation, per-pair schedule.
-template <typename T>
-void evaluate_v_batched(const MultiBspline<T>& engine, const std::vector<Vec3<T>>& positions,
-                        std::vector<WalkerSoA<T>*>& outs,
-                        TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  const int nw = static_cast<int>(positions.size());
-  const int nt = engine.num_tiles();
-  team_for_collapse2(team, nt, nw, [&](int t, int w) {
-    const Vec3<T>& r = positions[static_cast<std::size_t>(w)];
-    engine.evaluate_v_tile(t, r.x, r.y, r.z, outs[static_cast<std::size_t>(w)]->v.data());
-  });
-}
-
-/// Batched VGL, per-pair schedule.
-template <typename T>
-void evaluate_vgl_batched(const MultiBspline<T>& engine, const std::vector<Vec3<T>>& positions,
-                          std::vector<WalkerSoA<T>*>& outs,
-                          TeamHandle team = TeamHandle::whole_machine())
-{
-  assert(positions.size() == outs.size());
-  const int nw = static_cast<int>(positions.size());
-  const int nt = engine.num_tiles();
-  team_for_collapse2(team, nt, nw, [&](int t, int w) {
-    const Vec3<T>& r = positions[static_cast<std::size_t>(w)];
-    WalkerSoA<T>& out = *outs[static_cast<std::size_t>(w)];
-    engine.evaluate_vgl_tile(t, r.x, r.y, r.z, out.v.data(), out.g.data(), out.l.data(),
-                             out.stride);
-  });
 }
 
 } // namespace mqc

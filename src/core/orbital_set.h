@@ -13,15 +13,15 @@
 //
 // The API is batched-first: `evaluate(Request, Resource)` takes 1..P
 // positions, a derivative level (V / VGL / VGH) and per-position output
-// slots; a single-position call is simply the P = 1 case of the same path
-// (or the allocation-free `evaluate_one` sugar).  `capabilities()` reports
-// what the wrapped engine can do — native multi-position sweeps? how many
-// tiles? which preferred position block? — so drivers make their
-// single-vs-multi scheduling decision explicitly instead of silently
-// falling back.  Scratch (the batch's weight sets, consumers' pointer
-// tables) lives in an OrbitalResource owned by the caller — one per thread
-// or per crowd — so the hot loop allocates nothing and no scratch hides in
-// scattered function-local thread_locals.
+// slots; a single-position call is the P = 1 case of the same sweep
+// (`evaluate_one` runs it over one stack weight set, allocation-free).
+// `capabilities()` reports what the wrapped engine can do — native
+// multi-position sweeps? how many tiles? which preferred position block? —
+// so drivers make their single-vs-multi scheduling decision explicitly
+// instead of silently falling back.  Scratch (the batch's weight sets,
+// consumers' pointer tables) lives in an OrbitalResource owned by the
+// caller — one per thread or per crowd — so the hot loop allocates nothing
+// and no scratch hides in scattered function-local thread_locals.
 //
 // Dispatch is tuner-aware: set_pos_block() attaches the Wisdom-tuned
 // position block P (core/tuner.h) and every multi-position request on a
@@ -35,6 +35,7 @@
 #include <cassert>
 #include <cstddef>
 #include <memory>
+#include <stdexcept>
 #include <type_traits>
 #include <variant>
 #include <vector>
@@ -78,6 +79,18 @@ enum class DerivLevel
   VGH  ///< values + gradients + symmetric Hessians
 };
 
+/// Weight sets of @p count positions on @p grid for level @p deriv (value
+/// weights for V, full derivative weights for VGL and VGH).
+template <typename WT, typename T>
+void compute_weights_batch(DerivLevel deriv, const Grid3D<WT>& grid, const Vec3<T>* pos, int count,
+                           BsplineWeights3D<WT>* w) noexcept
+{
+  if (deriv == DerivLevel::V)
+    compute_weights_v_batch(grid, pos, count, w);
+  else
+    compute_weights_vgh_batch(grid, pos, count, w);
+}
+
 /// Which evaluation schedule a driver actually ran — the explicit,
 /// capabilities-derived decision surfaced in results (no silent fallback).
 enum class EvalPath
@@ -93,6 +106,19 @@ enum class OrbitalLayout
   SoA,   ///< SoA component streams
   AoSoA  ///< tiled SoA (MultiBspline)
 };
+
+namespace detail {
+
+/// The layout family of an engine type.
+template <typename Engine>
+inline constexpr OrbitalLayout engine_layout = OrbitalLayout::AoS;
+template <typename TStore, typename TCompute>
+inline constexpr OrbitalLayout engine_layout<BsplineSoA<TStore, TCompute>> = OrbitalLayout::SoA;
+template <typename TStore, typename TCompute>
+inline constexpr OrbitalLayout engine_layout<MultiBspline<TStore, TCompute>> =
+    OrbitalLayout::AoSoA;
+
+} // namespace detail
 
 /// What the wrapped engine can do, queried once by a driver to pick its
 /// schedule (and by tests to assert the decision).
@@ -126,7 +152,7 @@ struct OrbitalResource
   /// separate so native and mixed engines sharing one resource never
   /// reinterpret each other's scratch.  Empty unless a mixed engine is used.
   std::vector<BsplineWeights3D<double>> weights_wide;
-  std::vector<T*> v, g, lh; ///< consumer pointer tables (gather helpers below)
+  std::vector<T*> v, g, lh; ///< consumer pointer tables (evaluate_batched fills them)
 #ifdef MQC_CONTRACTS
   /// Contract state: true while an OrbitalSet::evaluate call owns this
   /// resource.  A second evaluation entering with the flag still set means
@@ -167,7 +193,7 @@ struct OrbitalResource
   }
 
   /// Shared per-thread instance for call sites without a natural owner
-  /// (population-wide convenience wrappers in core/batched.h).  Drivers with
+  /// (the population-wide evaluate_batched in core/batched.h).  Drivers with
   /// per-crowd or per-walker state should own their resource instead.
   ///
   /// Instances are keyed by the OpenMP nesting level, not one per thread:
@@ -276,67 +302,47 @@ public:
   {
     OrbitalCapabilities caps;
     caps.preferred_pos_block = pos_block_;
-    if (const auto* e = aos()) {
-      caps.layout = OrbitalLayout::AoS;
-      caps.native_multi_eval = false;
-      caps.num_splines = (*e)->num_splines();
-      caps.padded_splines = (*e)->padded_splines();
-      caps.out_stride = (*e)->padded_splines();
-      caps.coef_table_bytes = (*e)->coefs().size_bytes();
-    } else if (const auto* e = soa()) {
-      caps.layout = OrbitalLayout::SoA;
-      caps.native_multi_eval = true;
-      caps.num_splines = (*e)->num_splines();
-      caps.padded_splines = (*e)->padded_splines();
-      caps.out_stride = (*e)->out_stride();
-      caps.coef_table_bytes = (*e)->coef_bytes();
-    } else if (const auto* e = aosoa()) {
-      caps.layout = OrbitalLayout::AoSoA;
-      caps.native_multi_eval = true;
-      caps.num_tiles = (*e)->num_tiles();
-      caps.num_splines = (*e)->num_splines();
-      caps.padded_splines = (*e)->padded_splines();
-      caps.out_stride = (*e)->out_stride();
-      caps.coef_table_bytes = (*e)->coef_bytes();
-    } else if constexpr (MixedPrecisionFor<T>::available) {
-      if (const auto* e = soa_mixed()) {
-        caps.layout = OrbitalLayout::SoA;
-        caps.native_multi_eval = true;
-        caps.num_splines = (*e)->num_splines();
-        caps.padded_splines = (*e)->padded_splines();
-        caps.out_stride = (*e)->out_stride();
-        caps.precision = PrecisionPath::Mixed;
-        caps.coef_table_bytes = (*e)->coef_bytes();
-      } else if (const auto* e = aosoa_mixed()) {
-        caps.layout = OrbitalLayout::AoSoA;
-        caps.native_multi_eval = true;
-        caps.num_tiles = (*e)->num_tiles();
-        caps.num_splines = (*e)->num_splines();
-        caps.padded_splines = (*e)->padded_splines();
-        caps.out_stride = (*e)->out_stride();
-        caps.precision = PrecisionPath::Mixed;
-        caps.coef_table_bytes = (*e)->coef_bytes();
-      }
-    }
+    std::visit(
+        [&]<typename P>(P e) {
+          if constexpr (!std::is_same_v<P, std::monostate>) {
+            using Engine = std::remove_cvref_t<decltype(*e)>;
+            constexpr OrbitalLayout layout = detail::engine_layout<Engine>;
+            caps.layout = layout;
+            caps.native_multi_eval = layout != OrbitalLayout::AoS;
+            caps.num_splines = e->num_splines();
+            caps.padded_splines = e->padded_splines();
+            if constexpr (layout == OrbitalLayout::AoS) {
+              caps.out_stride = e->padded_splines();
+              caps.coef_table_bytes = e->coefs().size_bytes();
+            } else {
+              caps.out_stride = e->out_stride();
+              caps.coef_table_bytes = e->coef_bytes();
+              if constexpr (!std::is_same_v<typename Engine::compute_type, T>)
+                caps.precision = PrecisionPath::Mixed;
+            }
+            if constexpr (layout == OrbitalLayout::AoSoA)
+              caps.num_tiles = e->num_tiles();
+          }
+        },
+        engine_);
     return caps;
   }
 
+  /// The storage grid of the wrapped engine.  Throws std::logic_error on an
+  /// empty (default-constructed) set.
   [[nodiscard]] const Grid3D<T>& grid() const
   {
-    assert(valid());
-    if (const auto* e = aos())
-      return (*e)->coefs().grid();
-    if (const auto* e = soa())
-      return (*e)->coefs().grid();
-    if (const auto* e = aosoa())
-      return (*e)->grid();
-    if constexpr (MixedPrecisionFor<T>::available) {
-      if (const auto* e = soa_mixed())
-        return (*e)->coefs().grid();
-      return (*aosoa_mixed())->grid();
-    } else {
-      return (*aosoa())->grid(); // unreachable: valid() excludes this
-    }
+    return std::visit(
+        [&]<typename P>(P e) -> const Grid3D<T>& {
+          if constexpr (std::is_same_v<P, std::monostate>)
+            throw std::logic_error("OrbitalSet::grid: no engine is wrapped");
+          else if constexpr (detail::engine_layout<std::remove_cvref_t<decltype(*e)>> ==
+                             OrbitalLayout::AoSoA)
+            return e->grid();
+          else
+            return e->coefs().grid();
+        },
+        engine_);
   }
 
   /// The batched entry point: evaluate all positions of @p rq at the
@@ -366,114 +372,61 @@ public:
     } contract_guard{&res.contract_live};
     contract_check_request(rq);
 #endif
-    if (const auto* e = aos())
-      evaluate_aos(**e, rq);
-    else if (const auto* e = soa())
-      evaluate_soa(**e, rq, res);
-    else if (const auto* e = aosoa())
-      evaluate_aosoa(**e, rq, res);
-    else if constexpr (MixedPrecisionFor<T>::available) {
-      if (const auto* e = soa_mixed())
-        evaluate_soa(**e, rq, res);
-      else
-        evaluate_aosoa(**aosoa_mixed(), rq, res);
-    }
+    std::visit(
+        [&]<typename P>(P e) {
+          if constexpr (!std::is_same_v<P, std::monostate>) {
+            using Engine = std::remove_cvref_t<decltype(*e)>;
+            if constexpr (detail::engine_layout<Engine> == OrbitalLayout::AoS)
+              sweep(*e, rq);
+            else
+              sweep(*e, rq,
+                    res.template weights_buffer<typename Engine::compute_type>(rq.count));
+          }
+        },
+        engine_);
   }
 
-  /// Single-position sugar: the P = 1 case of evaluate(), with no resource
-  /// needed (the one weight set lives on the stack).  @p g / @p lh may be
-  /// null for DerivLevel::V.
+  /// Single-position sugar: evaluate()'s per-engine sweep at count 1, over
+  /// one stack weight set — no resource needed, nothing allocated.  @p g /
+  /// @p lh may be null for DerivLevel::V.
   void evaluate_one(DerivLevel deriv, const Vec3<T>& r, T* v, T* g, T* lh,
                     std::size_t stride) const
   {
     assert(valid());
-    if (const auto* pe = aos()) {
-      const auto& e = **pe;
-      switch (deriv) {
-      case DerivLevel::V:
-        e.evaluate_v(r.x, r.y, r.z, v);
-        return;
-      case DerivLevel::VGL:
-        e.evaluate_vgl(r.x, r.y, r.z, v, g, lh);
-        return;
-      case DerivLevel::VGH:
-        e.evaluate_vgh(r.x, r.y, r.z, v, g, lh);
-        return;
-      }
-    } else if (const auto* pe = soa()) {
-      evaluate_one_strided(**pe, deriv, r, v, g, lh, stride);
-    } else if (const auto* pe = aosoa()) {
-      evaluate_one_strided(**pe, deriv, r, v, g, lh, stride);
-    } else if constexpr (MixedPrecisionFor<T>::available) {
-      if (const auto* e = soa_mixed())
-        evaluate_one_strided(**e, deriv, r, v, g, lh, stride);
-      else
-        evaluate_one_strided(**aosoa_mixed(), deriv, r, v, g, lh, stride);
-    }
+    OrbitalEvalRequest<T> rq;
+    rq.deriv = deriv;
+    rq.positions = &r;
+    rq.count = 1;
+    rq.v = &v;
+    rq.g = &g;
+    rq.lh = &lh;
+    rq.stride = stride;
+    std::visit(
+        [&]<typename P>(P e) {
+          if constexpr (!std::is_same_v<P, std::monostate>) {
+            using Engine = std::remove_cvref_t<decltype(*e)>;
+            if constexpr (detail::engine_layout<Engine> == OrbitalLayout::AoS) {
+              sweep(*e, rq);
+            } else {
+              typename Engine::weights_type w;
+              sweep(*e, rq, &w);
+            }
+          }
+        },
+        engine_);
   }
 
 private:
   using MixedCompute = typename MixedPrecisionFor<T>::compute_type;
-  using MixedSoAEngine = BsplineSoA<T, MixedCompute>;
-  using MixedAoSoAEngine = MultiBspline<T, MixedCompute>;
-  /// Distinct empty tags stand in for the mixed alternatives when T has no
-  /// mixed pairing — they keep the variant's alternative list unique (for
-  /// T = double the "mixed" engine types would collapse onto the native
-  /// ones) while never being constructed.
-  struct NoMixedSoATag
-  {
-  };
-  struct NoMixedAoSoATag
-  {
-  };
-  using MixedSoAAlt = std::conditional_t<MixedPrecisionFor<T>::available, const MixedSoAEngine*,
-                                         NoMixedSoATag>;
-  using MixedAoSoAAlt = std::conditional_t<MixedPrecisionFor<T>::available,
-                                           const MixedAoSoAEngine*, NoMixedAoSoATag>;
-  using EngineRef = std::variant<std::monostate, const BsplineAoS<T>*, const BsplineSoA<T>*,
-                                 const MultiBspline<T>*, MixedSoAAlt, MixedAoSoAAlt>;
-
-  [[nodiscard]] const BsplineAoS<T>* const* aos() const noexcept
-  {
-    return std::get_if<const BsplineAoS<T>*>(&engine_);
-  }
-  [[nodiscard]] const BsplineSoA<T>* const* soa() const noexcept
-  {
-    return std::get_if<const BsplineSoA<T>*>(&engine_);
-  }
-  [[nodiscard]] const MultiBspline<T>* const* aosoa() const noexcept
-  {
-    return std::get_if<const MultiBspline<T>*>(&engine_);
-  }
-  // Only instantiated (from if-constexpr-guarded call sites) when T has a
-  // mixed pairing, i.e. when the mixed pointer types are real alternatives.
-  [[nodiscard]] const MixedSoAEngine* const* soa_mixed() const noexcept
-  {
-    return std::get_if<const MixedSoAEngine*>(&engine_);
-  }
-  [[nodiscard]] const MixedAoSoAEngine* const* aosoa_mixed() const noexcept
-  {
-    return std::get_if<const MixedAoSoAEngine*>(&engine_);
-  }
-
-  /// Single-position dispatch shared by every strided-output engine (native
-  /// and mixed SoA/AoSoA — identical TStore signatures).
-  template <typename Engine>
-  void evaluate_one_strided(const Engine& e, DerivLevel deriv, const Vec3<T>& r, T* v, T* g,
-                            T* lh, std::size_t stride) const
-  {
-    switch (deriv) {
-    case DerivLevel::V:
-      e.evaluate_v(r.x, r.y, r.z, v);
-      return;
-    case DerivLevel::VGL:
-      e.evaluate_vgl(r.x, r.y, r.z, v, g, lh, stride);
-      return;
-    case DerivLevel::VGH:
-      e.evaluate_vgh(r.x, r.y, r.z, v, g, lh, stride);
-      return;
-    }
-  }
+  /// The mixed alternatives exist only where T has a wider compute partner
+  /// (for T = double they would repeat the native engine types).
+  using EngineRef = std::conditional_t<
+      MixedPrecisionFor<T>::available,
+      std::variant<std::monostate, const BsplineAoS<T>*, const BsplineSoA<T>*,
+                   const MultiBspline<T>*, const BsplineSoA<T, MixedCompute>*,
+                   const MultiBspline<T, MixedCompute>*>,
+      std::variant<std::monostate, const BsplineAoS<T>*, const BsplineSoA<T>*,
+                   const MultiBspline<T>*>>;
 
 #ifdef MQC_CONTRACTS
   /// Seam validation of a batched request (contracts builds only): every
@@ -529,7 +482,7 @@ private:
   /// per position (the decision capabilities() exposes as
   /// native_multi_eval == false).  `stride` is ignored: outputs use the
   /// engine's packed AoS component groups.
-  void evaluate_aos(const BsplineAoS<T>& e, const OrbitalEvalRequest<T>& rq) const
+  void sweep(const BsplineAoS<T>& e, const OrbitalEvalRequest<T>& rq) const
   {
     auto body = [&](int p) {
       const Vec3<T>& r = rq.positions[p];
@@ -556,16 +509,13 @@ private:
     }
   }
 
-  template <typename Engine>
-  void evaluate_soa(const Engine& e, const OrbitalEvalRequest<T>& rq,
-                    OrbitalResource<T>& res) const
+  /// Untiled SoA engine: weights into @p w, then one block sweep over the
+  /// table (serial) or one position per work item (`parallel`).
+  template <typename TC>
+  void sweep(const BsplineSoA<T, TC>& e, const OrbitalEvalRequest<T>& rq,
+             BsplineWeights3D<TC>* w) const
   {
-    using WT = typename Engine::compute_type;
-    BsplineWeights3D<WT>* w = res.template weights_buffer<WT>(rq.count);
-    if (rq.deriv == DerivLevel::V)
-      compute_weights_v_batch(e.eval_grid(), rq.positions, rq.count, w);
-    else
-      compute_weights_vgh_batch(e.eval_grid(), rq.positions, rq.count, w);
+    compute_weights_batch(rq.deriv, e.eval_grid(), rq.positions, rq.count, w);
     const int nth = rq.parallel ? rq.team.resolve() : 1;
     if (nth <= 1) {
       switch (rq.deriv) {
@@ -597,21 +547,16 @@ private:
     }
   }
 
-  /// Tiled engine: weights once per position, then tile-outer /
+  /// Tiled engine: weights once per position (into @p w), then tile-outer /
   /// position-block-inner sweeps — each tile's 4*Ng*Nb-byte coefficient
   /// slice is streamed from memory once per block of P positions and reused
   /// from cache (the core of the paper's AoSoA analysis, extended across
   /// positions).  `parallel` distributes (tile, block) work items.
-  template <typename Engine>
-  void evaluate_aosoa(const Engine& e, const OrbitalEvalRequest<T>& rq,
-                      OrbitalResource<T>& res) const
+  template <typename TC>
+  void sweep(const MultiBspline<T, TC>& e, const OrbitalEvalRequest<T>& rq,
+             BsplineWeights3D<TC>* w) const
   {
-    using WT = typename Engine::compute_type;
-    BsplineWeights3D<WT>* w = res.template weights_buffer<WT>(rq.count);
-    if (rq.deriv == DerivLevel::V)
-      compute_weights_v_batch(e.eval_grid(), rq.positions, rq.count, w);
-    else
-      compute_weights_vgh_batch(e.eval_grid(), rq.positions, rq.count, w);
+    compute_weights_batch(rq.deriv, e.eval_grid(), rq.positions, rq.count, w);
     const int pb = resolve_pos_block(rq.pos_block != 0 ? rq.pos_block : pos_block_, rq.count);
     const int nblocks = (rq.count + pb - 1) / pb;
     const int nt = e.num_tiles();

@@ -234,7 +234,8 @@ TuneResult2D tune_tile_block_vgh(const CoefStorage<T>& full,
       if (pb > num_walkers)
         continue;
       const double sec = time_per_iteration(
-          [&] { evaluate_vgh_batched_multi(engine, positions, out_ptrs, pb); }, min_seconds, 2);
+          [&] { evaluate_batched(engine, DerivLevel::VGH, positions, out_ptrs, pb); },
+          min_seconds, 2);
       const double throughput =
           static_cast<double>(full.num_splines()) * num_walkers / sec;
       result.tiles.push_back(nb);

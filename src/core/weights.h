@@ -56,9 +56,8 @@ inline void compute_weights_vgh(const Grid3D<T>& g, T x, T y, T z, BsplineWeight
 //
 // A block of P positions shares one pass over each tile's coefficient table,
 // so the weight sets for the whole block are computed up front and reused by
-// every tile (all tiles of an AoSoA engine share the same grid).  This
-// replaces the per-(tile, position) weight recomputation of the per-pair
-// batched path.
+// every tile (all tiles of an AoSoA engine share the same grid) instead of
+// being recomputed once per (tile, position).
 
 /// Value-only weights for @p count positions.  The position element type @p U
 /// may differ from the weight/grid type @p T (mixed precision: SP positions

@@ -2,22 +2,23 @@
 
 #include <algorithm>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
-
-#ifdef _OPENMP
-#include <omp.h>
-#endif
 
 #include "common/rng.h"
 #include "common/threading.h"
 #include "common/timer.h"
-#include "core/weights.h"
 #include "qmc/walker.h"
 
 namespace mqc {
 
 NestedResult run_nested(const MultiBspline<float>& engine, const NestedConfig& cfg)
 {
+  if (cfg.ns < 1 || cfg.niters < 0)
+    throw std::invalid_argument("run_nested: need ns >= 1 and niters >= 0, got ns = " +
+                                std::to_string(cfg.ns) + ", niters = " +
+                                std::to_string(cfg.niters));
   // Partition resolution goes through the shared thread-team seam: explicit
   // cfg.nth pins the inner team, 0 asks ThreadPartition for the
   // topology-aware split over the walker count (one outer member per
@@ -36,7 +37,7 @@ NestedResult run_nested(const MultiBspline<float>& engine, const NestedConfig& c
 
   // Per-walker buffers and positions, prepared outside the timed region.
   // With pos_block == P, a walker owns P output buffers so a whole block's
-  // results are live at once (multi-position path).
+  // results are live at once.
   std::vector<std::vector<std::unique_ptr<WalkerSoA<float>>>> outputs(
       static_cast<std::size_t>(nw));
   std::vector<std::vector<float*>> vp(static_cast<std::size_t>(nw)), gp(vp), lp(vp), hp(vp);
@@ -70,86 +71,49 @@ NestedResult run_nested(const MultiBspline<float>& engine, const NestedConfig& c
   {
     const TeamCoordinates tc = team_coordinates(thread_id(), nth);
     const auto wu = static_cast<std::size_t>(tc.walker);
-    WalkerSoA<float>& out = *outputs[wu].front();
     const auto& x = pos[wu];
     const StridedRange my_tiles(static_cast<std::size_t>(ntiles), static_cast<std::size_t>(nth),
                                 static_cast<std::size_t>(tc.member));
-    if (pb <= 1) {
-      // Single-position path (ablation reference): one tile sweep per
-      // position, weights recomputed inside every tile kernel call.  Raw
-      // tile calls are deliberate here: this driver IS the explicit
-      // decomposition the facade is measured against, and a team member's
-      // private tile subset cannot be expressed as a facade request.
-      for (int it = 0; it < cfg.niters; ++it)
-        for (int s = 0; s < cfg.ns; ++s) {
-          const float px = x[static_cast<std::size_t>(s)].x;
-          const float py = x[static_cast<std::size_t>(s)].y;
-          const float pz = x[static_cast<std::size_t>(s)].z;
-          switch (cfg.kernel) {
-          case NestedKernel::V:
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_v_tile(static_cast<int>(t), px, py, pz, out.v.data());
-            });
-            break;
-          case NestedKernel::VGL:
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_vgl_tile(static_cast<int>(t), px, py, pz, out.v.data(),
-                                       out.g.data(), out.l.data(), out.stride);
-            });
-            break;
-          case NestedKernel::VGH:
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_vgh_tile(static_cast<int>(t), px, py, pz, out.v.data(),
-                                       out.g.data(), out.h.data(), out.stride);
-            });
-            break;
-          }
+    // Per block of P positions, compute the P weight sets once, then sweep
+    // each of this member's tiles once for the whole block.  Members of a
+    // team share positions but compute their own weights (cheap, amortized
+    // over their tile subset).  Raw tile calls are deliberate here: this
+    // driver IS the explicit decomposition the facade is measured against,
+    // and a team member's private tile subset cannot be expressed as a
+    // facade request.
+    std::vector<BsplineWeights3D<float>> wts(static_cast<std::size_t>(pb));
+    const std::size_t stride = outputs[wu].front()->stride;
+    float* const* v = vp[wu].data();
+    float* const* g = gp[wu].data();
+    float* const* l = lp[wu].data();
+    float* const* h = hp[wu].data();
+    for (int it = 0; it < cfg.niters; ++it)
+      for (int s0 = 0; s0 < cfg.ns; s0 += pb) {
+        const int count = std::min(pb, cfg.ns - s0);
+        compute_weights_batch(cfg.kernel, engine.eval_grid(), x.data() + s0, count, wts.data());
+        switch (cfg.kernel) {
+        case DerivLevel::V:
+          my_tiles.for_each([&](std::size_t t) {
+            // mqc-lint: allow(raw-spline-call)
+            engine.evaluate_v_tile_multi(static_cast<int>(t), wts.data(), count, v);
+          });
+          break;
+        case DerivLevel::VGL:
+          my_tiles.for_each([&](std::size_t t) {
+            // mqc-lint: allow(raw-spline-call)
+            engine.evaluate_vgl_tile_multi(static_cast<int>(t), wts.data(), count, v, g, l,
+                                           stride);
+          });
+          break;
+        case DerivLevel::VGH:
+          my_tiles.for_each([&](std::size_t t) {
+            // mqc-lint: allow(raw-spline-call)
+            engine.evaluate_vgh_tile_multi(static_cast<int>(t), wts.data(), count, v, g, h,
+                                           stride);
+          });
+          break;
         }
-    } else {
-      // Multi-position path: per block of P positions, compute the P weight
-      // sets once, then sweep each of this member's tiles once for the whole
-      // block.  Members of a team share positions but compute their own
-      // weights (cheap, amortized over their tile subset).
-      std::vector<BsplineWeights3D<float>> wts(static_cast<std::size_t>(pb));
-      const std::size_t stride = out.stride;
-      float* const* v = vp[wu].data();
-      float* const* g = gp[wu].data();
-      float* const* l = lp[wu].data();
-      float* const* h = hp[wu].data();
-      for (int it = 0; it < cfg.niters; ++it)
-        for (int s0 = 0; s0 < cfg.ns; s0 += pb) {
-          const int count = std::min(pb, cfg.ns - s0);
-          const Vec3<float>* block = x.data() + s0;
-          switch (cfg.kernel) {
-          case NestedKernel::V:
-            compute_weights_v_batch(grid, block, count, wts.data());
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_v_tile_multi(static_cast<int>(t), wts.data(), count, v);
-            });
-            break;
-          case NestedKernel::VGL:
-            compute_weights_vgh_batch(grid, block, count, wts.data());
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_vgl_tile_multi(static_cast<int>(t), wts.data(), count, v, g, l,
-                                             stride);
-            });
-            break;
-          case NestedKernel::VGH:
-            compute_weights_vgh_batch(grid, block, count, wts.data());
-            my_tiles.for_each([&](std::size_t t) {
-              // mqc-lint: allow(raw-spline-call)
-              engine.evaluate_vgh_tile_multi(static_cast<int>(t), wts.data(), count, v, g, h,
-                                             stride);
-            });
-            break;
-          }
-        }
-    }
+      }
   }
 
   NestedResult result;

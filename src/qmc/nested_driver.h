@@ -7,28 +7,22 @@
 // Strong scaling: the walker count is reduced by the same nth factor, so
 // total work (and the output working set 40*Nw*Nb*nth bytes) stays fixed.
 //
-// pos_block > 1 switches a member's tile sweep to the multi-position path:
-// the member precomputes the weight sets for a block of P positions and
-// evaluates each of its tiles once for the whole block, so the tile's
-// coefficient slice is streamed from memory once per P positions instead of
-// once per position.  Each walker then owns P output buffers (the block's
-// outputs stay live), scaling the output working set by P — the trade the
-// joint (Nb, P) tuner in core/tuner.h probes.
+// Every member sweeps its tiles a block of pos_block = P positions at a
+// time: it computes the block's P weight sets once, then evaluates each of
+// its tiles once for the whole block, so the tile's coefficient slice is
+// streamed from memory once per P positions instead of once per position.
+// Each walker owns P output buffers (the block's outputs stay live), scaling
+// the output working set by P — the trade the joint (Nb, P) tuner in
+// core/tuner.h probes.  P = 1 is the paper's one-position-per-pass loop.
 #ifndef MQC_QMC_NESTED_DRIVER_H
 #define MQC_QMC_NESTED_DRIVER_H
 
 #include <cstdint>
 
 #include "core/multi_bspline.h"
+#include "core/orbital_set.h"
 
 namespace mqc {
-
-enum class NestedKernel
-{
-  V,
-  VGL,
-  VGH
-};
 
 struct NestedConfig
 {
@@ -39,10 +33,10 @@ struct NestedConfig
   int nth = 1;
   int num_walkers = 0;   ///< 0 => total_threads / nth (>= 1)
   int total_threads = 0; ///< 0 => omp_get_max_threads()
-  int ns = 64;           ///< random positions per walker per iteration
-  int niters = 1;
-  int pos_block = 1;     ///< positions per tile pass (> 1 => multi-position path)
-  NestedKernel kernel = NestedKernel::VGH;
+  int ns = 64;           ///< random positions per walker per iteration (>= 1)
+  int niters = 1;        ///< >= 0
+  int pos_block = 1;     ///< positions per tile pass, clamped to [1, ns]
+  DerivLevel kernel = DerivLevel::VGH;
   std::uint64_t seed = 4242;
 };
 
@@ -55,7 +49,9 @@ struct NestedResult
   int pos_block = 1;       ///< effective block size used (clamped to ns)
 };
 
-/// Run the strong-scaling kernel loop on an existing AoSoA engine.
+/// Run the strong-scaling kernel loop on an existing AoSoA engine.  Throws
+/// std::invalid_argument when cfg.ns < 1 or cfg.niters < 0, before anything
+/// is allocated.
 NestedResult run_nested(const MultiBspline<float>& engine, const NestedConfig& cfg);
 
 } // namespace mqc

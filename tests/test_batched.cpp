@@ -1,10 +1,10 @@
 // Tests for the batched multi-walker evaluation extension: equivalence with
-// per-walker serial evaluation for every kernel and for both schedules (the
-// per-(tile, walker) ablation path and the position-blocked fused path),
-// across tile counts (including a remainder tile), population sizes, block
-// sizes that do not divide the population, and both precisions.  Multi-vs-
-// single comparisons are exact (ULP-tight): both paths run the identical
-// per-(i,j) kernel, so outputs must match bit for bit.
+// per-walker serial evaluation for every kernel, one position per tile pass
+// (P = 1) and position blocks, across tile counts (including a remainder
+// tile), population sizes, block sizes that do not divide the population,
+// and both precisions.  Multi-vs-single comparisons are exact (ULP-tight):
+// both paths run the identical per-(i,j) kernel, so outputs must match bit
+// for bit.
 #include <memory>
 #include <vector>
 
@@ -78,7 +78,7 @@ using BatchFixture = BatchFixtureT<float>;
 } // namespace
 
 // ---------------------------------------------------------------------------
-// Per-(tile, walker) ablation path
+// One position per tile pass (P = 1)
 // ---------------------------------------------------------------------------
 
 class BatchedEquivalence : public ::testing::TestWithParam<std::tuple<int, int, int>>
@@ -90,7 +90,7 @@ TEST_P(BatchedEquivalence, VghMatchesSerial)
   const auto [n, tile, nw] = GetParam();
   BatchFixture f(n, tile, nw, 42);
   f.run_serial_vgh();
-  evaluate_vgh_batched(*f.engine, f.positions, f.batched_ptrs);
+  evaluate_batched(*f.engine, DerivLevel::VGH, f.positions, f.batched_ptrs, 1);
   f.expect_vgh_equal();
 }
 
@@ -105,7 +105,7 @@ TEST(Batched, VMatchesSerial)
 {
   BatchFixture f(64, 16, 5, 7);
   f.run_serial_v();
-  evaluate_v_batched(*f.engine, f.positions, f.batched_ptrs);
+  evaluate_batched(*f.engine, DerivLevel::V, f.positions, f.batched_ptrs, 1);
   for (int w = 0; w < 5; ++w)
     for (std::size_t i = 0; i < f.engine->padded_splines(); ++i)
       ASSERT_EQ(f.serial[static_cast<std::size_t>(w)]->v[i],
@@ -116,7 +116,7 @@ TEST(Batched, VglMatchesSerial)
 {
   BatchFixture f(64, 32, 6, 9);
   f.run_serial_vgl();
-  evaluate_vgl_batched(*f.engine, f.positions, f.batched_ptrs);
+  evaluate_batched(*f.engine, DerivLevel::VGL, f.positions, f.batched_ptrs, 1);
   for (int w = 0; w < 6; ++w)
     for (std::size_t i = 0; i < f.engine->padded_splines(); ++i) {
       ASSERT_EQ(f.serial[static_cast<std::size_t>(w)]->v[i],
@@ -133,15 +133,15 @@ TEST(Batched, EmptyPopulationIsNoOp)
   MultiBspline<float> engine(*coefs, 16);
   std::vector<Vec3<float>> positions;
   std::vector<WalkerSoA<float>*> outs;
-  evaluate_vgh_batched(engine, positions, outs); // must not crash
-  evaluate_vgh_batched_multi(engine, positions, outs);
-  evaluate_v_batched_multi(engine, positions, outs);
-  evaluate_vgl_batched_multi(engine, positions, outs);
+  for (const auto d : {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH}) {
+    evaluate_batched(engine, d, positions, outs, 1); // must not crash
+    evaluate_batched(engine, d, positions, outs);
+  }
   SUCCEED();
 }
 
 // ---------------------------------------------------------------------------
-// Position-blocked fused path
+// Position blocks
 // ---------------------------------------------------------------------------
 
 TEST(Batched, ResolvePosBlock)
@@ -167,7 +167,7 @@ TEST_P(BatchedMultiEquivalence, FusedVghMatchesSerial_Float)
   const auto [n, tile, nw, pb] = GetParam();
   BatchFixture f(n, tile, nw, 1234);
   f.run_serial_vgh();
-  evaluate_vgh_batched_multi(*f.engine, f.positions, f.batched_ptrs, pb);
+  evaluate_batched(*f.engine, DerivLevel::VGH, f.positions, f.batched_ptrs, pb);
   f.expect_vgh_equal();
 }
 
@@ -176,7 +176,7 @@ TEST_P(BatchedMultiEquivalence, FusedVghMatchesSerial_Double)
   const auto [n, tile, nw, pb] = GetParam();
   BatchFixtureT<double> f(n, tile, nw, 4321);
   f.run_serial_vgh();
-  evaluate_vgh_batched_multi(*f.engine, f.positions, f.batched_ptrs, pb);
+  evaluate_batched(*f.engine, DerivLevel::VGH, f.positions, f.batched_ptrs, pb);
   f.expect_vgh_equal();
 }
 
@@ -193,7 +193,7 @@ TEST(BatchedMulti, FusedVMatchesSerial)
 {
   BatchFixture f(40, 16, 7, 17);
   f.run_serial_v();
-  evaluate_v_batched_multi(*f.engine, f.positions, f.batched_ptrs, 3);
+  evaluate_batched(*f.engine, DerivLevel::V, f.positions, f.batched_ptrs, 3);
   for (std::size_t w = 0; w < f.positions.size(); ++w)
     for (std::size_t i = 0; i < f.engine->padded_splines(); ++i)
       ASSERT_EQ(f.serial[w]->v[i], f.batched[w]->v[i]);
@@ -203,7 +203,7 @@ TEST(BatchedMulti, FusedVglMatchesSerial)
 {
   BatchFixtureT<double> f(40, 16, 9, 19);
   f.run_serial_vgl();
-  evaluate_vgl_batched_multi(*f.engine, f.positions, f.batched_ptrs, 4);
+  evaluate_batched(*f.engine, DerivLevel::VGL, f.positions, f.batched_ptrs, 4);
   for (std::size_t w = 0; w < f.positions.size(); ++w)
     for (std::size_t i = 0; i < f.engine->padded_splines(); ++i) {
       ASSERT_EQ(f.serial[w]->v[i], f.batched[w]->v[i]);
@@ -214,10 +214,11 @@ TEST(BatchedMulti, FusedVglMatchesSerial)
 
 TEST(BatchedMulti, FusedAndPerPairAgreeExactly)
 {
-  // Same kernels underneath — the two schedules must agree bit for bit.
+  // Same kernels underneath — one position per tile pass and blocks of two
+  // must agree bit for bit.
   BatchFixture a(64, 16, 6, 23), b(64, 16, 6, 23);
-  evaluate_vgh_batched(*a.engine, a.positions, a.batched_ptrs);
-  evaluate_vgh_batched_multi(*b.engine, b.positions, b.batched_ptrs, 2);
+  evaluate_batched(*a.engine, DerivLevel::VGH, a.positions, a.batched_ptrs, 1);
+  evaluate_batched(*b.engine, DerivLevel::VGH, b.positions, b.batched_ptrs, 2);
   for (std::size_t w = 0; w < a.positions.size(); ++w)
     for (std::size_t i = 0; i < a.engine->padded_splines(); ++i) {
       ASSERT_EQ(a.batched[w]->v[i], b.batched[w]->v[i]);

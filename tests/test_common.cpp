@@ -425,20 +425,6 @@ TEST(TeamFor, CoversEveryIndexExactlyOnce)
   }
 }
 
-TEST(TeamFor, CollapseCoversEveryPairExactlyOnce)
-{
-  for (const TeamHandle team : {TeamHandle::serial(), TeamHandle::of(4)}) {
-    const int n1 = 5, n2 = 7;
-    std::vector<int> hits(static_cast<std::size_t>(n1) * n2, 0);
-    team_for_collapse2(team, n1, n2, [&](int i, int j) {
-#pragma omp atomic
-      ++hits[static_cast<std::size_t>(i) * n2 + j];
-    });
-    for (std::size_t k = 0; k < hits.size(); ++k)
-      EXPECT_EQ(hits[k], 1) << "pair " << k;
-  }
-}
-
 TEST(TeamFor, OversizedTeamStillCoversSmallLoop)
 {
   // More threads requested than work items: the seam caps the team at the

@@ -323,36 +323,92 @@ TEST(OrbitalSet, ThreadInstanceIsPerNestingLevel)
   EXPECT_EQ(outer_w[3].i0, 44);
 }
 
+namespace {
+
+/// evaluate_one at every derivative level must equal evaluate() with count 1
+/// bit for bit across the full padded extent of every stream.  V passes null
+/// gradient and Laplacian/Hessian slots, as the drivers do.
+template <typename T, typename Engine>
+void expect_one_is_batch_of_one(const Engine& engine, const Vec3<T>& r, std::size_t stride,
+                                bool aos)
+{
+  const OrbitalSet<T> spo(engine);
+  OrbitalResource<T> res;
+  for (const auto d : {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH}) {
+    SCOPED_TRACE(d == DerivLevel::V ? "V" : d == DerivLevel::VGL ? "VGL" : "VGH");
+    const bool hessian = d == DerivLevel::VGH;
+    const bool derivs = d != DerivLevel::V;
+    Outputs<T> one(1, stride, aos, hessian), batch(1, stride, aos, hessian);
+    spo.evaluate_one(d, r, one.v[0], derivs ? one.g[0] : nullptr,
+                     derivs ? one.lh[0] : nullptr, stride);
+
+    OrbitalEvalRequest<T> rq;
+    rq.deriv = d;
+    rq.positions = &r;
+    rq.count = 1;
+    rq.v = batch.v.data();
+    if (derivs) {
+      rq.g = batch.g.data();
+      rq.lh = batch.lh.data();
+    }
+    rq.stride = stride;
+    spo.evaluate(rq, res);
+
+    for (std::size_t i = 0; i < stride; ++i)
+      ASSERT_EQ(one.v[0][i], batch.v[0][i]) << "v index " << i;
+    if (!derivs)
+      continue;
+    for (std::size_t i = 0; i < 3 * stride; ++i)
+      ASSERT_EQ(one.g[0][i], batch.g[0][i]) << "g index " << i;
+    const std::size_t hn = hessian ? (aos ? 9 : 6) * stride : stride;
+    for (std::size_t i = 0; i < hn; ++i)
+      ASSERT_EQ(one.lh[0][i], batch.lh[0][i]) << "lh index " << i;
+  }
+}
+
+template <typename T>
+void expect_native_engines_one_is_batch_of_one()
+{
+  FacadeFixture<T> fx; // AoSoA tiles {16, 16, 12}: a remainder tile
+  const Vec3<T> r = fx.positions.front();
+  {
+    SCOPED_TRACE("AoS");
+    expect_one_is_batch_of_one(fx.aos, r, fx.soa.out_stride(), true);
+  }
+  {
+    SCOPED_TRACE("SoA");
+    expect_one_is_batch_of_one(fx.soa, r, fx.soa.out_stride(), false);
+  }
+  {
+    SCOPED_TRACE("AoSoA");
+    expect_one_is_batch_of_one(fx.aosoa, r, fx.aosoa.out_stride(), false);
+  }
+}
+
+} // namespace
+
 TEST(OrbitalSet, SinglePositionSugarIsTheBatchOfOne)
 {
+  {
+    SCOPED_TRACE("float");
+    expect_native_engines_one_is_batch_of_one<float>();
+  }
+  {
+    SCOPED_TRACE("double");
+    expect_native_engines_one_is_batch_of_one<double>();
+  }
   FacadeFixture<float> fx;
-  const std::size_t stride = fx.aosoa.out_stride();
-  WalkerSoA<float> a(stride), b(stride);
-  OrbitalSet<float> spo(fx.aosoa);
-  OrbitalResource<float> res;
-
   const Vec3<float> r = fx.positions.front();
-  spo.evaluate_one(DerivLevel::VGH, r, a.v.data(), a.g.data(), a.h.data(), stride);
-
-  float* v = b.v.data();
-  float* g = b.g.data();
-  float* h = b.h.data();
-  OrbitalEvalRequest<float> rq;
-  rq.deriv = DerivLevel::VGH;
-  rq.positions = &r;
-  rq.count = 1;
-  rq.v = &v;
-  rq.g = &g;
-  rq.lh = &h;
-  rq.stride = stride;
-  spo.evaluate(rq, res);
-
-  for (std::size_t i = 0; i < stride; ++i)
-    ASSERT_EQ(a.v[i], b.v[i]);
-  for (std::size_t i = 0; i < 3 * stride; ++i)
-    ASSERT_EQ(a.g[i], b.g[i]);
-  for (std::size_t i = 0; i < 6 * stride; ++i)
-    ASSERT_EQ(a.h[i], b.h[i]);
+  {
+    SCOPED_TRACE("mixed SoA");
+    const BsplineSoA<float, double> soa_mx(fx.coefs);
+    expect_one_is_batch_of_one(soa_mx, r, soa_mx.out_stride(), false);
+  }
+  {
+    SCOPED_TRACE("mixed AoSoA");
+    const MultiBspline<float, double> aosoa_mx(*fx.coefs, kTile);
+    expect_one_is_batch_of_one(aosoa_mx, r, aosoa_mx.out_stride(), false);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // layout equivalence of the Monte Carlo process) and the nested-threading
 // driver (partition correctness, output equivalence across nth).
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -183,7 +185,7 @@ TEST(Nested, DriverRunsAllKernels)
   const auto grid = Grid3D<float>::cube(10, 1.0f);
   auto coefs = make_random_storage<float>(grid, 64, 3);
   MultiBspline<float> mb(*coefs, 16);
-  for (NestedKernel k : {NestedKernel::V, NestedKernel::VGL, NestedKernel::VGH}) {
+  for (DerivLevel k : {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH}) {
     NestedConfig cfg;
     cfg.nth = 2;
     cfg.num_walkers = 1;
@@ -248,7 +250,7 @@ TEST(Nested, DriverRunsAllKernelsWithPositionBlocks)
   const auto grid = Grid3D<float>::cube(10, 1.0f);
   auto coefs = make_random_storage<float>(grid, 64, 3);
   MultiBspline<float> mb(*coefs, 16);
-  for (NestedKernel k : {NestedKernel::V, NestedKernel::VGL, NestedKernel::VGH}) {
+  for (DerivLevel k : {DerivLevel::V, DerivLevel::VGL, DerivLevel::VGH}) {
     NestedConfig cfg;
     cfg.nth = 2;
     cfg.num_walkers = 1;
@@ -275,6 +277,24 @@ TEST(Nested, PositionBlockClampedToPositionCount)
   const auto res = run_nested(mb, cfg);
   EXPECT_EQ(res.pos_block, 4);
   EXPECT_GT(res.throughput, 0.0);
+}
+
+TEST(Nested, RejectsEmptyPositionSetsAndNegativeIterations)
+{
+  // ns < 1 would make std::clamp(pos_block, 1, ns) undefined (lo > hi) and
+  // size the position vectors from a wrapped size_t: both counts are
+  // rejected before the driver builds anything.
+  const auto grid = Grid3D<float>::cube(8, 1.0f);
+  auto coefs = make_random_storage<float>(grid, 32, 5);
+  MultiBspline<float> mb(*coefs, 16);
+  for (const auto& [ns, niters] : {std::pair{0, 1}, std::pair{-1, 1}, std::pair{4, -1}}) {
+    NestedConfig cfg;
+    cfg.num_walkers = 1;
+    cfg.ns = ns;
+    cfg.niters = niters;
+    EXPECT_THROW(run_nested(mb, cfg), std::invalid_argument)
+        << "ns = " << ns << ", niters = " << niters;
+  }
 }
 
 TEST(Nested, WalkerCountDerivedFromThreadBudget)

@@ -5,8 +5,8 @@ Static checks for the concurrency and determinism invariants that the test
 suite cannot see (ROADMAP.md, "Invariants"):
 
   * omp-parallel      all thread forking routes through the threading.h seam
-                      (team_for / team_for_collapse2 / ThreadPartition) or the
-                      orbital_set.h facade sweeps.  A raw `#pragma omp
+                      (team_for / ThreadPartition) or the orbital_set.h facade
+                      sweeps.  A raw `#pragma omp
                       parallel` or `num_threads(...)` anywhere else bypasses
                       the partition arithmetic and breaks topology shaping.
   * thread-local      `thread_local` state is a determinism and reuse hazard;
@@ -86,7 +86,7 @@ RULES = [
         "raw `#pragma omp parallel` / `num_threads()` outside the threading seam",
         r"(^\s*#\s*pragma\s+omp\b.*\bparallel\b)|(\bnum_threads\s*\()",
         "thread forking must route through common/threading.h (team_for, "
-        "team_for_collapse2, ThreadPartition) or the orbital_set.h facade sweeps",
+        "ThreadPartition) or the orbital_set.h facade sweeps",
         allowed_paths=(
             "src/common/threading.h",
             "src/common/threading.cpp",
@@ -110,7 +110,7 @@ RULES = [
         "spline engine `evaluate_*` entry point called outside src/core/",
         r"\bevaluate_(v|vgl|vgh)(_[a-zA-Z0-9_]+)?\s*\(",
         "code above the facade must evaluate orbitals through OrbitalSet "
-        "(core/orbital_set.h) or the batched.h wrappers so scheduling, "
+        "(core/orbital_set.h) or core/batched.h's evaluate_batched so scheduling, "
         "zero-fill elimination and tuner decisions apply uniformly",
         allowed_dirs=("src/core/",),
     ),
