@@ -162,8 +162,11 @@ int main(int argc, char** argv)
     // bits, same discipline as the fingerprints).  The harness asserts a
     // resumed run reproduces ALL of it, not just the walker fingerprints.
     std::string trace;
-    for (const int p : res.dmc_population)
-      trace += (trace.empty() ? "" : ",") + std::to_string(p);
+    for (const int p : res.dmc_population) {
+      if (!trace.empty())
+        trace += ',';
+      trace += std::to_string(p);
+    }
     std::printf("dmc_population=%s\n", trace.c_str());
     std::printf("dmc_births=%" PRIu64 "\n", res.dmc_births);
     std::printf("dmc_deaths=%" PRIu64 "\n", res.dmc_deaths);

@@ -289,46 +289,23 @@ public:
     replicas_[0] = std::move(master);
   }
 
-  /// Wide-master (mixed-precision) mode: the authoritative table is a DP
-  /// build and EVERY shard — including shard 0 — materializes its one-table
-  /// set by narrowing it through convert_storage<T>() at replicate() time,
-  /// on the shard's own thread (conversion and first-touch happen in one
-  /// pass over the pages).  The wide master itself is never handed to an
-  /// engine.
-  CoefReplicaSet(std::shared_ptr<const CoefStorage<double>> wide_master, int num_shards)
-      : replicas_(static_cast<std::size_t>(num_shards < 1 ? 1 : num_shards)),
-        wide_master_(std::move(wide_master))
-  {
-    assert(wide_master_ != nullptr);
-  }
-
   [[nodiscard]] int num_shards() const noexcept { return static_cast<int>(replicas_.size()); }
-
-  /// True when this set narrows a wide (DP) master at replicate() time.
-  [[nodiscard]] bool narrows() const noexcept { return wide_master_ != nullptr; }
 
   /// Materialize shard @p s's set, allocated and written by the CALLING
   /// thread (the first-touch point — call it from the shard's own team): a
-  /// copy of every master table in same-type mode, a convert_storage<T>()
-  /// narrowing of the wide master in wide-master mode (where shard 0 narrows
-  /// too).  Idempotent: an existing set is returned as-is.  Distinct shards
-  /// may replicate concurrently (each writes only its own pre-sized slot).
+  /// copy of every master table.  Idempotent: an existing set is returned
+  /// as-is.  Distinct shards may replicate concurrently (each writes only its
+  /// own pre-sized slot).
   const CoefTables<T>& replicate(int s)
   {
     auto& slot = replicas_[static_cast<std::size_t>(s)];
-    if (slot.empty()) {
-      if (wide_master_)
-        slot.push_back(convert_storage<T>(*wide_master_));
-      else
-        for (const auto& table : replicas_[0])
-          slot.push_back(std::make_shared<CoefStorage<T>>(*table));
-    }
+    if (slot.empty())
+      for (const auto& table : replicas_[0])
+        slot.push_back(std::make_shared<CoefStorage<T>>(*table));
     return slot;
   }
 
   /// The shard-local set: its replica when materialized, else the master.
-  /// In wide-master mode shard 0 has no implicit set — replicate(0) must
-  /// run (on shard 0's thread) before local() resolves for any shard.
   [[nodiscard]] const CoefTables<T>& local(int s) const
   {
     const auto& slot = replicas_[static_cast<std::size_t>(s)];
@@ -336,7 +313,7 @@ public:
   }
 
   /// Bytes held by shard @p s's materialized set (0 until replicate(s);
-  /// shard 0 reports the master it adopted in same-type mode).
+  /// shard 0 reports the master it adopted).
   [[nodiscard]] std::size_t replica_bytes(int s) const noexcept
   {
     std::size_t total = 0;
@@ -357,7 +334,6 @@ public:
 
 private:
   std::vector<CoefTables<T>> replicas_;
-  std::shared_ptr<const CoefStorage<double>> wide_master_;
 };
 
 } // namespace mqc

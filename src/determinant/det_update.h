@@ -61,6 +61,11 @@ public:
     if (kind_ == DetUpdateKind::Delayed)
       delayed_.set_team(team);
   }
+  /// The flush team set_team() stored (serial for Sherman-Morrison).
+  [[nodiscard]] TeamHandle team() const noexcept
+  {
+    return kind_ == DetUpdateKind::Delayed ? delayed_.team() : TeamHandle::serial();
+  }
 
   bool build(const Matrix<double>& a)
   {

@@ -798,16 +798,14 @@ int next_epoch_boundary(const CheckpointRuntime& rt, int step, int steps)
   return boundary;
 }
 
-namespace {
-
-/// Shared step-boundary protocol for the fixed-population drivers and DMC:
-/// write an interval-aligned or final snapshot over the LIVE walker vector
-/// (with the DMC Meta tail when @p dmc is set), apply armed file faults,
-/// and exit the process when the abort fault fires at this boundary.
-void boundary_snapshot(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
-                       const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                       const DmcRunState* dmc, int step, int steps, MiniQMCResult& result)
+void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
+                              const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
+                              const DmcRunState* dmc, int step, int steps,
+                              MiniQMCResult& result)
 {
+  if (!rt.enabled())
+    return;
+  assert(dmc == nullptr || dmc->weights.size() == walkers.size());
   const bool interval_hit = rt.interval > 0 && step % rt.interval == 0;
   const bool final_hit = step == steps;
   if (interval_hit || final_hit) {
@@ -838,30 +836,9 @@ void boundary_snapshot(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
   }
 }
 
-} // namespace
-
-void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
-                              const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                              int step, int steps, MiniQMCResult& result)
-{
-  if (!rt.enabled())
-    return;
-  boundary_snapshot(rt, cfg, sys, walkers, nullptr, step, steps, result);
-}
-
-void dmc_checkpoint_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
-                             const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                             DmcRunState& dmc, int step, int steps, MiniQMCResult& result)
-{
-  if (!rt.enabled())
-    return;
-  assert(dmc.weights.size() == walkers.size());
-  boundary_snapshot(rt, cfg, sys, walkers, &dmc, step, steps, result);
-}
-
 int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                            const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                           MiniQMCResult& result)
+                           DmcRunState* dmc, MiniQMCResult& result)
 {
   if (!rt.enabled() || !cfg.resume)
     return 0;
@@ -871,51 +848,84 @@ int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg
     result.resume_error = load.detail;
     return 0; // fresh start, surfaced — never a crash
   }
-  const Section* meta = snap.find(SectionId::Meta);
-  if (meta == nullptr) {
-    result.resume_error = load.path_used + ": snapshot has no meta section";
+  auto reject = [&](const std::string& why) {
+    result.resume_error = load.path_used + ": " + why;
     return 0;
-  }
+  };
+  const Section* meta = snap.find(SectionId::Meta);
+  if (meta == nullptr)
+    return reject("snapshot has no meta section");
   BlobReader mr(meta->payload);
   const auto step = static_cast<int>(mr.u32());
   const auto nw = static_cast<int>(mr.u32());
   const auto nel = static_cast<int>(mr.u32());
   const auto norb = static_cast<int>(mr.u32());
   const auto real_size = static_cast<int>(mr.u32());
-  if (!mr.ok() || nw != sys.nw || nel != sys.nel || norb != sys.norb ||
-      real_size != static_cast<int>(sizeof(qmc_real)) || step < 0) {
-    result.resume_error = load.path_used + ": meta section disagrees with the live run shape";
-    return 0;
+  // A fixed population resumes only at its own size; a DMC population takes
+  // the snapshot's.
+  const bool size_ok = dmc != nullptr ? nw >= 1 : nw == sys.nw;
+  if (!mr.ok() || !size_ok || nel != sys.nel || norb != sys.norb ||
+      real_size != static_cast<int>(sizeof(qmc_real)) || step < 0)
+    return reject("meta section disagrees with the live run shape");
+
+  DmcRunState staged;
+  if (dmc != nullptr) {
+    // Skip the common tail (seed, delay_rank, optimized, spo): the config
+    // hash already pinned them; the DMC provenance tail follows.
+    (void)mr.u64();
+    (void)mr.i32();
+    (void)mr.u8();
+    (void)mr.u8();
+    if (mr.u8() != 1 || !mr.ok())
+      return reject("meta section has no DMC provenance tail");
+    staged.generation = static_cast<int>(mr.u32());
+    staged.trial_energy = mr.f64();
+    staged.births = mr.u64();
+    staged.deaths = mr.u64();
+    const auto nweights = static_cast<int>(mr.u32());
+    if (!mr.ok() || staged.generation < 0 || nweights != nw)
+      return reject("DMC provenance tail failed layout checks");
+    // The walker count is guarded only by the section CRC: bound it by the
+    // Meta bytes behind it before anything is sized from it, so a forged
+    // count is a surfaced rejection instead of an unbounded allocation.
+    const std::size_t possible = mr.remaining() / sizeof(double);
+    if (static_cast<std::size_t>(nweights) > possible)
+      return reject("DMC provenance tail claims " + std::to_string(nweights) +
+                    " walker weights, meta section holds at most " + std::to_string(possible));
+    staged.weights.resize(static_cast<std::size_t>(nweights));
+    for (double& wgt : staged.weights)
+      wgt = mr.f64();
+    if (!mr.ok())
+      return reject("DMC provenance tail failed layout checks");
   }
-  // Restore into scratch walkers first: a payload that fails layout checks
-  // mid-population must not leave some walkers resumed and others fresh.
-  for (int wid = 0; wid < sys.nw; ++wid) {
+  // Probe pass: validate every walker section against the live shapes in
+  // scratch walkers before touching the population — a damaged snapshot
+  // must never leave some walkers resumed and others fresh.
+  for (int wid = 0; wid < nw; ++wid) {
     const Section* s = snap.find(SectionId::Walker, static_cast<std::uint32_t>(wid));
-    if (s == nullptr) {
-      result.resume_error =
-          load.path_used + ": missing walker section " + std::to_string(wid);
-      break;
-    }
+    if (s == nullptr)
+      return reject("missing walker section " + std::to_string(wid));
     WalkerState probe;
     init_walker_shell(probe, sys, cfg); // restore validates shapes; no fresh build needed
-    if (!restore_walker(s->payload, probe, sys, cfg, wid)) {
-      result.resume_error =
-          load.path_used + ": walker section " + std::to_string(wid) + " failed layout checks";
-      break;
-    }
+    if (!restore_walker(s->payload, probe, sys, cfg, wid))
+      return reject("walker section " + std::to_string(wid) + " failed layout checks");
   }
-  if (!result.resume_error.empty()) {
-    // Rebuild clean state: the probe pass never touched `walkers`, but make
-    // the fresh start explicit anyway.
-    return 0;
+  // Apply.  A DMC population is rebuilt at the snapshot's size.
+  if (dmc != nullptr) {
+    walkers.clear();
+    walkers.resize(static_cast<std::size_t>(nw));
+    for (WalkerState& w : walkers)
+      init_walker_shell(w, sys, cfg);
   }
-  for (int wid = 0; wid < sys.nw; ++wid) {
+  for (int wid = 0; wid < nw; ++wid) {
     const Section* s = snap.find(SectionId::Walker, static_cast<std::uint32_t>(wid));
     const bool applied =
         restore_walker(s->payload, walkers[static_cast<std::size_t>(wid)], sys, cfg, wid);
     (void)applied;
     assert(applied); // the probe pass above already validated every payload
   }
+  if (dmc != nullptr)
+    *dmc = std::move(staged);
   result.resumed_from_step = step;
   result.resume_fallback_used = load.fallback_used;
   if (load.fallback_used)
@@ -941,111 +951,6 @@ void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem&
   assert(applied); // dst shell-initialized for the same (sys, cfg) => same shapes
   dst.det_up.clone_state_from(src.det_up);
   dst.det_dn.clone_state_from(src.det_dn);
-}
-
-// --------------------------------------------------------------------------
-// DMC population checkpoint glue
-// --------------------------------------------------------------------------
-
-int dmc_resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
-                               const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                               DmcRunState& dmc, MiniQMCResult& result)
-{
-  if (!rt.enabled() || !cfg.resume)
-    return 0;
-  Snapshot snap;
-  const ckpt::LoadResult load = ckpt::read_snapshot_with_fallback(rt.path, rt.config_hash, snap);
-  if (!load.loaded()) {
-    result.resume_error = load.detail;
-    return 0; // fresh start, surfaced — never a crash
-  }
-  const Section* meta = snap.find(SectionId::Meta);
-  if (meta == nullptr) {
-    result.resume_error = load.path_used + ": snapshot has no meta section";
-    return 0;
-  }
-  BlobReader mr(meta->payload);
-  const auto step = static_cast<int>(mr.u32());
-  const auto nw = static_cast<int>(mr.u32());
-  const auto nel = static_cast<int>(mr.u32());
-  const auto norb = static_cast<int>(mr.u32());
-  const auto real_size = static_cast<int>(mr.u32());
-  if (!mr.ok() || nw < 1 || nel != sys.nel || norb != sys.norb ||
-      real_size != static_cast<int>(sizeof(qmc_real)) || step < 0) {
-    result.resume_error = load.path_used + ": meta section disagrees with the live run shape";
-    return 0;
-  }
-  // Skip the common tail (seed, delay_rank, optimized, spo): the config hash
-  // already pinned them; the DMC provenance tail follows.
-  (void)mr.u64();
-  (void)mr.i32();
-  (void)mr.u8();
-  (void)mr.u8();
-  if (mr.u8() != 1 || !mr.ok()) {
-    result.resume_error = load.path_used + ": meta section has no DMC provenance tail";
-    return 0;
-  }
-  DmcRunState staged;
-  staged.generation = static_cast<int>(mr.u32());
-  staged.trial_energy = mr.f64();
-  staged.births = mr.u64();
-  staged.deaths = mr.u64();
-  const auto nweights = static_cast<int>(mr.u32());
-  if (!mr.ok() || staged.generation < 0 || nweights != nw) {
-    result.resume_error = load.path_used + ": DMC provenance tail failed layout checks";
-    return 0;
-  }
-  // The walker count is guarded only by the section CRC: bound it by the
-  // Meta bytes behind it before anything is sized from it, so a forged count
-  // is a surfaced rejection instead of an unbounded allocation.
-  const std::size_t possible = mr.remaining() / sizeof(double);
-  if (static_cast<std::size_t>(nweights) > possible) {
-    result.resume_error = load.path_used + ": DMC provenance tail claims " +
-                          std::to_string(nweights) +
-                          " walker weights, meta section holds at most " +
-                          std::to_string(possible);
-    return 0;
-  }
-  staged.weights.resize(static_cast<std::size_t>(nweights));
-  for (double& wgt : staged.weights)
-    wgt = mr.f64();
-  if (!mr.ok()) {
-    result.resume_error = load.path_used + ": DMC provenance tail failed layout checks";
-    return 0;
-  }
-  // Probe pass: validate every walker section against the live shapes before
-  // touching the population — a damaged snapshot must never half-apply.
-  for (int wid = 0; wid < nw; ++wid) {
-    const Section* s = snap.find(SectionId::Walker, static_cast<std::uint32_t>(wid));
-    if (s == nullptr) {
-      result.resume_error = load.path_used + ": missing walker section " + std::to_string(wid);
-      return 0;
-    }
-    WalkerState probe;
-    init_walker_shell(probe, sys, cfg);
-    if (!restore_walker(s->payload, probe, sys, cfg, wid)) {
-      result.resume_error =
-          load.path_used + ": walker section " + std::to_string(wid) + " failed layout checks";
-      return 0;
-    }
-  }
-  // Apply: rebuild the population at the snapshot's size (dynamic in DMC).
-  walkers.clear();
-  walkers.resize(static_cast<std::size_t>(nw));
-  for (int wid = 0; wid < nw; ++wid) {
-    const Section* s = snap.find(SectionId::Walker, static_cast<std::uint32_t>(wid));
-    init_walker_shell(walkers[static_cast<std::size_t>(wid)], sys, cfg);
-    const bool applied =
-        restore_walker(s->payload, walkers[static_cast<std::size_t>(wid)], sys, cfg, wid);
-    (void)applied;
-    assert(applied); // the probe pass above already validated every payload
-  }
-  dmc = std::move(staged);
-  result.resumed_from_step = step;
-  result.resume_fallback_used = load.fallback_used;
-  if (load.fallback_used)
-    result.resume_error = load.detail; // surfaced: recovery path engaged
-  return step;
 }
 
 } // namespace mqc::detail

@@ -1,9 +1,9 @@
-// The one move/measure loop of the miniQMC sweep, and the population
-// scaffolding around it.  Every driver advances walkers through
-// crowd_sweep_steps: run_miniqmc's VMC drivers as a one-shard
-// WalkerPopulation (walker_population.cpp; the per-walker driver is crowds
-// of one), the DMC generations (dmc_driver.cpp, drift as the proposal-centre
-// argument) and the JobQueue's per-shard workers (job_queue.cpp).  A crowd is
+// The one move/measure loop of the miniQMC sweep, and the walker population
+// around it.  Every driver advances walkers through crowd_sweep_steps: the
+// VMC drivers (walker_population.cpp; per-walker is crowds of one) and the
+// DMC generations (dmc_driver.cpp, drift as the proposal-centre argument)
+// through the PopulationCore each owns, the JobQueue's per-shard workers
+// (job_queue.cpp) on their ephemeral packs.  A crowd is
 // a contiguous walker range [first, first+count) advanced in lock-step: each
 // electron move gathers the crowd's trial positions into ONE multi-position
 // OrbitalSet request.  All per-walker arithmetic (distance tables,
@@ -224,8 +224,8 @@ inline void crowd_sweep_steps(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
 }
 
 // --------------------------------------------------------------------------
-// Population scaffolding shared by WalkerPopulation (every VMC run) and the
-// DMC driver.
+// The walker population every driver owns (PopulationCore below) and its
+// scaffolding.
 // --------------------------------------------------------------------------
 
 /// One lock-step crowd: a contiguous walker range inside one shard.
@@ -334,6 +334,170 @@ inline MiniQMCResult run_provenance(const MiniQMCSystem& sys, int nw, int crowd_
   r.inner_threads_used = part.inner;
   return r;
 }
+
+/// The walker population every driver owns — WalkerPopulation (every VMC run
+/// and the JobQueue's resident service) and run_miniqmc_dmc — so the drivers
+/// keep only their step loops: VMC's epochs, DMC's generations and branch
+/// step.  It holds the shard systems, the walker -> shard -> crowd split,
+/// the nested-team partition, ONE flat walker vector indexed by walker id
+/// (one Walker section per id, so snapshots written under any shard count
+/// interoperate) with each crowd's CrowdScratch and region-bound inner
+/// teams, the checkpoint runtime and the result provenance.
+///
+/// Every team region here is a team_for over the crowd ids, so the teams
+/// bound in one region stay contract-valid in the next, and the static
+/// schedule keeps the crowd -> thread map stable: scratch is first-touched
+/// on the thread that sweeps it.  Walker state is a function of (config,
+/// walker id) only — a shard system only changes WHERE the table is read.
+struct PopulationCore
+{
+  /// @p requested_shards: 0 = auto (see ShardSystems).  Builds every walker
+  /// in one team region, one crowd per team member on its shard's system.
+  PopulationCore(const MiniQMCConfig& config, int requested_shards)
+      : cfg(config), shards(cfg, requested_shards)
+  {
+    const MiniQMCSystem& sys0 = shards.master();
+    crowd_cap = resolve_crowd_cap(cfg, sys0);
+    crowds = decompose_population(sys0.nw, shards.size(), crowd_cap);
+    // One outer member per crowd, each owning an inner team for its facade
+    // sweeps and delayed-update flushes (Opt C); resolved once, kept across
+    // re-blocks.
+    const ThreadPartition part =
+        resolve_team_partition(cfg, sys0, static_cast<int>(crowds.size()));
+    inner = TeamHandle::inner_of(part);
+    status = run_provenance(sys0, sys0.nw, crowd_cap, part);
+    ckrt = make_checkpoint_runtime(cfg, sys0);
+
+    // MiniQMCResult::seconds spans the walker build and the resume as well
+    // as the sweeps (set-up = wall time - seconds leaves only the system
+    // build).
+    Stopwatch watch;
+    walkers.resize(static_cast<std::size_t>(sys0.nw));
+    bind_crowds(/*fresh=*/true);
+    status.seconds = watch.elapsed();
+  }
+
+  /// Advance every crowd from @p step_begin to @p step_end in one team
+  /// region.  @p drift_tau is crowd_sweep_steps' proposal-centre policy.
+  void sweep(int step_begin, int step_end, double drift_tau = 0.0)
+  {
+    const int n = static_cast<int>(crowds.size());
+    mqc_contract(crowds.back().first + crowds.back().count == static_cast<int>(walkers.size()),
+                 "crowds cover %d walkers, the population holds %zu: the walker vector "
+                 "changed without reblock()",
+                 crowds.back().first + crowds.back().count, walkers.size());
+    team_for(TeamHandle::of(n), n, [&](int ci) {
+      const CrowdRef& c = crowds[static_cast<std::size_t>(ci)];
+      CrowdScratch& scr = *scratch[static_cast<std::size_t>(ci)];
+#ifdef MQC_CONTRACTS
+      // The scratch must point at this crowd's walkers, and their stored
+      // inner teams must belong to this region (resolve() checks the level).
+      for (int i = 0; i < c.count; ++i) {
+        WalkerState& w = walkers[static_cast<std::size_t>(c.first + i)];
+        mqc_contract(scr.v[static_cast<std::size_t>(i)] == w.out.v.data(),
+                     "crowd %d swept with stale scratch: the walker vector changed "
+                     "without reblock()",
+                     ci);
+        (void)w.det_up.team().resolve();
+      }
+#endif
+      crowd_sweep_steps(shards[c.shard], cfg, walkers, c.first, c.count, scr,
+                        crowd_profiles[static_cast<std::size_t>(ci)], inner, step_begin,
+                        step_end, drift_tau);
+    });
+  }
+
+  /// The step-boundary hook, called between team regions: an
+  /// interval-aligned or final snapshot of the live walkers (with DMC's Meta
+  /// tail when @p dmc is set), armed file faults, and the abort fault.
+  void boundary(int step, int steps, const DmcRunState* dmc = nullptr)
+  {
+#ifdef MQC_CONTRACTS
+    // No facade evaluation may own a crowd's resource here, or the snapshot
+    // would capture scratch mid-flight.
+    for (const auto& scr : scratch)
+      mqc_contract(!scr->ores.contract_live,
+                   "checkpoint at step %d taken while an OrbitalResource is live", step);
+#endif
+    checkpoint_step_boundary(ckrt, cfg, shards.master(), walkers, dmc, step, steps, status);
+  }
+
+  /// Resume from the config's snapshot, outside any team region, and return
+  /// the step to continue from (0 = fresh start; outcome surfaced in
+  /// `status`).  Without @p dmc the walkers are restored in place; with it,
+  /// the population takes the snapshot's size and branching provenance and
+  /// is re-blocked.  The config hash and the Walker sections are shard- and
+  /// crowd-free, so a snapshot written under any decomposition restores.
+  int resume(DmcRunState* dmc = nullptr)
+  {
+    Stopwatch watch;
+    const int step =
+        resume_from_checkpoint(ckrt, cfg, shards.master(), walkers, dmc, status);
+    if (dmc != nullptr && status.resumed_from_step >= 0)
+      reblock();
+    status.seconds += watch.elapsed();
+    return step;
+  }
+
+  /// After the walker vector changed (a branch step, a DMC resume): re-split
+  /// the walkers contiguously across the same shards, then rebuild each
+  /// crowd's scratch and rebind its walkers' teams in one team region.
+  void reblock()
+  {
+    for (const ProfileRegistry& p : crowd_profiles)
+      status.profile.merge(p);
+    crowds = decompose_population(static_cast<int>(walkers.size()), shards.size(), crowd_cap);
+    bind_crowds(/*fresh=*/false);
+  }
+
+  /// Provenance and counters, per-walker fingerprints of the live walkers,
+  /// and every merged profile.
+  [[nodiscard]] MiniQMCResult result()
+  {
+    MiniQMCResult r = status;
+    r.num_walkers = static_cast<int>(walkers.size());
+    reduce_result(r, walkers);
+    for (const ProfileRegistry& p : crowd_profiles)
+      r.profile.merge(p);
+    return r;
+  }
+
+  MiniQMCConfig cfg;
+  ShardSystems shards;
+  int crowd_cap = 0;
+  std::vector<WalkerState> walkers;
+  std::vector<CrowdRef> crowds;
+  std::vector<std::unique_ptr<CrowdScratch>> scratch; ///< per crowd
+  std::vector<ProfileRegistry> crowd_profiles;        ///< per crowd, since the last re-block
+  TeamHandle inner = TeamHandle::serial();
+  CheckpointRuntime ckrt;
+  /// Provenance plus cumulative counters: resume fields, seconds,
+  /// checkpoints_written, and the crowd profiles folded in by reblock().
+  MiniQMCResult status;
+
+private:
+  /// One team region over the crowds: build each walker first when
+  /// @p fresh, bind its inner team to the region, and build the crowd's
+  /// scratch on the thread that sweeps it.
+  void bind_crowds(bool fresh)
+  {
+    const auto n = crowds.size();
+    scratch.resize(n);
+    crowd_profiles.assign(n, ProfileRegistry{});
+    team_for(TeamHandle::of(static_cast<int>(n)), static_cast<int>(n), [&](int ci) {
+      const CrowdRef& c = crowds[static_cast<std::size_t>(ci)];
+      const MiniQMCSystem& ssys = shards[c.shard];
+      for (int wid = c.first; wid < c.first + c.count; ++wid) {
+        WalkerState& w = walkers[static_cast<std::size_t>(wid)];
+        if (fresh)
+          init_walker(w, ssys, cfg, wid);
+        w.set_team(inner.bound_to_current_region());
+      }
+      scratch[static_cast<std::size_t>(ci)] =
+          std::make_unique<CrowdScratch>(walkers, c.first, c.count, ssys);
+    });
+  }
+};
 
 } // namespace mqc::detail
 

@@ -1,8 +1,9 @@
 // The DMC branching driver: dynamic walker populations with weight-window
 // population control, full-state walker cloning, and contiguous crowd/shard
 // re-blocking after every branch step.  See dmc_driver.h for the design
-// contract.  Generations sweep through the one crowd-sweep body
-// (crowd_sweep.h) with the Langevin drift as its proposal-centre argument —
+// contract.  The driver owns a PopulationCore (crowd_sweep.h) and keeps only
+// its generation loop and branch step: generations sweep through the one
+// crowd-sweep body with the Langevin drift as its proposal-centre argument —
 // or with none in replay mode, which is what makes the fixed-population
 // replay oracle bit-for-bit a VMC crowd run.
 #include "qmc/dmc_driver.h"
@@ -33,19 +34,18 @@ double dmc_local_energy(const WalkerState& w, int nel)
 
 MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
 {
-  // The WalkerPopulation placement: shard systems over first-touch replicas,
-  // built once and never moved — only the walker->shard map is rebuilt
-  // after branch steps.
-  const ShardSystems shards(cfg, 0);
-  const MiniQMCSystem& sys0 = shards.master();
-  const int nw0 = sys0.nw;
-  const int num_shards = shards.size();
+  // The population every driver owns: shard systems over first-touch
+  // replicas, built once and never moved; branch steps change only the
+  // walker vector, which reblock() re-splits across the same shards.
+  PopulationCore pop(cfg, 0);
+  const MiniQMCSystem& sys0 = pop.shards.master();
+  std::vector<WalkerState>& walkers = pop.walkers;
 
   // Effective branching knobs (clamped here, hashed raw in the config hash).
   const int generations = std::max(0, cfg.dmc_generations);
   const int gen_steps = std::max(1, cfg.dmc_gen_steps);
   const int total_steps = generations * gen_steps;
-  const int target = cfg.dmc_target_walkers > 0 ? cfg.dmc_target_walkers : nw0;
+  const int target = cfg.dmc_target_walkers > 0 ? cfg.dmc_target_walkers : sys0.nw;
   const int pop_cap = 4 * target;
   const int max_branch = std::max(1, cfg.dmc_max_branch);
   const double wmin = std::min(cfg.dmc_weight_min, cfg.dmc_weight_max);
@@ -54,42 +54,16 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
   const bool replay = cfg.dmc_replay;
   const double drift_tau = replay ? 0.0 : cfg.dmc_tau; // the sweep's proposal-centre policy
 
-  const int crowd_cap = resolve_crowd_cap(cfg, sys0);
-  std::vector<WalkerState> walkers(static_cast<std::size_t>(nw0));
-  std::vector<CrowdRef> crowds = decompose_population(nw0, num_shards, crowd_cap);
-  const int init_crowds = static_cast<int>(crowds.size());
+  pop.status.dmc_shards_used = pop.shards.size();
+  pop.status.dmc_population.reserve(static_cast<std::size_t>(generations));
 
-  const ThreadPartition part = resolve_team_partition(cfg, sys0, init_crowds);
-  const TeamHandle inner = TeamHandle::inner_of(part);
-
-  MiniQMCResult result = run_provenance(sys0, nw0, crowd_cap, part);
-  result.dmc_shards_used = num_shards;
-  result.dmc_population.reserve(static_cast<std::size_t>(generations));
-
-  Stopwatch total_watch;
-
-  // ---- setup (not profiled): each crowd initializes its own walkers on
-  // its shard's system — same flat walker ids as every other driver, so the
-  // replay oracle starts from the identical population ----------------------
-  team_for(TeamHandle::of(init_crowds), init_crowds, [&](int cid) {
-    const CrowdRef c = crowds[static_cast<std::size_t>(cid)];
-    for (int wid = c.first; wid < c.first + c.count; ++wid)
-      init_walker(walkers[static_cast<std::size_t>(wid)], shards[c.shard], cfg, wid);
-  });
-
+  // Resume: the population takes the snapshot's size, and the branching
+  // provenance (generation, E_T, counters, weights) lands in st.
   DmcRunState st;
-  st.weights.assign(static_cast<std::size_t>(nw0), 1.0);
-
-  // ---- resume (outside any team region): rebuild the population at the
-  // snapshot's size and restore the branching provenance --------------------
-  const CheckpointRuntime ckrt = make_checkpoint_runtime(cfg, sys0);
-  const int resumed_step = dmc_resume_from_checkpoint(ckrt, cfg, sys0, walkers, st, result);
-  int gen = 0;
-  if (resumed_step > 0) {
-    gen = st.generation;
-    assert(resumed_step == gen * gen_steps);
-    crowds = decompose_population(static_cast<int>(walkers.size()), num_shards, crowd_cap);
-  }
+  st.weights.assign(walkers.size(), 1.0);
+  const int resumed_step = pop.resume(&st);
+  int gen = st.generation;
+  assert(resumed_step == gen * gen_steps);
 
   // Trial-energy seed for a fresh full-DMC start: the mean local-energy
   // proxy of the initial population (deterministic — no rng draws).  A
@@ -105,28 +79,11 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
   // Each generation: one team region sweeps every crowd gen_steps steps
   // (drift_tau = 0 in replay: the VMC body), then — serial, outside any
   // region — the branch step, re-blocking, and the checkpoint boundary.
-  // CrowdScratch is rebuilt per generation on the sweeping thread
-  // (first-touch) and dies with the region: branching reorders the walker
-  // vector, so the gathered pointer tables are only generation-invariant.
+  Stopwatch watch;
   const int entry_gen = gen;
-  std::vector<ProfileRegistry> crowd_profiles;
   for (; gen < generations; ++gen) {
-    const int step_begin = gen * gen_steps;
-    const int step_end = step_begin + gen_steps;
-    const int num_crowds = static_cast<int>(crowds.size());
-    crowd_profiles.assign(static_cast<std::size_t>(num_crowds), ProfileRegistry{});
-    team_for(TeamHandle::of(num_crowds), num_crowds, [&](int cid) {
-      const CrowdRef c = crowds[static_cast<std::size_t>(cid)];
-      const MiniQMCSystem& ssys = shards[c.shard];
-      for (int wid = c.first; wid < c.first + c.count; ++wid)
-        walkers[static_cast<std::size_t>(wid)].set_team(inner.bound_to_current_region());
-      CrowdScratch scr(walkers, c.first, c.count, ssys);
-      crowd_sweep_steps(ssys, cfg, walkers, c.first, c.count, scr,
-                        crowd_profiles[static_cast<std::size_t>(cid)], inner, step_begin,
-                        step_end, drift_tau);
-    });
-    for (const auto& p : crowd_profiles)
-      result.profile.merge(p);
+    const int step_end = (gen + 1) * gen_steps;
+    pop.sweep(gen * gen_steps, step_end, drift_tau);
 
     // ---- branch step (full DMC only): weights -> multiplicities ----------
     // Serial, in walker-id order, on the walkers' own streams — identical
@@ -189,27 +146,23 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg)
       st.trial_energy -=
           cfg.dmc_feedback *
           std::log(static_cast<double>(walkers.size()) / static_cast<double>(target));
-      // Re-block the survivors contiguously across the resident shards.
-      crowds = decompose_population(static_cast<int>(walkers.size()), num_shards, crowd_cap);
+      pop.reblock();
     }
     st.generation = gen + 1;
-    result.dmc_population.push_back(static_cast<int>(walkers.size()));
-
-    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, st, step_end, total_steps, result);
+    pop.status.dmc_population.push_back(static_cast<int>(walkers.size()));
+    pop.boundary(step_end, total_steps, &st);
   }
   // End-of-run snapshot guarantee for runs that never entered the loop
   // (zero generations, or a resume at/past the budget) — same contract as
   // the VMC drivers: a set checkpoint path always leaves a snapshot.
   if (entry_gen >= generations)
-    dmc_checkpoint_boundary(ckrt, cfg, sys0, walkers, st, entry_gen * gen_steps,
-                            entry_gen * gen_steps, result);
+    pop.boundary(entry_gen * gen_steps, entry_gen * gen_steps, &st);
+  pop.status.seconds += watch.elapsed();
 
-  result.seconds = total_watch.elapsed();
-  result.num_walkers = static_cast<int>(walkers.size());
-  result.dmc_births = st.births;   // cumulative across resume (restored from Meta)
+  MiniQMCResult result = pop.result();
+  result.dmc_births = st.births; // cumulative across resume (restored from Meta)
   result.dmc_deaths = st.deaths;
   result.dmc_trial_energy = st.trial_energy;
-  reduce_result(result, walkers);
   return result;
 }
 

@@ -29,10 +29,14 @@
 //     (Xoshiro256::split), so a child's trajectory is a pure function of
 //     parent state + child stream.  The trial energy then moves by the
 //     feedback rule E_T -= dmc_feedback * log(N / N_target).
-//   * After every branch step the surviving walkers are re-blocked
-//     contiguously across the same socket-sharded systems the
-//     WalkerPopulation service uses (first-touch coefficient replicas are
-//     built once and never move; only the walker->shard/crowd map changes).
+//   * The driver owns the same population core as WalkerPopulation
+//     (detail::PopulationCore, crowd_sweep.h) and keeps only this generation
+//     loop and branch step.  After every branch step the core's reblock()
+//     re-splits the surviving walkers contiguously across the same
+//     socket-sharded systems (first-touch coefficient replicas are built
+//     once and never move; only the walker->shard/crowd map, the crowd
+//     scratch and the team bindings are rebuilt).  Replay mode never
+//     re-blocks: its scratch is built once.
 //
 // The oracle: with cfg.dmc_replay set, drift, weighting and branching are
 // disabled entirely (multiplicity pinned to 1) and each generation runs
@@ -49,8 +53,10 @@
 // supported); the Meta section gains an appended DMC tail — generation,
 // trial energy, birth/death counters, per-walker weights — and the DMC
 // branching knobs join the config hash, so VMC and DMC snapshots never
-// cross-resume silently and a killed DMC run resumes bit-for-bit
-// (detail::dmc_checkpoint_boundary / dmc_resume_from_checkpoint).
+// cross-resume silently and a killed DMC run resumes bit-for-bit, under any
+// shard count, crowd size or partition shape.  The hooks are the VMC ones
+// given the run's DmcRunState: the core's boundary() and resume()
+// (detail::checkpoint_step_boundary / resume_from_checkpoint).
 //
 // Entry point: run_miniqmc() with cfg.driver == DriverMode::DMC
 // (implementation in dmc_driver.cpp; internal plumbing declared in

@@ -513,13 +513,13 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg);
 // --------------------------------------------------------------------------
 // Checkpoint glue (implemented in qmc/checkpoint.cpp).
 //
-// Every driver runs the identical epoch-chunked protocol: advance all
-// walkers to the next step boundary inside one team region, then — OUTSIDE
-// any team region, with no OrbitalResource live — snapshot / inject faults /
-// stop.
-// Chunking the sweep into epochs is trajectory-neutral: per-walker state and
-// rng streams persist across regions, and the stored walker teams stay
-// region-valid because TeamHandle binds by nesting level (threading.h).
+// Every driver reaches it through its PopulationCore (crowd_sweep.h): sweep()
+// advances all walkers to the next step boundary inside one team region,
+// then boundary() — OUTSIDE any team region, with no OrbitalResource live —
+// snapshots / injects faults / stops, and resume() restores before the first
+// sweep.  Chunking the sweep into epochs is trajectory-neutral: per-walker
+// state and rng streams persist across regions, and the stored walker teams
+// stay region-valid because TeamHandle binds by nesting level (threading.h).
 // --------------------------------------------------------------------------
 
 /// Per-run checkpoint/fault state resolved once from the config.
@@ -531,6 +531,19 @@ struct CheckpointRuntime
   ckpt::FaultPlan fault;
 
   [[nodiscard]] bool enabled() const noexcept { return !path.empty(); }
+};
+
+/// Branching-run provenance that must survive a checkpoint: the Meta section
+/// of a DMC snapshot appends these after the common prefix (the PR 7 format
+/// already supports a variable walker-section count, so dynamic populations
+/// reuse the container unchanged).
+struct DmcRunState
+{
+  int generation = 0;         ///< completed branch generations
+  double trial_energy = 0.0;  ///< E_T after the last feedback update
+  std::uint64_t births = 0;   ///< cumulative walkers spawned by branching
+  std::uint64_t deaths = 0;   ///< cumulative walkers killed by branching
+  std::vector<double> weights; ///< per-walker branching weights (parallel to the walker vector)
 };
 
 /// Hash of every configuration field that determines the trajectory (seed,
@@ -550,21 +563,28 @@ struct CheckpointRuntime
 [[nodiscard]] int next_epoch_boundary(const CheckpointRuntime& rt, int step, int steps);
 
 /// The step-boundary snapshot point (call between team regions): writes an
-/// interval-aligned or final snapshot, applies armed file faults, and exits
-/// the process when the abort fault fires at this boundary.
+/// interval-aligned or final snapshot of the live walkers (walkers.size()
+/// Walker sections, plus the DMC Meta tail when @p dmc is set), applies
+/// armed file faults, and exits the process when the abort fault fires at
+/// this boundary.
 void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                               const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                              int step, int steps, MiniQMCResult& result);
+                              const DmcRunState* dmc, int step, int steps,
+                              MiniQMCResult& result);
 
-/// Resume attempt (call after init_walker, before the sweep): restores every
-/// walker from the snapshot at rt.path (with `.prev` fallback) and returns
-/// the step to continue from; returns 0 (fresh start) when no snapshot is
-/// usable.  Outcome is surfaced in result.resumed_from_step /
+/// Resume attempt (call after the walker build, before the sweep): restores
+/// every walker from the snapshot at rt.path (with `.prev` fallback) and
+/// returns the step to continue from; returns 0 (fresh start) when no
+/// snapshot is usable.  Without @p dmc the snapshot must hold exactly the
+/// live population, restored in place.  With @p dmc it must carry the DMC
+/// Meta tail: @p walkers is rebuilt at the snapshot's population size
+/// (shell-init + restore per walker) and the branching provenance lands in
+/// @p dmc.  Outcome is surfaced in result.resumed_from_step /
 /// resume_fallback_used / resume_error — a damaged snapshot never crashes
 /// and never half-applies.
 [[nodiscard]] int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
                                          const MiniQMCSystem& sys,
-                                         std::vector<WalkerState>& walkers,
+                                         std::vector<WalkerState>& walkers, DmcRunState* dmc,
                                          MiniQMCResult& result);
 
 // --------------------------------------------------------------------------
@@ -585,39 +605,6 @@ void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& 
 /// the child its own stream (Xoshiro256::split) afterwards.
 void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem& sys,
                         const MiniQMCConfig& cfg);
-
-// --------------------------------------------------------------------------
-// DMC population checkpoint glue (implemented in qmc/checkpoint.cpp).
-// --------------------------------------------------------------------------
-
-/// Branching-run provenance that must survive a checkpoint: the Meta section
-/// of a DMC snapshot appends these after the common prefix (the PR 7 format
-/// already supports a variable walker-section count, so dynamic populations
-/// reuse the container unchanged).
-struct DmcRunState
-{
-  int generation = 0;         ///< completed branch generations
-  double trial_energy = 0.0;  ///< E_T after the last feedback update
-  std::uint64_t births = 0;   ///< cumulative walkers spawned by branching
-  std::uint64_t deaths = 0;   ///< cumulative walkers killed by branching
-  std::vector<double> weights; ///< per-walker branching weights (parallel to the walker vector)
-};
-
-/// DMC flavour of checkpoint_step_boundary: identical protocol (interval or
-/// final snapshot, file faults, abort fault), but the snapshot carries the
-/// live population (walkers.size() walker sections) and the DMC Meta tail.
-void dmc_checkpoint_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& cfg,
-                             const MiniQMCSystem& sys, std::vector<WalkerState>& walkers,
-                             DmcRunState& dmc, int step, int steps, MiniQMCResult& result);
-
-/// DMC flavour of resume_from_checkpoint: resizes @p walkers to the
-/// snapshot's population (shell-init + restore per walker), restores the
-/// branching provenance into @p dmc, and returns the step to continue from
-/// (0 = fresh start).  Same never-crash / never-half-apply contract.
-[[nodiscard]] int dmc_resume_from_checkpoint(const CheckpointRuntime& rt,
-                                             const MiniQMCConfig& cfg, const MiniQMCSystem& sys,
-                                             std::vector<WalkerState>& walkers, DmcRunState& dmc,
-                                             MiniQMCResult& result);
 
 } // namespace mqc::detail
 

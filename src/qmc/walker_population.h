@@ -2,12 +2,14 @@
 // (ROADMAP item 1 — the "millions of users" shape on one shared-memory
 // host).
 //
-// The one fixed-population VMC driver: run_miniqmc() with DriverMode::PerWalker
-// or Crowd builds a one-shard WalkerPopulation and advances it to cfg.steps.
-// As a service, a WalkerPopulation OWNS its walkers across calls: build it
-// once, advance it incrementally (run_to_step / run_steps), snapshot and
-// resume it, and multiplex external work onto its hot, resident spline
-// engines through the async JobQueue (qmc/job_queue.h).
+// Every driver owns one population (detail::PopulationCore, crowd_sweep.h):
+// run_miniqmc() with DriverMode::PerWalker or Crowd builds a one-shard
+// WalkerPopulation and advances it to cfg.steps, and the DMC driver branches
+// on the same core between its generations.  As a service, a
+// WalkerPopulation OWNS its walkers across calls: build it once, advance it
+// incrementally (run_to_step / run_steps), snapshot and resume it, and
+// multiplex external work onto its hot, resident spline engines through the
+// async JobQueue (qmc/job_queue.h).
 //
 // Sharding (paper §IV-V + the mctop placement model): the population is
 // split into one shard per socket (MachineTopology / resolve_shard_count;
@@ -46,7 +48,8 @@
 namespace mqc {
 
 namespace detail {
-struct MiniQMCSystem; // miniqmc_context.h (internal)
+struct MiniQMCSystem;  // miniqmc_context.h (internal)
+struct PopulationCore; // crowd_sweep.h (internal)
 }
 
 struct PopulationConfig
@@ -107,8 +110,8 @@ public:
   [[nodiscard]] const MiniQMCConfig& config_internal() const noexcept;
 
 private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
+  std::unique_ptr<detail::PopulationCore> core_;
+  int step_ = 0; ///< the Monte Carlo cursor (current_step)
 };
 
 } // namespace mqc

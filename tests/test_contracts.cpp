@@ -5,6 +5,7 @@
 // whole layer compiles to nothing, so every test skips — the suite then only
 // documents what the Debug+contracts CI configuration enforces.
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "core/multi_bspline.h"
 #include "core/orbital_set.h"
 #include "core/synthetic_orbitals.h"
+#include "qmc/crowd_sweep.h"
 #include "qmc/walker.h"
 
 using namespace mqc;
@@ -160,6 +162,38 @@ TEST(ContractsDeathTest, DisjointSlotsPassTheOverlapCheck)
   auto rq = fx.request(DerivLevel::VGL);
   OrbitalSet<float>(fx.engine).evaluate(rq, res); // must not abort
   SUCCEED();
+}
+
+// The population core's crowds, scratch and walker teams describe one walker
+// vector.  A sweep after the vector changed without reblock() aborts; after
+// reblock() the re-split scratch and the teams rebound to the new region
+// shape pass.  Two crowds sweep in a forked region and one crowd serially,
+// so the shrink below moves the teams' owning region to another level.
+TEST(ContractsDeathTest, PopulationSweepsOnlyAfterReblock)
+{
+  MiniQMCConfig cfg;
+  cfg.supercell = {1, 1, 1};
+  cfg.grid_size = 8;
+  cfg.num_splines = 4;
+  cfg.num_walkers = 2;
+  cfg.quadrature_points = 1;
+  cfg.crowd_size = 1;
+  cfg.delay_rank = 2;
+  cfg.inner_threads = 2;
+  detail::PopulationCore pop(cfg, 1);
+  ASSERT_EQ(pop.crowds.size(), 2u);
+  pop.sweep(0, 1);
+
+  std::swap(pop.walkers[0], pop.walkers[1]);
+  EXPECT_DEATH(pop.sweep(1, 2), "stale scratch");
+  pop.reblock();
+  pop.sweep(1, 2);
+
+  pop.walkers.pop_back();
+  EXPECT_DEATH(pop.sweep(2, 3), "without reblock");
+  pop.reblock();
+  ASSERT_EQ(pop.crowds.size(), 1u);
+  pop.sweep(2, 3);
 }
 
 #endif // MQC_CONTRACTS

@@ -375,6 +375,52 @@ TEST(DmcDriver, CheckpointResumeIsBitForBit)
   }
 }
 
+// A snapshot carries no decomposition: a run killed under one shard and one
+// crowd resumes under two shards, crowds of one and a 2x1 partition, and the
+// resumed population is re-blocked across the new shards before its first
+// sweep.  It must still land bit-for-bit on the uninterrupted run.
+TEST(DmcDriver, ResumeUnderADifferentDecompositionIsBitForBit)
+{
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 4);
+  cfg.dmc_generations = 6;
+  ScopedCkpt ck("resume_redecomposed");
+
+  const MiniQMCResult ref = run_miniqmc(cfg);
+
+  {
+    ScopedEnv senv("MQC_SHARDS", "1");
+    MiniQMCConfig part = cfg;
+    part.crowd_size = 0;
+    part.dmc_generations = 3;
+    part.checkpoint_path = ck.path;
+    part.checkpoint_interval = 1;
+    ASSERT_GE(run_miniqmc(part).checkpoints_written, 1);
+  }
+
+  ScopedEnv senv("MQC_SHARDS", "2");
+  ScopedEnv penv("MQC_PARTITION", "2x1");
+  MiniQMCConfig rest = cfg;
+  rest.crowd_size = 1;
+  rest.checkpoint_path = ck.path;
+  rest.resume = true;
+  const MiniQMCResult got = run_miniqmc(rest);
+  EXPECT_EQ(got.resumed_from_step, 3) << got.resume_error;
+  EXPECT_EQ(got.dmc_shards_used, 2);
+
+  expect_same_trajectory(ref, got, "resumed under 2 shards / 2x1 / crowd_size 1");
+  EXPECT_EQ(ref.num_walkers, got.num_walkers);
+  EXPECT_EQ(ref.dmc_births, got.dmc_births);
+  EXPECT_EQ(ref.dmc_deaths, got.dmc_deaths);
+  std::uint64_t a = 0, b = 0;
+  std::memcpy(&a, &ref.dmc_trial_energy, sizeof a);
+  std::memcpy(&b, &got.dmc_trial_energy, sizeof b);
+  EXPECT_EQ(a, b) << "trial energy bits differ";
+  ASSERT_EQ(got.dmc_population.size(), 3u);
+  ASSERT_EQ(ref.dmc_population.size(), 6u);
+  for (std::size_t g = 0; g < 3; ++g)
+    EXPECT_EQ(got.dmc_population[g], ref.dmc_population[g + 3]) << "gen " << g + 3;
+}
+
 // The DMC branching knobs join the config hash: a VMC snapshot must never
 // resume into a DMC run (or vice versa), and the rejection surfaces the
 // config-hash detail instead of silently restarting on the wrong provenance.

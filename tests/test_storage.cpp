@@ -321,51 +321,6 @@ TEST(ConvertStorage, DirectFloatBuildTracksNarrowedDoubleBuild)
               << '(' << i << ',' << j << ',' << k << ',' << s << ')';
 }
 
-// ---------------------------------------------------------------------------
-// CoefReplicaSet wide-master mode: every shard (including 0) narrows the DP
-// master at replicate() time, on the calling thread.
-// ---------------------------------------------------------------------------
-
-TEST(CoefReplicaSetWide, EveryShardNarrowsIdentically)
-{
-  const auto grid = Grid3D<double>::cube(5, 1.0);
-  auto wide = std::make_shared<CoefStorage<double>>(grid, 10);
-  wide->fill_random(11);
-  CoefReplicaSet<float> set(std::shared_ptr<const CoefStorage<double>>(wide), 3);
-  EXPECT_TRUE(set.narrows());
-  EXPECT_EQ(set.num_shards(), 3);
-  const auto expected = convert_storage<float>(*wide);
-  for (int s = 0; s < 3; ++s) {
-    ASSERT_EQ(set.replicate(s).size(), 1u);
-    const auto rep = set.replicate(s).front();
-    ASSERT_NE(rep, nullptr);
-    for (int i = 0; i < 8; ++i)
-      for (int j = 0; j < 8; ++j)
-        for (int k = 0; k < 8; ++k)
-          for (int n = 0; n < 10; ++n)
-            ASSERT_EQ(rep->coef(i, j, k, n), expected->coef(i, j, k, n)) << "shard " << s;
-  }
-}
-
-TEST(CoefReplicaSetWide, ReplicateIsIdempotentAndBytesAccounted)
-{
-  const auto grid = Grid3D<double>::cube(4, 1.0);
-  auto wide = std::make_shared<CoefStorage<double>>(grid, 16); // pads to 16 both ways
-  wide->fill_random(5);
-  CoefReplicaSet<float> set(std::shared_ptr<const CoefStorage<double>>(wide), 2);
-  EXPECT_EQ(set.replica_bytes(0), 0u); // nothing materialized yet
-  EXPECT_EQ(set.total_replica_bytes(), 0u);
-  const auto first = set.replicate(0).front();
-  EXPECT_EQ(set.replicate(0).front(), first); // idempotent: same object back
-  EXPECT_EQ(set.replica_bytes(0), first->size_bytes());
-  EXPECT_EQ(set.replica_bytes(1), 0u);
-  set.replicate(1);
-  EXPECT_EQ(set.total_replica_bytes(), set.replica_bytes(0) + set.replica_bytes(1));
-  // N=16 pads to 16 lanes in BOTH element types, so the narrowed replica is
-  // exactly half the wide master's bytes — the mixed path's memory saving.
-  EXPECT_EQ(set.replica_bytes(0), wide->size_bytes() / 2);
-}
-
 TEST(SyntheticOrbitals, KVectorsOrderedByShell)
 {
   const auto set = PlaneWaveOrbitals::make(27, Vec3<double>{1, 1, 1});

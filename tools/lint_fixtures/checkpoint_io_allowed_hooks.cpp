@@ -5,9 +5,9 @@
 
 int drive(const mqc::detail::CheckpointRuntime& ckrt, const mqc::MiniQMCConfig& cfg,
           mqc::detail::MiniQMCSystem& sys, std::vector<mqc::detail::WalkerState>& walkers,
-          mqc::MiniQMCResult& result)
+          mqc::detail::DmcRunState* dmc, mqc::MiniQMCResult& result)
 {
-  int step = mqc::detail::resume_from_checkpoint(ckrt, cfg, sys, walkers, result);
-  mqc::detail::checkpoint_step_boundary(ckrt, cfg, sys, walkers, step, cfg.steps, result);
+  int step = mqc::detail::resume_from_checkpoint(ckrt, cfg, sys, walkers, dmc, result);
+  mqc::detail::checkpoint_step_boundary(ckrt, cfg, sys, walkers, dmc, step, cfg.steps, result);
   return step;
 }

@@ -34,6 +34,12 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       only from crowd_sweep_steps (qmc/crowd_sweep.h), the one
                       move/measure loop every driver runs; a second loop
                       would let drivers drift apart bit by bit.
+  * population-loop   `crowd_sweep_steps` is called only by the population
+                      core (PopulationCore::sweep, qmc/crowd_sweep.h), which
+                      every driver owns, and by the JobQueue's per-pack
+                      crowds (qmc/job_queue.cpp); a driver with its own team
+                      region would re-own the crowd split, the scratch and
+                      the team binding.
   * table-alloc       `mmap`, `munmap`, `madvise`, `aligned_alloc` and
                       `posix_memalign` appear only in the table allocator
                       (core/table_memory.cpp) and common/aligned_allocator.h,
@@ -120,8 +126,9 @@ RULES = [
         r"(\bckpt\s*::\s*)?\b(write_snapshot|read_snapshot(_with_fallback)?|"
         r"apply_file_faults|BlobWriter|BlobReader)\b",
         "checkpoint serialization and file I/O live in src/qmc/checkpoint.{h,cpp} "
-        "only; drivers snapshot through the detail:: epoch hooks "
-        "(checkpoint_step_boundary, resume_from_checkpoint) so the on-disk "
+        "only; drivers snapshot through their population's boundary() and "
+        "resume(), the one detail:: hook pair (checkpoint_step_boundary, "
+        "resume_from_checkpoint; DMC passes its DmcRunState) so the on-disk "
         "format, CRC framing and atomic-rename protocol have a single owner",
         allowed_paths=(
             "src/qmc/checkpoint.h",
@@ -156,6 +163,18 @@ RULES = [
         "DMC drift = its proposal-centre argument), so trajectories agree bit "
         "for bit by construction",
         allowed_paths=("src/qmc/crowd_sweep.h",),
+    ),
+    Rule(
+        "population-loop",
+        "`crowd_sweep_steps` called outside the population core and the job queue",
+        # A call, not the `inline void crowd_sweep_steps(` definition.
+        r"(?<!void )\bcrowd_sweep_steps\s*\(",
+        "every driver sweeps through the population it owns "
+        "(PopulationCore::sweep, qmc/crowd_sweep.h: WalkerPopulation for VMC, "
+        "run_miniqmc_dmc for DMC), and only the JobQueue's per-pack crowds "
+        "call the sweep directly, so the crowd split, the scratch and the "
+        "team binding have one owner",
+        allowed_paths=("src/qmc/crowd_sweep.h", "src/qmc/job_queue.cpp"),
     ),
     Rule(
         "table-alloc",
