@@ -305,13 +305,6 @@ public:
     return slot;
   }
 
-  /// The shard-local set: its replica when materialized, else the master.
-  [[nodiscard]] const CoefTables<T>& local(int s) const
-  {
-    const auto& slot = replicas_[static_cast<std::size_t>(s)];
-    return slot.empty() ? replicas_[0] : slot;
-  }
-
   /// Bytes held by shard @p s's materialized set (0 until replicate(s);
   /// shard 0 reports the master it adopted).
   [[nodiscard]] std::size_t replica_bytes(int s) const noexcept

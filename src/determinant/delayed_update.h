@@ -27,6 +27,7 @@
 
 #include "common/config.h"
 #include "common/threading.h"
+#include "determinant/lane_dot.h"
 #include "determinant/lu.h"
 #include "determinant/matrix.h"
 
@@ -71,13 +72,14 @@ public:
   {
     const int n = size();
     const int k = pending();
-    double r = dot(binv_.row(e), u, n);
+    double r = lane_dot(binv_.row(e), u, n);
     if (k == 0)
       return r;
     // tvec = V^T B u  (k entries: row c_m of B dot u).
     std::vector<double> tvec(static_cast<std::size_t>(k));
     for (int m = 0; m < k; ++m)
-      tvec[static_cast<std::size_t>(m)] = dot(vtb_rows_[static_cast<std::size_t>(m)].data(), u, n);
+      tvec[static_cast<std::size_t>(m)] =
+          lane_dot(vtb_rows_[static_cast<std::size_t>(m)].data(), u, n);
     // svec = S^{-1} tvec  (small dense solve).
     std::vector<double> svec = solve_small(tvec);
     for (int m = 0; m < k; ++m)
@@ -105,8 +107,7 @@ public:
       w[static_cast<std::size_t>(i)] = u[i] - a_current_(i, e);
     // BU column: B w.
     std::vector<double> bw(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      bw[static_cast<std::size_t>(i)] = dot(binv_.row(i), w.data(), n);
+    lane_matvec(binv_, w.data(), bw.data());
 
     pending_cols_.push_back(e);
     u_cols_.push_back(std::move(w));
@@ -144,13 +145,7 @@ public:
     if (k == 0)
       return;
     const int n = size();
-    // S = I + V^T B U:  S(m,l) = delta_ml + vtb_rows_[m] . u_cols_[l].
-    Matrix<double> s(k);
-    for (int m = 0; m < k; ++m)
-      for (int l = 0; l < k; ++l)
-        s(m, l) = (m == l ? 1.0 : 0.0) +
-                  dot(vtb_rows_[static_cast<std::size_t>(m)].data(),
-                      u_cols_[static_cast<std::size_t>(l)].data(), n);
+    Matrix<double> s = correction_matrix();
     std::vector<int> piv;
     const bool ok = lu_factor(s, piv);
     assert(ok && "delay window produced a singular correction");
@@ -271,11 +266,16 @@ public:
   }
 
 private:
-  static double dot(const double* a, const double* b, int n) noexcept
+  /// S = I + V^T B U:  S(m,l) = delta_ml + vtb_rows_[m] . u_cols_[l].
+  [[nodiscard]] Matrix<double> correction_matrix() const
   {
-    double s = 0.0;
-    for (int i = 0; i < n; ++i)
-      s += a[i] * b[i];
+    const int k = pending();
+    const int n = size();
+    Matrix<double> s(k);
+    for (int m = 0; m < k; ++m)
+      for (int l = 0; l < k; ++l)
+        s(m, l) = (m == l ? 1.0 : 0.0) + lane_dot(vtb_rows_[static_cast<std::size_t>(m)].data(),
+                                                  u_cols_[static_cast<std::size_t>(l)].data(), n);
     return s;
   }
 
@@ -283,13 +283,7 @@ private:
   [[nodiscard]] std::vector<double> solve_small(const std::vector<double>& t) const
   {
     const int k = pending();
-    const int n = size();
-    Matrix<double> s(k);
-    for (int m = 0; m < k; ++m)
-      for (int l = 0; l < k; ++l)
-        s(m, l) = (m == l ? 1.0 : 0.0) +
-                  dot(vtb_rows_[static_cast<std::size_t>(m)].data(),
-                      u_cols_[static_cast<std::size_t>(l)].data(), n);
+    Matrix<double> s = correction_matrix();
     std::vector<int> piv;
     const bool ok = lu_factor(s, piv);
     assert(ok);

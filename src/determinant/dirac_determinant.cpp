@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cmath>
 
+#include "determinant/lane_dot.h"
 #include "determinant/lu.h"
 
 namespace mqc {
@@ -16,12 +17,7 @@ bool DiracDeterminant::build(const Matrix<double>& a)
 
 double DiracDeterminant::ratio(const double* u, int e) const
 {
-  const int n = ainv_.rows();
-  const double* row = ainv_.row(e);
-  double r = 0.0;
-  for (int i = 0; i < n; ++i)
-    r += row[i] * u[i];
-  return r;
+  return lane_dot(ainv_.row(e), u, ainv_.cols());
 }
 
 void DiracDeterminant::accept_move(const double* u, int e)
@@ -32,17 +28,10 @@ void DiracDeterminant::accept_move(const double* u, int e)
   //   t       = Ainv u                  (length N)
   //   Ainv'(i,:) = Ainv(i,:) - ((t_i - delta_ie) / R) * Ainv(e,:)
   const int n = ainv_.rows();
-  const double r = ratio(u, e);
-  assert(r != 0.0 && "rejected (singular) move must not be accepted");
-
   double* t = work_.data();
-  for (int i = 0; i < n; ++i) {
-    const double* row = ainv_.row(i);
-    double s = 0.0;
-    for (int j = 0; j < n; ++j)
-      s += row[j] * u[j];
-    t[i] = s;
-  }
+  lane_matvec(ainv_, u, t);
+  const double r = t[e]; // == ratio(u, e) bit for bit: same kernel, same lanes
+  assert(r != 0.0 && "rejected (singular) move must not be accepted");
   t[e] -= 1.0;
 
   const double rinv = 1.0 / r;

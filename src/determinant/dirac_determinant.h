@@ -10,6 +10,13 @@
 // reduces over row e (QMCPACK stores the transposed inverse for the same
 // locality reason).  Accepted moves apply the Sherman-Morrison rank-1 update
 // in O(N^2) instead of the O(N^3) re-inversion.
+//
+// The ratio and every row of the update's t = Ainv u go through one kernel
+// (determinant/lane_dot.h) with a fixed lane order: eight partial sums, sum
+// k over the products at i = k (mod 8) in increasing i, combined as
+// ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7)).  It vectorizes at any
+// width without reassociating, so t[e] equals the ratio bit for bit and the
+// vector and MQC_NO_VECTOR builds agree for one FMA-contraction setting.
 #ifndef MQC_DETERMINANT_DIRAC_DETERMINANT_H
 #define MQC_DETERMINANT_DIRAC_DETERMINANT_H
 

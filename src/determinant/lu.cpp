@@ -1,8 +1,11 @@
 #include "determinant/lu.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <utility>
+
+#include "common/simd.h"
 
 namespace mqc {
 
@@ -58,38 +61,57 @@ void lu_logdet(const Matrix<double>& lu, const std::vector<int>& piv, double& lo
 
 void lu_invert(Matrix<double>& a, const std::vector<int>& piv)
 {
+  // Solve A X = I for every right-hand side at once.  X starts as the
+  // row-permuted identity P I; the forward (unit L) and back (U)
+  // substitutions then run as whole-row updates X(i,:) -= LU(i,j) * X(j,:)
+  // in increasing j, so each entry sees the one-column solve's order while
+  // every update is a contiguous axpy the compiler vectorizes.
   const int n = a.rows();
-  // Solve A X = I column by column using the LU factors in place; gather the
-  // result in a scratch matrix, then copy back.
-  Matrix<double> inv(n);
-  std::vector<double> x(static_cast<std::size_t>(n));
-  for (int col = 0; col < n; ++col) {
-    // Apply the row permutation to the unit vector e_col.
-    for (int i = 0; i < n; ++i)
-      x[static_cast<std::size_t>(i)] = (i == col) ? 1.0 : 0.0;
-    for (int k = 0; k < n; ++k) {
-      const int p = piv[static_cast<std::size_t>(k)];
-      if (p != k)
-        std::swap(x[static_cast<std::size_t>(k)], x[static_cast<std::size_t>(p)]);
-    }
-    // Forward substitution (L has unit diagonal).
-    for (int i = 1; i < n; ++i) {
-      double s = x[static_cast<std::size_t>(i)];
-      for (int j = 0; j < i; ++j)
-        s -= a(i, j) * x[static_cast<std::size_t>(j)];
-      x[static_cast<std::size_t>(i)] = s;
-    }
-    // Back substitution.
-    for (int i = n - 1; i >= 0; --i) {
-      double s = x[static_cast<std::size_t>(i)];
-      for (int j = i + 1; j < n; ++j)
-        s -= a(i, j) * x[static_cast<std::size_t>(j)];
-      x[static_cast<std::size_t>(i)] = s / a(i, i);
-    }
-    for (int i = 0; i < n; ++i)
-      inv(i, col) = x[static_cast<std::size_t>(i)];
+  Matrix<double> x(n);
+  for (int i = 0; i < n; ++i)
+    x(i, i) = 1.0;
+  for (int k = 0; k < n; ++k) { // lu_factor's row swaps, in order
+    const int p = piv[static_cast<std::size_t>(k)];
+    if (p != k)
+      std::swap_ranges(x.row(k), x.row(k) + n, x.row(p));
   }
-  a = std::move(inv);
+
+  // X(i,:) -= LU(i,j) * X(j,:) for j in [j0, j1), four source rows per pass
+  // over X(i,:): one load and store of the target row instead of four, and
+  // per entry the same subtraction order as one row at a time.
+  auto subtract_rows = [&](int i, int j0, int j1) {
+    double* MQC_RESTRICT xi = x.row(i);
+    const double* lu = a.row(i);
+    int j = j0;
+    for (; j + 4 <= j1; j += 4) {
+      const double f0 = lu[j], f1 = lu[j + 1], f2 = lu[j + 2], f3 = lu[j + 3];
+      const double* MQC_RESTRICT x0 = x.row(j);
+      const double* MQC_RESTRICT x1 = x.row(j + 1);
+      const double* MQC_RESTRICT x2 = x.row(j + 2);
+      const double* MQC_RESTRICT x3 = x.row(j + 3);
+      MQC_SIMD
+      for (int c = 0; c < n; ++c)
+        xi[c] = (((xi[c] - f0 * x0[c]) - f1 * x1[c]) - f2 * x2[c]) - f3 * x3[c];
+    }
+    for (; j < j1; ++j) {
+      const double f = lu[j];
+      const double* MQC_RESTRICT xj = x.row(j);
+      MQC_SIMD
+      for (int c = 0; c < n; ++c)
+        xi[c] -= f * xj[c];
+    }
+  };
+  for (int i = 1; i < n; ++i) // forward: L has a unit diagonal
+    subtract_rows(i, 0, i);
+  for (int i = n - 1; i >= 0; --i) {
+    subtract_rows(i, i + 1, n);
+    const double d = a(i, i);
+    double* MQC_RESTRICT xi = x.row(i);
+    MQC_SIMD
+    for (int c = 0; c < n; ++c)
+      xi[c] /= d;
+  }
+  a = std::move(x);
 }
 
 bool invert_matrix(Matrix<double>& a, double& log_det, double& sign)

@@ -24,14 +24,16 @@ void lu_logdet(const Matrix<double>& lu, const std::vector<int>& piv, double& lo
                double& sign);
 
 /// Invert in place given the factorization data (a holds LU on entry, the
-/// inverse on exit).
+/// row-major inverse on exit).  All n right-hand sides are solved at once:
+/// the forward and back substitutions run as contiguous row updates
+/// X(i,:) -= LU(i,j) * X(j,:) over the permuted identity.
 void lu_invert(Matrix<double>& a, const std::vector<int>& piv);
 
 /// Convenience: inverse + log|det| + sign of @p a (overwritten).
 /// Returns false on singularity.
 bool invert_matrix(Matrix<double>& a, double& log_det, double& sign);
 
-/// C = A * B (naive triple loop, used in tests and the delayed-update flush).
+/// C = A * B (naive triple loop; only the tests call it).
 Matrix<double> matmul(const Matrix<double>& a, const Matrix<double>& b);
 
 } // namespace mqc

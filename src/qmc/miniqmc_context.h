@@ -289,16 +289,6 @@ struct WalkerState
   std::size_t attempted = 0;
   std::size_t orbital_evals = 0;
 
-  /// Single-position V at @p r through the OrbitalSet facade, into the
-  /// walker's output buffer: the walker build's determinant columns.  The
-  /// sweep evaluates through crowd requests.
-  const qmc_real* eval_v(const MiniQMCSystem& sys, const Vec3<qmc_real>& r)
-  {
-    orbital_evals += static_cast<std::size_t>(sys.norb);
-    sys.spo.evaluate_one(DerivLevel::V, r, out.v.data(), nullptr, nullptr, sys.out_pad);
-    return out.v.data();
-  }
-
   /// Hand this walker its inner team (common/threading.h): the delayed
   /// determinant flush may fork this many threads under the driver's outer
   /// region.  Scheduling only — every team size produces the bit-identical
@@ -388,26 +378,40 @@ inline void init_walker(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCC
       },
       w.electrons);
 
-  // Determinants from the initial configuration (double precision).
+  // Determinants from the initial configuration (double precision).  Each
+  // spin's norb orbital columns come from one multi-position V request
+  // through the facade, bit-identical to norb single-position calls.
   {
-    Matrix<double> a_up(sys.norb), a_dn(sys.norb);
-    for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, r0[e]);
-      for (int n = 0; n < sys.norb; ++n)
-        a_up(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0); // diagonal boost
-    }
-    for (int e = 0; e < sys.norb; ++e) {
-      const qmc_real* v = w.eval_v(sys, r0[sys.norb + e]);
-      for (int n = 0; n < sys.norb; ++n)
-        a_dn(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0);
-    }
-    // The diagonal boost keeps the synthetic (random-coefficient) orbital
-    // matrices well conditioned; production orbitals are near-orthogonal
-    // at distinct electron positions, which this emulates.
-    w.det_up.build(a_up);
-    w.det_dn.build(a_dn);
+    const auto norb = static_cast<std::size_t>(sys.norb);
+    aligned_vector<qmc_real> cols(norb * sys.out_pad);
+    std::vector<qmc_real*> slots(norb);
+    std::vector<Vec3<qmc_real>> pos(norb);
+    for (std::size_t e = 0; e < norb; ++e)
+      slots[e] = cols.data() + e * sys.out_pad;
+    OrbitalResource<qmc_real> res;
+    auto build = [&](DetUpdater& det, int first) {
+      for (int e = 0; e < sys.norb; ++e)
+        pos[static_cast<std::size_t>(e)] = r0[first + e];
+      OrbitalEvalRequest<qmc_real> rq;
+      rq.deriv = DerivLevel::V;
+      rq.positions = pos.data();
+      rq.count = sys.norb;
+      rq.v = slots.data();
+      sys.spo.evaluate(rq, res);
+      // The diagonal boost keeps the synthetic (random-coefficient) orbital
+      // matrices well conditioned; production orbitals are near-orthogonal
+      // at distinct electron positions, which this emulates.
+      Matrix<double> a(sys.norb);
+      for (int e = 0; e < sys.norb; ++e) {
+        const qmc_real* v = slots[static_cast<std::size_t>(e)];
+        for (int n = 0; n < sys.norb; ++n)
+          a(n, e) = static_cast<double>(v[n]) + (n == e ? 1.0 : 0.0);
+      }
+      det.build(a);
+    };
+    build(w.det_up, 0);
+    build(w.det_dn, sys.norb);
   }
-  w.orbital_evals = 0; // setup evaluations excluded from throughput
 }
 
 /// Price and decide one electron move once the trial position and its

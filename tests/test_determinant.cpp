@@ -10,6 +10,7 @@
 #include "determinant/delayed_update.h"
 #include "determinant/det_update.h"
 #include "determinant/dirac_determinant.h"
+#include "determinant/lane_dot.h"
 #include "determinant/lu.h"
 #include "determinant/matrix.h"
 
@@ -26,6 +27,11 @@ Matrix<double> random_matrix(int n, std::uint64_t seed, double diag_boost = 1.0)
       a(i, j) = rng.uniform(-1.0, 1.0) + (i == j ? diag_boost : 0.0);
   return a;
 }
+
+/// Sizes that exercise the lane kernel's remainders (8 lanes, 4 rows per
+/// pass): below one lane block, one past it, odd and even remainders, and
+/// the graphite walker's 128 orbitals with and without a remainder.
+constexpr int kRemainderSizes[] = {1, 7, 9, 13, 16, 128, 130};
 
 /// O(N^3) determinant by LU, fresh copy (oracle).
 double det_of(const Matrix<double>& a)
@@ -78,7 +84,7 @@ TEST(LU, SingularMatrixDetected)
 
 TEST(LU, InverseTimesMatrixIsIdentity)
 {
-  for (int n : {1, 2, 5, 16, 48}) {
+  for (int n : {1, 2, 5, 16, 48, 127, 128, 130}) {
     Matrix<double> a = random_matrix(n, 100 + static_cast<std::uint64_t>(n));
     Matrix<double> inv = a;
     double log_det, sign;
@@ -121,32 +127,67 @@ TEST(Dirac, RatioMatchesDeterminantQuotient)
 
 TEST(Dirac, ShermanMorrisonTracksFullInverse)
 {
-  const int n = 16;
-  Matrix<double> a = random_matrix(n, 4, 2.0);
-  DiracDeterminant det;
-  ASSERT_TRUE(det.build(a));
+  for (int n : kRemainderSizes) {
+    Matrix<double> a = random_matrix(n, 4, 2.0);
+    DiracDeterminant det;
+    ASSERT_TRUE(det.build(a)) << n;
 
-  Xoshiro256 rng(11);
-  for (int move = 0; move < 40; ++move) {
-    const int e = static_cast<int>(rng() % n);
-    std::vector<double> u(static_cast<std::size_t>(n));
+    Xoshiro256 rng(11);
+    for (int move = 0; move < 40; ++move) {
+      const int e = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      std::vector<double> u(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i)
+        u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
+      const double r = det.ratio(u.data(), e);
+      if (std::abs(r) < 0.05)
+        continue; // mimic rejection of near-singular proposals
+      det.accept_move(u.data(), e);
+      for (int i = 0; i < n; ++i)
+        a(i, e) = u[static_cast<std::size_t>(i)];
+    }
+    // Compare against a fresh inversion.
+    DiracDeterminant fresh;
+    ASSERT_TRUE(fresh.build(a)) << n;
     for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-    const double r = det.ratio(u.data(), e);
-    if (std::abs(r) < 0.05)
-      continue; // mimic rejection of near-singular proposals
-    det.accept_move(u.data(), e);
-    for (int i = 0; i < n; ++i)
-      a(i, e) = u[static_cast<std::size_t>(i)];
+      for (int j = 0; j < n; ++j)
+        ASSERT_NEAR(det.inverse()(i, j), fresh.inverse()(i, j), 1e-7)
+            << "n=" << n << " at " << i << ',' << j;
+    EXPECT_NEAR(det.log_det(), fresh.log_det(), 1e-8) << n;
+    EXPECT_EQ(det.sign(), fresh.sign()) << n;
   }
-  // Compare against a fresh inversion.
-  DiracDeterminant fresh;
-  ASSERT_TRUE(fresh.build(a));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      EXPECT_NEAR(det.inverse()(i, j), fresh.inverse()(i, j), 1e-7) << i << ',' << j;
-  EXPECT_NEAR(det.log_det(), fresh.log_det(), 1e-8);
-  EXPECT_EQ(det.sign(), fresh.sign());
+}
+
+TEST(Dirac, RatioFollowsTheFixedLaneOrder)
+{
+  // The documented order, written as plain scalar code: partial sum k takes
+  // the products at i = k (mod 8) in increasing i, then the pairs combine.
+  // EXPECT_EQ, not NEAR: a width-dependent reduction (say `simd reduction`)
+  // changes bits between the portable, MQC_NO_VECTOR and native builds.
+  auto reference = [](const double* a, const double* b, int n) {
+    double s[8] = {};
+    for (int i = 0; i < n; ++i)
+      s[i % 8] += a[i] * b[i];
+    return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+  };
+  for (int n : {5, 8, 13, 128}) {
+    const Matrix<double> a = random_matrix(n, 90 + static_cast<std::uint64_t>(n), 2.0);
+    DiracDeterminant det;
+    ASSERT_TRUE(det.build(a)) << n;
+    const Matrix<double>& inv = det.inverse();
+    Xoshiro256 rng(91);
+    std::vector<double> u(static_cast<std::size_t>(n));
+    for (auto& v : u)
+      v = rng.uniform(-1.0, 1.0);
+    // Several rows per pass give each row the kernel's bits.
+    std::vector<double> t(static_cast<std::size_t>(n));
+    lane_matvec(inv, u.data(), t.data());
+    for (int e = 0; e < n; ++e) {
+      const double kernel = lane_dot(inv.row(e), u.data(), n);
+      EXPECT_EQ(kernel, reference(inv.row(e), u.data(), n)) << "n=" << n << " row " << e;
+      EXPECT_EQ(det.ratio(u.data(), e), kernel) << "n=" << n << " row " << e;
+      EXPECT_EQ(t[static_cast<std::size_t>(e)], kernel) << "n=" << n << " row " << e;
+    }
+  }
 }
 
 TEST(Dirac, LogDetAccumulatesRatios)
@@ -168,33 +209,35 @@ TEST(Dirac, LogDetAccumulatesRatios)
 
 TEST(Delayed, MatchesShermanMorrisonSequence)
 {
-  const int n = 14;
-  Matrix<double> a = random_matrix(n, 21, 2.0);
-  DiracDeterminant sm;
-  DelayedDeterminant delayed(4);
-  ASSERT_TRUE(sm.build(a));
-  ASSERT_TRUE(delayed.build(a));
+  for (int n : kRemainderSizes) {
+    Matrix<double> a = random_matrix(n, 21, 2.0);
+    DiracDeterminant sm;
+    DelayedDeterminant delayed(4);
+    ASSERT_TRUE(sm.build(a)) << n;
+    ASSERT_TRUE(delayed.build(a)) << n;
 
-  Xoshiro256 rng(22);
-  for (int move = 0; move < 25; ++move) {
-    const int e = static_cast<int>(rng() % n);
-    std::vector<double> u(static_cast<std::size_t>(n));
+    Xoshiro256 rng(22);
+    for (int move = 0; move < 25; ++move) {
+      const int e = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+      std::vector<double> u(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i)
+        u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
+      const double r_sm = sm.ratio(u.data(), e);
+      const double r_delayed = delayed.ratio(u.data(), e);
+      ASSERT_NEAR(r_delayed, r_sm, 1e-7 * std::max(1.0, std::abs(r_sm)))
+          << "n=" << n << " move " << move;
+      if (std::abs(r_sm) < 0.05)
+        continue;
+      sm.accept_move(u.data(), e);
+      delayed.accept_move(u.data(), e);
+      ASSERT_NEAR(delayed.log_det(), sm.log_det(), 1e-7) << "n=" << n << " move " << move;
+    }
+    delayed.flush();
+    const auto& bi = delayed.inverse();
     for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-    const double r_sm = sm.ratio(u.data(), e);
-    const double r_delayed = delayed.ratio(u.data(), e);
-    ASSERT_NEAR(r_delayed, r_sm, 1e-7 * std::max(1.0, std::abs(r_sm))) << "move " << move;
-    if (std::abs(r_sm) < 0.05)
-      continue;
-    sm.accept_move(u.data(), e);
-    delayed.accept_move(u.data(), e);
-    ASSERT_NEAR(delayed.log_det(), sm.log_det(), 1e-7);
+      for (int j = 0; j < n; ++j)
+        ASSERT_NEAR(bi(i, j), sm.inverse()(i, j), 1e-6) << "n=" << n << " at " << i << ',' << j;
   }
-  delayed.flush();
-  const auto& bi = delayed.inverse();
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      ASSERT_NEAR(bi(i, j), sm.inverse()(i, j), 1e-6);
 }
 
 TEST(Delayed, AutoFlushAtWindowAndRepeatedElectron)
