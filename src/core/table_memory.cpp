@@ -13,6 +13,10 @@
 
 #include "common/config.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 namespace mqc {
 
 namespace {
@@ -112,5 +116,12 @@ void TableBlock::release() noexcept
 }
 
 std::size_t live_table_bytes() noexcept { return g_live_bytes.load(std::memory_order_relaxed); }
+
+void release_free_heap() noexcept
+{
+#if defined(__GLIBC__)
+  (void)::malloc_trim(0);
+#endif
+}
 
 } // namespace mqc

@@ -12,8 +12,8 @@
 //
 // Either way every row P[i][j][k] stays 64-byte aligned and the bytes read
 // zero until written.  The `table-alloc` lint rule keeps mmap, munmap,
-// madvise, aligned_alloc and posix_memalign inside table_memory.cpp and
-// common/aligned_allocator.h.
+// madvise, aligned_alloc, posix_memalign and malloc_trim inside
+// table_memory.cpp and common/aligned_allocator.h.
 #ifndef MQC_CORE_TABLE_MEMORY_H
 #define MQC_CORE_TABLE_MEMORY_H
 
@@ -57,6 +57,14 @@ private:
 /// Logical bytes of every live TableBlock in the process: what the tables
 /// pin, whichever engine or replica holds them.
 [[nodiscard]] std::size_t live_table_bytes() noexcept;
+
+/// Give the heap's free pages back to the operating system (glibc
+/// malloc_trim; a no-op elsewhere).  run_miniqmc calls it once its walkers
+/// are gone: they are built on the calling thread, so their few MB of
+/// buffers churn through the caller's heap between the allocations the
+/// caller keeps, and without a trim the heap fragments and the resident set
+/// grows with every call.
+void release_free_heap() noexcept;
 
 } // namespace mqc
 

@@ -3,16 +3,15 @@
 // The length-N dot products of the Slater determinant go through
 // lane_dot_rows: the ratio's row dot (paper Eq. 3), each row of the
 // Sherman-Morrison matvec t = Ainv u, and the delayed engine's Woodbury dots.
-// Its summation order is fixed by the source, not by the vector width:
+// Its summation order is fixed by the source, not by the vector width: the
+// fixed lane order of common/simd.h over the products a_i * b_i,
 //
 //   s_k = sum of a_i * b_i over i = k (mod 8), added in increasing i
 //   dot = ((s0 + s1) + (s2 + s3)) + ((s4 + s5) + (s6 + s7))
 //
-// The eight partial sums are plain lane loops under MQC_SIMD, so the
-// compiler maps them onto 2-, 4- or 8-wide registers without reassociating
-// anything, and SSE2, AVX2, AVX-512 and the MQC_NO_VECTOR scalar build give
-// the same bits for one FMA-contraction setting.  A `simd reduction` would
-// vectorize too, but its order follows the vector width.
+// so SSE2, AVX2, AVX-512 and the MQC_NO_VECTOR scalar build give the same
+// bits for one FMA-contraction setting.  A `simd reduction` would vectorize
+// too, but its order follows the vector width.
 #ifndef MQC_DETERMINANT_LANE_DOT_H
 #define MQC_DETERMINANT_LANE_DOT_H
 
@@ -22,9 +21,6 @@
 
 namespace mqc {
 
-/// Partial sums per dot product; the lane order above is defined for 8.
-inline constexpr int kDotLanes = 8;
-
 /// out[r] = rows[r] . x (length @p n) for R rows at once, each in the lane
 /// order above: the rows share every load of @p x, and each result is
 /// bit-identical to lane_dot(rows[r], x, n).
@@ -32,20 +28,19 @@ template <int R>
 MQC_FORCE_INLINE void lane_dot_rows(const double* const* rows, const double* MQC_RESTRICT x,
                                     int n, double* out) noexcept
 {
-  double s[R][kDotLanes] = {};
-  const int nfull = n - n % kDotLanes;
-  for (int i = 0; i < nfull; i += kDotLanes)
+  double s[R][kSumLanes] = {};
+  const int nfull = n - n % kSumLanes;
+  for (int i = 0; i < nfull; i += kSumLanes)
     for (int r = 0; r < R; ++r) {
       const double* MQC_RESTRICT a = rows[r] + i;
       MQC_SIMD
-      for (int l = 0; l < kDotLanes; ++l)
+      for (int l = 0; l < kSumLanes; ++l)
         s[r][l] += a[l] * x[i + l];
     }
   for (int r = 0; r < R; ++r) {
     for (int i = nfull; i < n; ++i)
       s[r][i - nfull] += rows[r][i] * x[i];
-    out[r] = ((s[r][0] + s[r][1]) + (s[r][2] + s[r][3])) +
-             ((s[r][4] + s[r][5]) + (s[r][6] + s[r][7]));
+    out[r] = combine_lanes(s[r]);
   }
 }
 

@@ -227,9 +227,12 @@ private:
 // --------------------------------------------------------------------------
 
 /// Shared SIMD row kernel: distances/displacements from one target position
-/// to all sources given as component streams.  Fast mode is a pure SIMD loop
-/// (fractional wrap through the 3x3 lattice matrices); Exact mode falls back
-/// to the scalar oracle per pair.
+/// to all sources given as component streams.  Fast mode (and Exact mode on
+/// an orthorhombic cell) is a pure SIMD loop (fractional wrap through the
+/// 3x3 lattice matrices); Exact mode on a skewed cell falls back to the
+/// scalar oracle per pair.  The loop vectorizes because the build drops
+/// errno and trapping math (std::sqrt, std::floor); on x86-64 the vector
+/// floor needs SSE4.1 (tools/check_vectorization.py, `no-vector-floor`).
 template <typename T>
 void compute_distance_row_soa(const Lattice& lattice, MinImageMode mode, T xi, T yi, T zi,
                               const T* MQC_RESTRICT sx, const T* MQC_RESTRICT sy,

@@ -110,18 +110,18 @@ public:
   // above remains the AoS baseline path.
 
   /// Sum of u over a distance row.  Entries at or beyond the cutoff
-  /// (including the self-distance sentinel) contribute exactly zero.
+  /// (including the self-distance sentinel) contribute exactly zero.  The
+  /// sum is the move ratio of both Jastrows, so it adds in the fixed lane
+  /// order of common/simd.h: its bits do not depend on the vector width.
   [[nodiscard]] T sum_row(const T* MQC_RESTRICT r, int count) const noexcept
   {
     const T* MQC_RESTRICT cp = spline_.control_points().data();
     const T dinv = spline_.grid().delta_inv;
     const T num_cells = static_cast<T>(spline_.grid().num);
     const T rc = rcut_;
-    T sum = T(0);
-    MQC_SIMD_REDUCTION(+ : sum)
-    for (int j = 0; j < count; ++j) {
+    auto u_at = [=](T rj) {
       // Clamp BEFORE the int cast: sentinel distances are ~1e10.
-      T x = r[j] * dinv;
+      T x = rj * dinv;
       x = x < num_cells ? x : num_cells;
       int i = static_cast<int>(x);
       i = i < static_cast<int>(num_cells) ? i : static_cast<int>(num_cells) - 1;
@@ -133,9 +133,18 @@ public:
       const T a2 = c6 * (T(-3) * t3 + T(3) * t2 + T(3) * t + T(1));
       const T a3 = c6 * t3;
       const T val = a0 * cp[i] + a1 * cp[i + 1] + a2 * cp[i + 2] + a3 * cp[i + 3];
-      sum += r[j] < rc ? val : T(0);
+      return rj < rc ? val : T(0);
+    };
+    T s[kSumLanes] = {};
+    const int nfull = count - count % kSumLanes;
+    for (int j = 0; j < nfull; j += kSumLanes) {
+      MQC_SIMD
+      for (int l = 0; l < kSumLanes; ++l)
+        s[l] += u_at(r[j + l]);
     }
-    return sum;
+    for (int j = nfull; j < count; ++j)
+      s[j - nfull] += u_at(r[j]);
+    return combine_lanes(s);
   }
 
   /// u, du/dr and d2u/dr2 for a whole row (outputs masked to zero beyond the

@@ -365,3 +365,76 @@ TEST(J1, RatioMatchesRecompute)
   const double after = j1.evaluate_log(t2, g.data(), l.data());
   EXPECT_NEAR(ratio, after - before, 1e-9);
 }
+
+namespace {
+
+/// A distance row of @p n entries in [0, 1.3 rc) that also holds the
+/// self-distance sentinel and entries exactly at and just beyond the cutoff.
+template <typename T>
+aligned_vector<T> lane_test_row(int n, T rc, std::uint64_t seed)
+{
+  Xoshiro256 rng(seed);
+  aligned_vector<T> row(static_cast<std::size_t>(n));
+  for (T& r : row)
+    r = static_cast<T>(rng.uniform(0.0, 1.3 * static_cast<double>(rc)));
+  const std::size_t last = row.size() - 1;
+  row[last / 2] = kSelfDistance<T>;
+  row[last / 3] = rc;
+  row[last] = std::nextafter(rc, T(10));
+  return row;
+}
+
+/// sum_row in the documented fixed lane order (common/simd.h), written as a
+/// scalar loop: partial sum k over the entries j = k (mod 8) in increasing j,
+/// combined pairwise.  Each entry's u is sum_row of that entry alone (one
+/// term, so no order), which is the kernel's own per-entry arithmetic;
+/// evaluate_row rounds some entries differently under FMA contraction.
+template <typename T>
+T lane_order_reference(const BsplineJastrowFunctor<T>& f, const aligned_vector<T>& row)
+{
+  T s[8] = {};
+  for (std::size_t j = 0; j < row.size(); ++j)
+    s[j % 8] += f.sum_row(&row[j], 1);
+  return ((s[0] + s[1]) + (s[2] + s[3])) + ((s[4] + s[5]) + (s[6] + s[7]));
+}
+
+template <typename T>
+void check_sum_row_lane_order()
+{
+  const T rc = T(2.5);
+  const auto f = BsplineJastrowFunctor<T>::make_exponential(T(-0.5), T(1), rc);
+  for (const int n : {1, 7, 8, 9, 64, 255, 256, 259}) {
+    const aligned_vector<T> row = lane_test_row<T>(n, rc, 100 + static_cast<std::uint64_t>(n));
+    EXPECT_EQ(f.sum_row(row.data(), n), lane_order_reference(f, row)) << "n = " << n;
+  }
+}
+
+} // namespace
+
+TEST(Jastrow, SumRowFollowsTheFixedLaneOrder)
+{
+  check_sum_row_lane_order<float>();
+  check_sum_row_lane_order<double>();
+
+  // Both SoA ratios are exactly the difference of the two row sums.
+  JFixture fx(19, 13);
+  const int n = fx.elec_soa.size();
+  DistanceTableAA_SoA<double> ee(fx.lattice, n);
+  DistanceTableAB_SoA<double> ei(fx.lattice, fx.ions_soa, n);
+  ee.evaluate(fx.elec_soa);
+  ei.evaluate(fx.elec_soa);
+  const TwoBodyJastrowSoA<double> j2(fx.fj2);
+  const OneBodyJastrowSoA<double> j1(fx.fj1);
+  const Vec3<double> rnew{2.1, 0.4, 5.0};
+  for (const int iel : {0, 7, n - 1}) {
+    ee.compute_temp(fx.elec_soa, rnew, iel);
+    ei.compute_temp(rnew);
+    EXPECT_EQ(j2.ratio_log(ee, iel),
+              fx.fj2.sum_row(ee.dist_row(iel), n) - fx.fj2.sum_row(ee.temp_r(), n))
+        << "iel = " << iel;
+    const int ns = ei.num_sources();
+    EXPECT_EQ(j1.ratio_log(ei, iel),
+              fx.fj1.sum_row(ei.dist_row(iel), ns) - fx.fj1.sum_row(ei.temp_r(), ns))
+        << "iel = " << iel;
+  }
+}

@@ -40,11 +40,12 @@ suite cannot see (ROADMAP.md, "Invariants"):
                       crowds (qmc/job_queue.cpp); a driver with its own team
                       region would re-own the crowd split, the scratch and
                       the team binding.
-  * table-alloc       `mmap`, `munmap`, `madvise`, `aligned_alloc` and
-                      `posix_memalign` appear only in the table allocator
-                      (core/table_memory.cpp) and common/aligned_allocator.h,
-                      so page size, alignment and release of the coefficient
-                      tables have one audited owner.
+  * table-alloc       `mmap`, `munmap`, `madvise`, `aligned_alloc`,
+                      `posix_memalign` and `malloc_trim` appear only in the
+                      table allocator (core/table_memory.cpp) and
+                      common/aligned_allocator.h, so page size, alignment and
+                      release of the coefficient tables, and the return of
+                      freed heap pages, have one audited owner.
 
 Escape hatch: a comment `// mqc-lint: allow(<rule>)` on the offending line or
 the line directly above it silences that one finding — use it with a
@@ -178,13 +179,14 @@ RULES = [
     ),
     Rule(
         "table-alloc",
-        "raw page mapping or aligned allocation outside the audited allocators",
-        r"\b(mmap(64)?|munmap|madvise|aligned_alloc|posix_memalign)\b",
+        "raw page mapping, aligned allocation or heap trim outside the audited allocators",
+        r"\b(mmap(64)?|munmap|madvise|aligned_alloc|posix_memalign|malloc_trim)\b",
         "coefficient tables get their memory from the one table allocator "
         "(core/table_memory.cpp: 2 MiB-aligned MADV_HUGEPAGE mappings from 2 MiB "
         "up, zero-filled 64-byte blocks below) and other aligned buffers from "
         "common/aligned_allocator.h, so page size, alignment, zeroing and "
-        "release each have one owner",
+        "release each have one owner; freed heap pages go back to the system "
+        "through release_free_heap() in the same file",
         allowed_paths=("src/common/aligned_allocator.h", "src/core/table_memory.cpp"),
     ),
 ]
