@@ -60,27 +60,16 @@ FAILED_TEXT = "couldn't vectorize"
 SOURCE_EXTS = {".h", ".hpp", ".cpp", ".cc"}
 
 
-class Exemption:
-    def __init__(self, name, path, token, needs_macro, why):
-        self.name = name
-        self.path = path                # site file, relative to the root
-        self.token = token              # the site's loop must contain this
-        self.needs_macro = needs_macro  # excused only where this is undefined
-        self.why = why
-
-
-EXEMPTIONS = [
-    Exemption("no-vector-floor", "src/distance/distance_table.h", "std::floor", "__SSE4_1__",
-              "baseline x86-64 has no vector floor before SSE4.1"),
-]
+# The one named exception (no-vector-floor): the distance row's minimum-image
+# wrap needs a vector floor, which x86 gains only with SSE4.1.
+NO_VECTOR_FLOOR_PATH = "src/distance/distance_table.h"
 
 
 class Site:
-    def __init__(self, path, first, last, body):
+    def __init__(self, path, first, last):
         self.path = path      # relative to the root, posix separators
         self.first = first    # line of the `for`
         self.last = last      # last line of the loop body
-        self.body = body      # loop text, comments stripped
         self.seen_in = set()  # units that reported a message inside the loop
         self.failed_in = set()
 
@@ -163,7 +152,7 @@ def find_sites(root: Path):
             end = _statement_end(text, for_at)
             first = text.count("\n", 0, for_at) + 1
             last = text.count("\n", 0, end) + 1
-            sites.append(Site(rel, first, last, text[for_at:end]))
+            sites.append(Site(rel, first, last))
     return sites
 
 
@@ -228,7 +217,7 @@ def map_messages(lines, cwd, root, by_path, unit):
             site.failed_in.add(unit)
 
 
-def run_gate(root: Path, build_dir: Path, cxxflags, jobs, exemptions, quiet=False):
+def run_gate(root: Path, build_dir: Path, cxxflags, jobs, quiet=False):
     """Returns (exit code, {site label: status}) where status is one of
     vectorized, failed, uninstantiated, excused:<name>."""
     db = build_dir / "compile_commands.json"
@@ -290,13 +279,11 @@ def run_gate(root: Path, build_dir: Path, cxxflags, jobs, exemptions, quiet=Fals
             line = f"ok       {label}  vectorized ({len(s.seen_in)} units)"
         else:
             failed = sorted(s.failed_in)
-            ex = next((x for x in exemptions
-                       if x.path == s.path and x.token in s.body
-                       and all(x.needs_macro not in unit_macros[u] for u in failed)), None)
-            if ex:
-                status[label] = f"excused:{ex.name}"
-                line = (f"excused  {label}  [{ex.name}] {ex.why} "
-                        f"({len(failed)} units without {ex.needs_macro})")
+            if (s.path == NO_VECTOR_FLOOR_PATH
+                    and all("__SSE4_1__" not in unit_macros[u] for u in failed)):
+                status[label] = "excused:no-vector-floor"
+                line = (f"excused  {label}  [no-vector-floor] baseline x86-64 has no vector "
+                        f"floor before SSE4.1 ({len(failed)} units without __SSE4_1__)")
             else:
                 status[label] = "failed"
                 line = (f"FAIL     {label}  couldn't vectorize in {', '.join(failed[:3])}"
@@ -343,7 +330,7 @@ def self_test(compiler, repo_root: Path) -> int:
                 print(f"FAIL fixture site {site.label()} has no '// expect:' comment")
                 return 1
             expected[site.label()] = found[-1]
-        code, status = run_gate(root, root / "build", [], 1, [], quiet=True)
+        code, status = run_gate(root, root / "build", [], 1, quiet=True)
         if code == 0 and not status:
             print("check_vectorization --self-test: skipped: the compiler is not GCC")
             return 0
@@ -364,26 +351,23 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_vectorization.py",
         description="fail when an MQC_SIMD loop in src/ does not vectorize")
-    parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent,
-                        help="repository root containing src/ (default: this repository)")
     parser.add_argument("--build-dir", type=Path, default=None,
                         help="configured build tree with compile_commands.json "
-                             "(default: <root>/build)")
+                             "(default: build/ in the repository)")
     parser.add_argument("--cxxflags", default="",
                         help="extra flags appended to every unit, e.g. "
                              "--cxxflags=-march=x86-64-v3")
-    parser.add_argument("--jobs", type=int, default=min(4, os.cpu_count() or 1),
-                        help="parallel compiles (default: min(4, cpus))")
     parser.add_argument("--self-test", action="store_true",
                         help="check the gate against tools/vectorization_fixtures/")
     parser.add_argument("--compiler", default="g++",
                         help="compiler for --self-test (default: g++)")
     args = parser.parse_args(argv)
-    root = args.root.resolve()
+    root = Path(__file__).resolve().parent.parent
+    jobs = min(4, os.cpu_count() or 1)
     if args.self_test:
         return self_test(args.compiler, root)
     build_dir = (args.build_dir or root / "build").resolve()
-    code, _ = run_gate(root, build_dir, shlex.split(args.cxxflags), max(1, args.jobs), EXEMPTIONS)
+    code, _ = run_gate(root, build_dir, shlex.split(args.cxxflags), jobs)
     return code
 
 
