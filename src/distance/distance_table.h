@@ -2,21 +2,33 @@
 // (Tables II/III: 23-39% of run time before optimization).
 //
 // Two table kinds, each in two layouts:
-//   AA — electron-electron, square n x n, updated row+column on acceptance;
-//   AB — ion-electron, sources fixed, one row per target electron.
+//   AA — electron-electron, a cache of the positions: it holds the electron
+//        positions and two rows (the proposal's and the mover's current
+//        one), and a reader that needs every row recomputes each from the
+//        positions (compute_row).  No N x N table exists, so an accepted move
+//        writes one position;
+//   AB — ion-electron, sources fixed, one stored row per target electron.
 //   AoS — Vec3 positions, scalar minimum image per pair (the baseline);
-//   SoA — separate aligned x/y/z source streams, row-major padded distance
-//         and displacement-component planes, SIMD inner loops (the Opt-A
-//         treatment applied to the particle abstractions, §V-A).
+//   SoA — separate aligned x/y/z source streams, padded distance and
+//         displacement-component rows, SIMD inner loops (the Opt-A treatment
+//         applied to the particle abstractions, §V-A).
 //
-// Self-distances in AA tables are set to a huge value so cutoff-based
-// functors (Jastrow) skip them without a branch in the SIMD loop.
+// Every row is computed by one row kernel per layout, so each table is a
+// function of the positions it tracks: evaluate() on the same positions
+// reproduces it bit for bit (the walker codec stores positions only).
+//
+// Self-distances in AA rows are set to a huge value so cutoff-based functors
+// (Jastrow) skip them without a branch in the SIMD loop.
 #ifndef MQC_DISTANCE_DISTANCE_TABLE_H
 #define MQC_DISTANCE_DISTANCE_TABLE_H
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <type_traits>
+#include <vector>
 
 #include "common/aligned_allocator.h"
 #include "common/config.h"
@@ -40,101 +52,81 @@ class DistanceTableAA_AoS
 {
 public:
   DistanceTableAA_AoS(const Lattice& lattice, int n, MinImageMode mode = MinImageMode::Exact)
-      : lattice_(&lattice), mode_(mode), n_(n), r_(static_cast<std::size_t>(n) * n),
-        dr_(static_cast<std::size_t>(n) * n), temp_r_(static_cast<std::size_t>(n)),
-        temp_dr_(static_cast<std::size_t>(n))
+      : lattice_(&lattice), mode_(mode), n_(n), pos_(static_cast<std::size_t>(n)),
+        temp_r_(static_cast<std::size_t>(n)), temp_dr_(static_cast<std::size_t>(n)),
+        old_r_(static_cast<std::size_t>(n)), old_dr_(static_cast<std::size_t>(n))
   {
   }
 
   [[nodiscard]] int size() const noexcept { return n_; }
 
-  /// Full O(N^2) rebuild.
+  /// Take the positions every row is computed from.
   void evaluate(const ParticleSetAoS<T>& p)
   {
-    for (int i = 0; i < n_; ++i)
-      for (int j = 0; j < n_; ++j)
-        set_pair(i, j, p[i], p[j]);
+    assert(p.size() == n_);
+    std::copy_n(p.data(), n_, pos_.begin());
   }
 
-  /// Distances from a proposed position of electron @p iel to all others.
-  void compute_temp(const ParticleSetAoS<T>& p, const Vec3<T>& rnew, int iel)
+  /// Rows for a proposed move of electron @p iel to @p rnew: the proposal's
+  /// (temp_*) and the mover's current one (old_*).  Both come from the
+  /// table's copy of the positions of @p p, which evaluate() took and
+  /// accept_move() keeps current.
+  void compute_temp([[maybe_unused]] const ParticleSetAoS<T>& p, const Vec3<T>& rnew, int iel)
   {
-    for (int j = 0; j < n_; ++j) {
-      if (j == iel) {
-        temp_r_[static_cast<std::size_t>(j)] = kSelfDistance<T>;
-        temp_dr_[static_cast<std::size_t>(j)] = Vec3<T>{};
-        continue;
-      }
-      const Vec3<double> d = lattice_->min_image(
-          Vec3<double>{static_cast<double>(rnew.x - p[j].x), static_cast<double>(rnew.y - p[j].y),
-                       static_cast<double>(rnew.z - p[j].z)},
-          mode_);
-      temp_dr_[static_cast<std::size_t>(j)] =
-          Vec3<T>{static_cast<T>(d.x), static_cast<T>(d.y), static_cast<T>(d.z)};
-      temp_r_[static_cast<std::size_t>(j)] = static_cast<T>(norm(d));
-    }
+    assert(p.size() == n_);
+    row_from(rnew, iel, temp_r_.data(), temp_dr_.data());
+    row_from(pos_[static_cast<std::size_t>(iel)], iel, old_r_.data(), old_dr_.data());
+    rnew_ = rnew;
+    iel_ = iel;
   }
 
-  /// Commit the temp row as row/column @p iel (displacements antisymmetric).
+  /// Commit the position compute_temp priced.
   void accept_move(int iel)
   {
-    for (int j = 0; j < n_; ++j) {
-      at_r(iel, j) = temp_r_[static_cast<std::size_t>(j)];
-      at_dr(iel, j) = temp_dr_[static_cast<std::size_t>(j)];
-      at_r(j, iel) = temp_r_[static_cast<std::size_t>(j)];
-      at_dr(j, iel) = Vec3<T>{} - temp_dr_[static_cast<std::size_t>(j)];
-    }
-    at_r(iel, iel) = kSelfDistance<T>;
-    at_dr(iel, iel) = Vec3<T>{};
+    assert(iel == iel_);
+    pos_[static_cast<std::size_t>(iel)] = rnew_;
   }
 
-  [[nodiscard]] T dist(int i, int j) const noexcept
+  /// Row @p i from the positions: r[j] = |dr[j]|, dr[j] = min_image(r_i - r_j),
+  /// the self entry the sentinel.  Both buffers hold size() entries.
+  void compute_row(int i, T* r, Vec3<T>* dr) const
   {
-    return r_[static_cast<std::size_t>(i) * n_ + j];
+    row_from(pos_[static_cast<std::size_t>(i)], i, r, dr);
   }
-  [[nodiscard]] const Vec3<T>& displ(int i, int j) const noexcept
-  {
-    return dr_[static_cast<std::size_t>(i) * n_ + j];
-  }
+
   [[nodiscard]] const T* temp_r() const noexcept { return temp_r_.data(); }
   [[nodiscard]] const Vec3<T>* temp_dr() const noexcept { return temp_dr_.data(); }
-
-  // checkpoint/restore access (qmc/checkpoint.cpp): the committed table
-  // arrays verbatim.  Incremental accept_move entries are NOT guaranteed
-  // bit-identical to a fresh evaluate() (antisymmetric column writes negate
-  // instead of recomputing), so a resumed run must restore these bytes, not
-  // rebuild from positions.  temp_* scratch is excluded: it is fully
-  // overwritten by the next compute_temp before any read.
-  [[nodiscard]] std::size_t state_count() const noexcept { return r_.size(); }
-  [[nodiscard]] T* state_r() noexcept { return r_.data(); }
-  [[nodiscard]] Vec3<T>* state_dr() noexcept { return dr_.data(); }
+  [[nodiscard]] const T* old_r() const noexcept { return old_r_.data(); }
 
 private:
-  void set_pair(int i, int j, const Vec3<T>& ri, const Vec3<T>& rj)
+  void row_from(const Vec3<T>& ri, int i, T* r, Vec3<T>* dr) const
   {
-    if (i == j) {
-      at_r(i, j) = kSelfDistance<T>;
-      at_dr(i, j) = Vec3<T>{};
-      return;
+    for (int j = 0; j < n_; ++j) {
+      if (j == i) {
+        r[j] = kSelfDistance<T>;
+        dr[j] = Vec3<T>{};
+        continue;
+      }
+      const Vec3<T>& rj = pos_[static_cast<std::size_t>(j)];
+      const Vec3<double> d = lattice_->min_image(
+          Vec3<double>{static_cast<double>(ri.x - rj.x), static_cast<double>(ri.y - rj.y),
+                       static_cast<double>(ri.z - rj.z)},
+          mode_);
+      dr[j] = Vec3<T>{static_cast<T>(d.x), static_cast<T>(d.y), static_cast<T>(d.z)};
+      r[j] = static_cast<T>(norm(d));
     }
-    const Vec3<double> d = lattice_->min_image(
-        Vec3<double>{static_cast<double>(ri.x - rj.x), static_cast<double>(ri.y - rj.y),
-                     static_cast<double>(ri.z - rj.z)},
-        mode_);
-    at_dr(i, j) = Vec3<T>{static_cast<T>(d.x), static_cast<T>(d.y), static_cast<T>(d.z)};
-    at_r(i, j) = static_cast<T>(norm(d));
   }
-
-  T& at_r(int i, int j) noexcept { return r_[static_cast<std::size_t>(i) * n_ + j]; }
-  Vec3<T>& at_dr(int i, int j) noexcept { return dr_[static_cast<std::size_t>(i) * n_ + j]; }
 
   const Lattice* lattice_;
   MinImageMode mode_;
   int n_;
-  std::vector<T> r_;
-  std::vector<Vec3<T>> dr_; ///< dr(i,j) = min_image(r_i - r_j)
+  std::vector<Vec3<T>> pos_;
   std::vector<T> temp_r_;
   std::vector<Vec3<T>> temp_dr_;
+  std::vector<T> old_r_;
+  std::vector<Vec3<T>> old_dr_;
+  Vec3<T> rnew_{};
+  int iel_ = -1;
 };
 
 template <typename T>
@@ -206,11 +198,6 @@ public:
   [[nodiscard]] const T* temp_r() const noexcept { return temp_r_.data(); }
   [[nodiscard]] const Vec3<T>* temp_dr() const noexcept { return temp_dr_.data(); }
 
-  // checkpoint/restore access (see DistanceTableAA_AoS::state_count).
-  [[nodiscard]] std::size_t state_count() const noexcept { return r_.size(); }
-  [[nodiscard]] T* state_r() noexcept { return r_.data(); }
-  [[nodiscard]] Vec3<T>* state_dr() noexcept { return dr_.data(); }
-
 private:
   const Lattice* lattice_;
   MinImageMode mode_;
@@ -226,13 +213,36 @@ private:
 // SoA tables
 // --------------------------------------------------------------------------
 
+/// The minimum-image wrap of one fractional coordinate, f - floor(f + 1/2).
+/// x86-64 gains a vector floor only with SSE4.1.  Below it, the float wrap
+/// floors by truncation (an SSE2 conversion), which gives std::floor's bits
+/// for every input: below 2^31 the exact truncation is corrected downward,
+/// and at or above it (or when not finite) f + 1/2 is its own floor.  The
+/// one input where the two floors differ, -0, is never f + 1/2.  The double
+/// wrap has no SSE2 truncation to int64, so it keeps std::floor there
+/// (tools/check_vectorization.py, `no-vector-floor`).
+template <typename T>
+inline T wrap_fraction(T f) noexcept
+{
+#if defined(__x86_64__) && !defined(__SSE4_1__)
+  if constexpr (std::is_same_v<T, float>) {
+    const float y = f + 0.5f;
+    const bool small = std::abs(y) < 2147483648.0f;
+    const float yc = small ? y : 0.0f;
+    float t = static_cast<float>(static_cast<std::int32_t>(yc));
+    t = t > yc ? t - 1.0f : t;
+    return f - (small ? t : y);
+  }
+#endif
+  return f - std::floor(f + T(0.5));
+}
+
 /// Shared SIMD row kernel: distances/displacements from one target position
 /// to all sources given as component streams.  Fast mode (and Exact mode on
 /// an orthorhombic cell) is a pure SIMD loop (fractional wrap through the
 /// 3x3 lattice matrices); Exact mode on a skewed cell falls back to the
 /// scalar oracle per pair.  The loop vectorizes because the build drops
-/// errno and trapping math (std::sqrt, std::floor); on x86-64 the vector
-/// floor needs SSE4.1 (tools/check_vectorization.py, `no-vector-floor`).
+/// errno and trapping math (std::sqrt, std::floor; see wrap_fraction).
 template <typename T>
 void compute_distance_row_soa(const Lattice& lattice, MinImageMode mode, T xi, T yi, T zi,
                               const T* MQC_RESTRICT sx, const T* MQC_RESTRICT sy,
@@ -272,9 +282,9 @@ void compute_distance_row_soa(const Lattice& lattice, MinImageMode mode, T xi, T
     T fx = b00 * ux + b01 * uy + b02 * uz;
     T fy = b10 * ux + b11 * uy + b12 * uz;
     T fz = b20 * ux + b21 * uy + b22 * uz;
-    fx -= std::floor(fx + T(0.5));
-    fy -= std::floor(fy + T(0.5));
-    fz -= std::floor(fz + T(0.5));
+    fx = wrap_fraction(fx);
+    fy = wrap_fraction(fy);
+    fz = wrap_fraction(fz);
     const T cx = fx * a00 + fy * a10 + fz * a20;
     const T cy = fx * a01 + fy * a11 + fz * a21;
     const T cz = fx * a02 + fy * a12 + fz * a22;
@@ -291,85 +301,85 @@ class DistanceTableAA_SoA
 public:
   DistanceTableAA_SoA(const Lattice& lattice, int n, MinImageMode mode = MinImageMode::Exact)
       : lattice_(&lattice), mode_(mode), n_(n), stride_(aligned_size<T>(static_cast<std::size_t>(n))),
-        r_(static_cast<std::size_t>(n) * stride_), dx_(r_.size()), dy_(r_.size()), dz_(r_.size()),
-        temp_r_(stride_), temp_dx_(stride_), temp_dy_(stride_), temp_dz_(stride_)
+        x_(stride_), y_(stride_), z_(stride_), temp_r_(stride_), temp_dx_(stride_),
+        temp_dy_(stride_), temp_dz_(stride_), old_r_(stride_), old_dx_(stride_), old_dy_(stride_),
+        old_dz_(stride_)
   {
   }
 
   [[nodiscard]] int size() const noexcept { return n_; }
   [[nodiscard]] std::size_t row_stride() const noexcept { return stride_; }
 
+  /// Take the positions every row is computed from.
   void evaluate(const ParticleSetSoA<T>& p)
   {
-    for (int i = 0; i < n_; ++i) {
-      const Vec3<T> ri = p[i];
-      compute_distance_row_soa(*lattice_, mode_, ri.x, ri.y, ri.z, p.x(), p.y(), p.z(), n_,
-                               row_r(i), row_dx(i), row_dy(i), row_dz(i));
-      row_r(i)[i] = kSelfDistance<T>;
-      row_dx(i)[i] = row_dy(i)[i] = row_dz(i)[i] = T(0);
-    }
+    assert(p.size() == n_);
+    std::copy_n(p.x(), n_, x_.data());
+    std::copy_n(p.y(), n_, y_.data());
+    std::copy_n(p.z(), n_, z_.data());
   }
 
-  void compute_temp(const ParticleSetSoA<T>& p, const Vec3<T>& rnew, int iel)
+  /// Rows for a proposed move of electron @p iel to @p rnew: the proposal's
+  /// (temp_*) and the mover's current one (old_*).  Both come from the
+  /// table's copy of the positions of @p p, which evaluate() took and
+  /// accept_move() keeps current.
+  void compute_temp([[maybe_unused]] const ParticleSetSoA<T>& p, const Vec3<T>& rnew, int iel)
   {
-    compute_distance_row_soa(*lattice_, mode_, rnew.x, rnew.y, rnew.z, p.x(), p.y(), p.z(), n_,
-                             temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
-    temp_r_[static_cast<std::size_t>(iel)] = kSelfDistance<T>;
-    temp_dx_[static_cast<std::size_t>(iel)] = T(0);
-    temp_dy_[static_cast<std::size_t>(iel)] = T(0);
-    temp_dz_[static_cast<std::size_t>(iel)] = T(0);
+    assert(p.size() == n_);
+    row_from(rnew, iel, temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
+    row_from(position(iel), iel, old_r_.data(), old_dx_.data(), old_dy_.data(), old_dz_.data());
+    rnew_ = rnew;
+    iel_ = iel;
   }
 
+  /// Commit the position compute_temp priced.
   void accept_move(int iel)
   {
-    for (int j = 0; j < n_; ++j) {
-      row_r(iel)[j] = temp_r_[static_cast<std::size_t>(j)];
-      row_dx(iel)[j] = temp_dx_[static_cast<std::size_t>(j)];
-      row_dy(iel)[j] = temp_dy_[static_cast<std::size_t>(j)];
-      row_dz(iel)[j] = temp_dz_[static_cast<std::size_t>(j)];
-      row_r(j)[iel] = temp_r_[static_cast<std::size_t>(j)];
-      row_dx(j)[iel] = -temp_dx_[static_cast<std::size_t>(j)];
-      row_dy(j)[iel] = -temp_dy_[static_cast<std::size_t>(j)];
-      row_dz(j)[iel] = -temp_dz_[static_cast<std::size_t>(j)];
-    }
-    row_r(iel)[iel] = kSelfDistance<T>;
-    row_dx(iel)[iel] = row_dy(iel)[iel] = row_dz(iel)[iel] = T(0);
+    assert(iel == iel_);
+    const auto u = static_cast<std::size_t>(iel);
+    x_[u] = rnew_.x;
+    y_[u] = rnew_.y;
+    z_[u] = rnew_.z;
   }
 
-  [[nodiscard]] const T* dist_row(int i) const noexcept { return row_r_c(i); }
-  [[nodiscard]] const T* dx_row(int i) const noexcept { return row_c(dx_, i); }
-  [[nodiscard]] const T* dy_row(int i) const noexcept { return row_c(dy_, i); }
-  [[nodiscard]] const T* dz_row(int i) const noexcept { return row_c(dz_, i); }
+  /// Row @p i from the positions: r[j] = |d[j]|, d[j] = min_image(r_i - r_j)
+  /// in components, the self entry the sentinel.  Each buffer holds size()
+  /// entries.
+  void compute_row(int i, T* r, T* dx, T* dy, T* dz) const
+  {
+    row_from(position(i), i, r, dx, dy, dz);
+  }
+
   [[nodiscard]] const T* temp_r() const noexcept { return temp_r_.data(); }
   [[nodiscard]] const T* temp_dx() const noexcept { return temp_dx_.data(); }
   [[nodiscard]] const T* temp_dy() const noexcept { return temp_dy_.data(); }
   [[nodiscard]] const T* temp_dz() const noexcept { return temp_dz_.data(); }
-
-  // checkpoint/restore access (see DistanceTableAA_AoS::state_count).  The
-  // padded tail lanes are serialized too — verbatim bytes in, verbatim out.
-  [[nodiscard]] std::size_t state_count() const noexcept { return r_.size(); }
-  [[nodiscard]] T* state_r() noexcept { return r_.data(); }
-  [[nodiscard]] T* state_dx() noexcept { return dx_.data(); }
-  [[nodiscard]] T* state_dy() noexcept { return dy_.data(); }
-  [[nodiscard]] T* state_dz() noexcept { return dz_.data(); }
+  [[nodiscard]] const T* old_r() const noexcept { return old_r_.data(); }
 
 private:
-  T* row_r(int i) noexcept { return r_.data() + static_cast<std::size_t>(i) * stride_; }
-  T* row_dx(int i) noexcept { return dx_.data() + static_cast<std::size_t>(i) * stride_; }
-  T* row_dy(int i) noexcept { return dy_.data() + static_cast<std::size_t>(i) * stride_; }
-  T* row_dz(int i) noexcept { return dz_.data() + static_cast<std::size_t>(i) * stride_; }
-  const T* row_r_c(int i) const noexcept { return r_.data() + static_cast<std::size_t>(i) * stride_; }
-  const T* row_c(const aligned_vector<T>& v, int i) const noexcept
+  [[nodiscard]] Vec3<T> position(int i) const noexcept
   {
-    return v.data() + static_cast<std::size_t>(i) * stride_;
+    const auto u = static_cast<std::size_t>(i);
+    return Vec3<T>{x_[u], y_[u], z_[u]};
+  }
+
+  void row_from(const Vec3<T>& ri, int i, T* r, T* dx, T* dy, T* dz) const
+  {
+    compute_distance_row_soa(*lattice_, mode_, ri.x, ri.y, ri.z, x_.data(), y_.data(), z_.data(),
+                             n_, r, dx, dy, dz);
+    r[i] = kSelfDistance<T>;
+    dx[i] = dy[i] = dz[i] = T(0);
   }
 
   const Lattice* lattice_;
   MinImageMode mode_;
   int n_;
   std::size_t stride_;
-  aligned_vector<T> r_, dx_, dy_, dz_;
+  aligned_vector<T> x_, y_, z_;
   aligned_vector<T> temp_r_, temp_dx_, temp_dy_, temp_dz_;
+  aligned_vector<T> old_r_, old_dx_, old_dy_, old_dz_;
+  Vec3<T> rnew_{};
+  int iel_ = -1;
 };
 
 template <typename T>
@@ -429,13 +439,6 @@ public:
   [[nodiscard]] const T* temp_dx() const noexcept { return temp_dx_.data(); }
   [[nodiscard]] const T* temp_dy() const noexcept { return temp_dy_.data(); }
   [[nodiscard]] const T* temp_dz() const noexcept { return temp_dz_.data(); }
-
-  // checkpoint/restore access (see DistanceTableAA_AoS::state_count).
-  [[nodiscard]] std::size_t state_count() const noexcept { return r_.size(); }
-  [[nodiscard]] T* state_r() noexcept { return r_.data(); }
-  [[nodiscard]] T* state_dx() noexcept { return dx_.data(); }
-  [[nodiscard]] T* state_dy() noexcept { return dy_.data(); }
-  [[nodiscard]] T* state_dz() noexcept { return dz_.data(); }
 
 private:
   T* row(aligned_vector<T>& v, int i) noexcept

@@ -19,26 +19,31 @@
 #include "common/aligned_allocator.h"
 #include "common/config.h"
 #include "common/simd.h"
+#include "common/vec3.h"
 #include "core/spline1d.h"
 
 namespace mqc {
 
-/// Per-thread scratch rows for the vectorized row kernels below.  One set is
-/// shared by every Jastrow object on the thread (the drivers share a single
-/// const Jastrow across walker threads, so the scratch cannot live in the
-/// object) and grows monotonically, so steady-state evaluation never
-/// allocates.
+/// Per-thread scratch rows for the full Jastrow evaluations: the functor
+/// values of the row kernels below, and the e-e distance row the two-body
+/// evaluation recomputes from the positions (r with dx/dy/dz in the SoA
+/// layout, r with dr in the AoS one).  One set is shared by every Jastrow
+/// object on the thread (the drivers share a single const Jastrow across
+/// walker threads, so the scratch cannot live in the object) and grows
+/// monotonically, so steady-state evaluation never allocates.
 template <typename T>
 struct JastrowRowScratch
 {
   aligned_vector<T> u, du, d2u;
+  aligned_vector<T> r, dx, dy, dz;
+  std::vector<Vec3<T>> dr;
 
   void ensure(std::size_t stride)
   {
     if (u.size() < stride) {
-      u.resize(stride);
-      du.resize(stride);
-      d2u.resize(stride);
+      for (aligned_vector<T>* row : {&u, &du, &d2u, &r, &dx, &dy, &dz})
+        row->resize(stride);
+      dr.resize(stride);
     }
   }
 

@@ -548,21 +548,7 @@ bool restore_det(BlobReader& r, DetUpdater& det, int norb)
   return r.ok();
 }
 
-/// Call @p f(data, count) on each committed array of a distance table, in
-/// codec order: the distances, then the displacements (the SoA tables' three
-/// component planes, or the AoS tables' one interleaved xyz array).  Stops
-/// at the first false.
-template <typename Table, typename F>
-bool each_state_array(Table& t, F&& f)
-{
-  const std::size_t n = t.state_count();
-  if constexpr (requires { t.state_dx(); })
-    return f(t.state_r(), n) && f(t.state_dx(), n) && f(t.state_dy(), n) && f(t.state_dz(), n);
-  else
-    return f(t.state_r(), n) && f(reinterpret_cast<qmc_real*>(t.state_dr()), 3 * n);
-}
-
-std::vector<std::uint8_t> serialize_walker(WalkerState& w, const MiniQMCSystem& sys,
+std::vector<std::uint8_t> serialize_walker(const WalkerState& w, const MiniQMCSystem& sys,
                                            const MiniQMCConfig& cfg, int wid,
                                            bool include_dets = true)
 {
@@ -580,26 +566,19 @@ std::vector<std::uint8_t> serialize_walker(WalkerState& w, const MiniQMCSystem& 
   out.u64(static_cast<std::uint64_t>(w.orbital_evals));
 
   out.u32(static_cast<std::uint32_t>(sys.nel));
-  auto dump = [&](const qmc_real* p, std::size_t count) {
-    out.u64(static_cast<std::uint64_t>(count));
-    out.raw(p, count * sizeof(qmc_real));
-    return true;
-  };
   std::visit(
-      [&](auto& el) {
+      [&](const auto& el) {
         for (int e = 0; e < sys.nel; ++e) {
           const Vec3<qmc_real> r = el.r[e];
           out.f32(r.x);
           out.f32(r.y);
           out.f32(r.z);
         }
-        // The committed distance tables of the walker's layout, verbatim
-        // (see the state_r() rationale), behind the layout tag.
-        out.u8(cfg.optimized_dt_jastrow ? 1 : 0);
-        each_state_array(*el.ee, dump);
-        each_state_array(*el.ei, dump);
       },
       w.electrons);
+  // The distance tables are a function of the positions (distance_table.h):
+  // restore rebuilds them, so only their layout tag is stored.
+  out.u8(cfg.optimized_dt_jastrow ? 1 : 0);
 
   if (include_dets) {
     serialize_det(out, w.det_up);
@@ -642,17 +621,6 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
   const std::uint8_t optimized = r.u8();
   if (!r.ok() || have_gauss > 1 || optimized > 1 || (optimized == 1) != cfg.optimized_dt_jastrow)
     return false;
-  auto load = [&](qmc_real* p, std::size_t count) {
-    if (static_cast<std::size_t>(r.u64()) != count)
-      return false;
-    r.raw(p, count * sizeof(qmc_real));
-    return r.ok();
-  };
-  const bool tables_ok = std::visit(
-      [&](auto& el) { return each_state_array(*el.ee, load) && each_state_array(*el.ei, load); },
-      w.electrons);
-  if (!tables_ok)
-    return false;
 
   if (include_dets && (!restore_det(r, w.det_up, sys.norb) || !restore_det(r, w.det_dn, sys.norb)))
     return false;
@@ -669,6 +637,8 @@ bool restore_walker(const std::vector<std::uint8_t>& payload, WalkerState& w,
       [&](auto& el) {
         for (int e = 0; e < nel; ++e)
           el.r.set(e, pos[static_cast<std::size_t>(e)]);
+        el.ee->evaluate(el.r);
+        el.ei->evaluate(el.r);
       },
       w.electrons);
   return true;
@@ -940,10 +910,11 @@ int resume_from_checkpoint(const CheckpointRuntime& rt, const MiniQMCConfig& cfg
 void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem& sys,
                         const MiniQMCConfig& cfg)
 {
-  // Light state (rng stream incl. the Box–Muller cache, counters, positions,
-  // committed distance tables) rides the Walker-section codec, so a clone is
-  // exactly a snapshot round-trip of its parent; the O(norb^2) determinant
-  // panels skip the byte codec via the direct engine copy.
+  // Light state (rng stream incl. the Box–Muller cache, counters, positions)
+  // rides the Walker-section codec, and the restore rebuilds the distance
+  // tables from the positions, so a clone is exactly a snapshot round-trip
+  // of its parent; the O(norb^2) determinant panels skip the byte codec via
+  // the direct engine copy.
   const std::vector<std::uint8_t> blob =
       serialize_walker(src, sys, cfg, /*wid=*/0, /*include_dets=*/false);
   const bool applied = restore_walker(blob, dst, sys, cfg, /*wid=*/0, /*include_dets=*/false);

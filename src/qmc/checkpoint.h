@@ -2,14 +2,16 @@
 //
 // A checkpoint serializes the FULL resumable run state of a miniQMC sweep —
 // every walker's positions, rng stream (including the cached Box–Muller
-// deviate), move counters, committed distance tables, and determinant engine
-// state (the delayed engine's in-flight rank-k panel is serialized verbatim;
-// see delayed_update.h for why a flush-at-snapshot would not be
+// deviate), move counters, and determinant engine state (the delayed
+// engine's in-flight rank-k panel is serialized verbatim; see
+// delayed_update.h for why a flush-at-snapshot would not be
 // trajectory-neutral) — so that a run killed at step k and resumed produces
 // the bit-for-bit identical `walker_accepts`/`walker_log_det` fingerprints
 // as an uninterrupted run (tests/test_checkpoint.cpp, tools/fault_harness.py).
+// The distance tables are not stored: each is a function of the positions
+// (distance/distance_table.h), and the restore rebuilds them with evaluate().
 //
-// On-disk format (version 1, little-endian, parseable from Python):
+// On-disk format (version 2, little-endian, parseable from Python):
 //
 //   header   8s  magic "MQCCKPT1"
 //            u32 format version (kFormatVersion)
@@ -21,6 +23,20 @@
 //            u64 payload length
 //            u32 CRC32 of the payload
 //            [length] payload bytes
+//
+// Walker section payload (version 2):
+//
+//   u32 walker id;  4 x u64 rng state, u8 have_gauss, f64 cached gaussian;
+//   3 x u64 counters (accepted, attempted, orbital evaluations);
+//   u32 nel, then nel x 3 f32 positions;
+//   u8  distance-table layout tag (1 = SoA, 0 = AoS; no table bytes follow);
+//   per spin (up, then down): u32 norb, u8 engine kind, then for
+//     Sherman–Morrison the norb x norb f64 inverse, f64 log det, f64 sign —
+//     116 + 12 nel + 16 norb^2 bytes in all — or the delayed engine's base
+//     inverse, base matrix, log det, sign and pending rank-k panels.
+//
+// Version 1 also stored every distance-table array after the layout tag; a
+// version-1 file is refused on its version field.
 //
 // Crash consistency: write_snapshot serializes to memory, writes
 // `path + ".tmp"`, flushes, then rotates `path` -> `path + ".prev"` and
@@ -46,7 +62,7 @@
 namespace mqc::ckpt {
 
 inline constexpr char kMagic[8] = {'M', 'Q', 'C', 'C', 'K', 'P', 'T', '1'};
-inline constexpr std::uint32_t kFormatVersion = 1;
+inline constexpr std::uint32_t kFormatVersion = 2;
 /// Process exit code of an injected `abort@N` fault (distinguishes the
 /// deliberate kill from a genuine crash in the harness).
 inline constexpr int kFaultExitCode = 42;

@@ -23,9 +23,9 @@
 //     m = floor(w + u) (capped by dmc_max_branch and a 4x-target population
 //     ceiling).  m = 0 kills the walker; m > 1 spawns m-1 children, each a
 //     FULL state clone of its parent (positions, rng stream incl. the
-//     Box–Muller cache, committed distance tables, determinant panels —
-//     the checkpoint Walker codec is the clone path, see
-//     detail::clone_walker_state) on its own split rng stream
+//     Box–Muller cache, determinant panels, and distance tables rebuilt
+//     from the positions — the checkpoint Walker codec is the clone path,
+//     see detail::clone_walker_state) on its own split rng stream
 //     (Xoshiro256::split), so a child's trajectory is a pure function of
 //     parent state + child stream.  The trial energy then moves by the
 //     feedback rule E_T -= dmc_feedback * log(N / N_target).

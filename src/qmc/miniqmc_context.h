@@ -336,9 +336,9 @@ inline Vec3<qmc_real> propose(Xoshiro256& rng, const Vec3<qmc_real>& r, double s
 /// physical state: the electrons in the configured layout, output/scratch
 /// buffers, and determinant engines sized for cfg.delay_rank.  This is the
 /// shared shell of init_walker and of the restore/clone paths
-/// (qmc/checkpoint.cpp, qmc/dmc_driver.cpp), which overwrite the full
-/// committed state anyway and must not pay the O(norb) orbital evaluations
-/// of a fresh build.
+/// (qmc/checkpoint.cpp, qmc/dmc_driver.cpp), which set the full committed
+/// state anyway (the distance tables rebuilt from the restored positions)
+/// and must not pay the O(norb) orbital evaluations of a fresh build.
 inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg)
 {
   if (cfg.optimized_dt_jastrow)
@@ -596,17 +596,18 @@ void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& 
 //
 // The checkpoint Walker-section codec doubles as the DMC walker-clone path:
 // a spawned child is exactly a snapshot round-trip of its parent (positions,
-// rng stream incl. the Box–Muller cache, committed distance tables of the
-// configured layout, determinant engine state), so clone fidelity is pinned
+// rng stream incl. the Box–Muller cache, determinant engine state, and the
+// distance tables rebuilt from the positions), so clone fidelity is pinned
 // by the same code the resume tests already pin bit-for-bit.
 // --------------------------------------------------------------------------
 
 /// Clone the FULL per-walker state of @p src into @p dst (the DMC birth
-/// path): blob round-trip for positions/rng/counters/distance tables plus a
-/// direct determinant-engine copy (DetUpdater::clone_state_from) so the
-/// O(norb^2) matrices skip the byte codec.  @p dst must be shell-initialized
-/// for the same (sys, cfg); its rng stream is the parent's — callers give
-/// the child its own stream (Xoshiro256::split) afterwards.
+/// path): blob round-trip for positions/rng/counters, whose restore rebuilds
+/// both distance tables from the positions, plus a direct determinant-engine
+/// copy (DetUpdater::clone_state_from) so the O(norb^2) matrices skip the
+/// byte codec.  @p dst must be shell-initialized for the same (sys, cfg);
+/// its rng stream is the parent's — callers give the child its own stream
+/// (Xoshiro256::split) afterwards.
 void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem& sys,
                         const MiniQMCConfig& cfg);
 

@@ -496,8 +496,81 @@ TEST(CheckpointFormat, VersionSkewIsRejectedEvenWithValidCrc)
   EXPECT_FALSE(r.loaded());
   // The rejection must say WHICH versions disagreed — found vs expected —
   // not just that "something" was wrong (operators debug skew from logs).
-  EXPECT_NE(r.detail.find("format version 2"), std::string::npos) << r.detail;
-  EXPECT_NE(r.detail.find("this build reads 1"), std::string::npos) << r.detail;
+  EXPECT_NE(r.detail.find("format version " + std::to_string(ckpt::kFormatVersion + 1)),
+            std::string::npos)
+      << r.detail;
+  EXPECT_NE(r.detail.find("this build reads " + std::to_string(ckpt::kFormatVersion)),
+            std::string::npos)
+      << r.detail;
+}
+
+TEST(CheckpointFormat, VersionOneSnapshotResumesFresh)
+{
+  // Version 1 stored every distance-table array in each walker section.  A
+  // v1 header (CRC recomputed, so only the version check can refuse it) on
+  // both the primary and .prev must end in a surfaced fresh start that runs
+  // the fresh trajectory.
+  ScopedCkpt ck("format_v1");
+  MiniQMCConfig cfg = make_cfg(DriverMode::PerWalker, SpoLayout::SoA, true, 1);
+  cfg.steps = 2;
+  const MiniQMCResult fresh = run_miniqmc(cfg);
+  cfg.checkpoint_path = ck.path;
+  cfg.checkpoint_interval = 1;
+  ASSERT_GE(run_miniqmc(cfg).checkpoints_written, 2);
+  for (const std::string& file : {ck.path, ck.path + ".prev"}) {
+    std::vector<std::uint8_t> bytes = slurp(file);
+    ASSERT_GE(bytes.size(), 28u) << file;
+    const std::uint32_t v1 = 1;
+    std::memcpy(bytes.data() + 8, &v1, sizeof v1);
+    const std::uint32_t crc = ckpt::crc32(bytes.data(), 24);
+    std::memcpy(bytes.data() + 24, &crc, sizeof crc);
+    spit(file, bytes);
+  }
+
+  MiniQMCConfig rest = cfg;
+  rest.resume = true;
+  const MiniQMCResult got = run_miniqmc(rest);
+  EXPECT_EQ(got.resumed_from_step, -1) << got.resume_error;
+  EXPECT_NE(got.resume_error.find("format version 1 (this build reads 2)"), std::string::npos)
+      << got.resume_error;
+  expect_same_trajectory(fresh, got, "v1 snapshot refused");
+}
+
+TEST(CheckpointFormat, GraphiteWalkerSectionHoldsNoDistanceTables)
+{
+  // A walker section holds the positions, the rng, the counters and the
+  // determinant state only (checkpoint.h): for Sherman–Morrison,
+  // 116 + 12 nel + 16 norb^2 bytes.  Graphite 4x4x1 (256 electrons, 128
+  // orbitals) gives 265,332 bytes, about 0.26 MiB; version 1 added the 1 MiB
+  // e-e and 0.25 MiB e-ion tables.  Both table layouts write the same bytes.
+  for (const bool optimized : {true, false}) {
+    ScopedCkpt ck(std::string("graphite_section_") + (optimized ? "soa" : "aos"));
+    MiniQMCConfig cfg = make_cfg(DriverMode::PerWalker, SpoLayout::AoSoA, optimized, 0);
+    cfg.supercell = {4, 4, 1};
+    cfg.num_walkers = 1;
+    cfg.steps = 1;
+    cfg.checkpoint_path = ck.path;
+    ASSERT_GE(run_miniqmc(cfg).checkpoints_written, 1);
+
+    const std::vector<std::uint8_t> bytes = slurp(ck.path);
+    constexpr std::size_t kMeta = 28;
+    ASSERT_GE(bytes.size(), kMeta + 20);
+    std::uint64_t meta_len = 0;
+    std::memcpy(&meta_len, bytes.data() + kMeta + 8, sizeof meta_len);
+    const std::size_t walker = kMeta + 20 + static_cast<std::size_t>(meta_len);
+    ASSERT_GE(bytes.size(), walker + 20 + 73);
+    std::uint32_t id = 0, nel = 0;
+    std::uint64_t len = 0;
+    std::memcpy(&id, bytes.data() + walker, sizeof id);
+    std::memcpy(&len, bytes.data() + walker + 8, sizeof len);
+    std::memcpy(&nel, bytes.data() + walker + 20 + 69, sizeof nel);
+    ASSERT_EQ(id, static_cast<std::uint32_t>(ckpt::SectionId::Walker));
+    ASSERT_EQ(nel, 256u);
+    const std::uint64_t norb = 128;
+    EXPECT_EQ(len, 116 + 12 * std::uint64_t{nel} + 16 * norb * norb) << "optimized " << optimized;
+    EXPECT_EQ(len, 265332u);
+    EXPECT_EQ(bytes.size(), walker + 20 + len) << "one walker section ends the file";
+  }
 }
 
 TEST(CheckpointFormat, ImpossibleSectionCountIsRejectedEvenWithValidCrc)

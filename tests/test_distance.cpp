@@ -1,7 +1,13 @@
 // Tests for the distance tables: both kinds (AA, AB) and both layouts
 // (AoS, SoA) against brute force, cross-layout equivalence, and the
-// particle-by-particle temp/accept protocol.
+// particle-by-particle temp/accept protocol.  The AA tables store no rows:
+// their rows are read back through compute_row, recomputed from the
+// positions the table tracks.
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -38,6 +44,41 @@ double brute_distance(const Lattice& lat, Vec3<float> a, Vec3<float> b)
   return norm(d);
 }
 
+/// Row @p i of an SoA e-e table, recomputed from its positions.
+template <typename T>
+struct SoARow
+{
+  aligned_vector<T> r, dx, dy, dz;
+  SoARow(const DistanceTableAA_SoA<T>& t, int i)
+      : r(t.row_stride()), dx(t.row_stride()), dy(t.row_stride()), dz(t.row_stride())
+  {
+    t.compute_row(i, r.data(), dx.data(), dy.data(), dz.data());
+  }
+};
+
+/// Row @p i of an AoS e-e table, recomputed from its positions.
+template <typename T>
+struct AoSRow
+{
+  std::vector<T> r;
+  std::vector<Vec3<T>> dr;
+  AoSRow(const DistanceTableAA_AoS<T>& t, int i)
+      : r(static_cast<std::size_t>(t.size())), dr(static_cast<std::size_t>(t.size()))
+  {
+    t.compute_row(i, r.data(), dr.data());
+  }
+};
+
+/// Index of the first of @p n entries whose bits differ, or -1.
+template <typename T>
+int first_bit_difference(const T* a, const T* b, int n)
+{
+  for (int j = 0; j < n; ++j)
+    if (std::memcmp(&a[j], &b[j], sizeof(T)) != 0)
+      return j;
+  return -1;
+}
+
 } // namespace
 
 TEST(DistanceAA, AoSMatchesBruteForce)
@@ -45,14 +86,16 @@ TEST(DistanceAA, AoSMatchesBruteForce)
   Fixture f;
   DistanceTableAA_AoS<float> tab(f.lattice, f.elec_aos.size());
   tab.evaluate(f.elec_aos);
-  for (int i = 0; i < f.elec_aos.size(); ++i)
+  for (int i = 0; i < f.elec_aos.size(); ++i) {
+    const AoSRow<float> row(tab, i);
     for (int j = 0; j < f.elec_aos.size(); ++j) {
       if (i == j) {
-        EXPECT_GE(tab.dist(i, j), 1e9f);
+        EXPECT_GE(row.r[j], 1e9f);
         continue;
       }
-      EXPECT_NEAR(tab.dist(i, j), brute_distance(f.lattice, f.elec_aos[i], f.elec_aos[j]), 1e-4);
+      EXPECT_NEAR(row.r[j], brute_distance(f.lattice, f.elec_aos[i], f.elec_aos[j]), 1e-4);
     }
+  }
 }
 
 TEST(DistanceAA, SoAMatchesAoS)
@@ -63,12 +106,12 @@ TEST(DistanceAA, SoAMatchesAoS)
   aos.evaluate(f.elec_aos);
   soa.evaluate(f.elec_soa);
   for (int i = 0; i < f.elec_aos.size(); ++i) {
-    const float* r = soa.dist_row(i);
-    const float* dx = soa.dx_row(i);
+    const SoARow<float> s(soa, i);
+    const AoSRow<float> a(aos, i);
     for (int j = 0; j < f.elec_aos.size(); ++j) {
-      EXPECT_NEAR(r[j], aos.dist(i, j), 1e-4) << i << ',' << j;
+      EXPECT_NEAR(s.r[j], a.r[j], 1e-4) << i << ',' << j;
       if (i != j) {
-        EXPECT_NEAR(dx[j], aos.displ(i, j).x, 1e-4);
+        EXPECT_NEAR(s.dx[j], a.dr[j].x, 1e-4);
       }
     }
   }
@@ -79,12 +122,15 @@ TEST(DistanceAA, DisplacementAntisymmetry)
   Fixture f;
   DistanceTableAA_SoA<float> soa(f.lattice, f.elec_soa.size());
   soa.evaluate(f.elec_soa);
-  for (int i = 0; i < f.elec_soa.size(); ++i)
+  for (int i = 0; i < f.elec_soa.size(); ++i) {
+    const SoARow<float> ri(soa, i);
     for (int j = 0; j < i; ++j) {
-      EXPECT_NEAR(soa.dx_row(i)[j], -soa.dx_row(j)[i], 2e-4);
-      EXPECT_NEAR(soa.dy_row(i)[j], -soa.dy_row(j)[i], 2e-4);
-      EXPECT_NEAR(soa.dz_row(i)[j], -soa.dz_row(j)[i], 2e-4);
+      const SoARow<float> rj(soa, j);
+      EXPECT_NEAR(ri.dx[j], -rj.dx[i], 2e-4);
+      EXPECT_NEAR(ri.dy[j], -rj.dy[i], 2e-4);
+      EXPECT_NEAR(ri.dz[j], -rj.dz[i], 2e-4);
     }
+  }
 }
 
 TEST(DistanceAA, DistanceConsistentWithDisplacement)
@@ -92,15 +138,16 @@ TEST(DistanceAA, DistanceConsistentWithDisplacement)
   Fixture f;
   DistanceTableAA_SoA<float> soa(f.lattice, f.elec_soa.size());
   soa.evaluate(f.elec_soa);
-  for (int i = 0; i < f.elec_soa.size(); ++i)
+  for (int i = 0; i < f.elec_soa.size(); ++i) {
+    const SoARow<float> row(soa, i);
     for (int j = 0; j < f.elec_soa.size(); ++j) {
       if (i == j)
         continue;
-      const double d = std::sqrt(double(soa.dx_row(i)[j]) * soa.dx_row(i)[j] +
-                                 double(soa.dy_row(i)[j]) * soa.dy_row(i)[j] +
-                                 double(soa.dz_row(i)[j]) * soa.dz_row(i)[j]);
-      EXPECT_NEAR(soa.dist_row(i)[j], d, 1e-4);
+      const double d = std::sqrt(double(row.dx[j]) * row.dx[j] + double(row.dy[j]) * row.dy[j] +
+                                 double(row.dz[j]) * row.dz[j]);
+      EXPECT_NEAR(row.r[j], d, 1e-4);
     }
+  }
 }
 
 TEST(DistanceAA, TempAcceptEqualsRebuild)
@@ -123,12 +170,15 @@ TEST(DistanceAA, TempAcceptEqualsRebuild)
 
   DistanceTableAA_SoA<float> fresh(f.lattice, f.elec_soa.size());
   fresh.evaluate(f.elec_soa);
-  for (int i = 0; i < f.elec_soa.size(); ++i)
+  for (int i = 0; i < f.elec_soa.size(); ++i) {
+    const SoARow<float> s(soa, i), want(fresh, i);
+    const AoSRow<float> a(aos, i);
     for (int j = 0; j < f.elec_soa.size(); ++j) {
-      EXPECT_NEAR(soa.dist_row(i)[j], fresh.dist_row(i)[j], 1e-4) << i << ',' << j;
-      EXPECT_NEAR(aos.dist(i, j), fresh.dist_row(i)[j], 1e-4);
-      EXPECT_NEAR(soa.dx_row(i)[j], fresh.dx_row(i)[j], 2e-4);
+      EXPECT_NEAR(s.r[j], want.r[j], 1e-4) << i << ',' << j;
+      EXPECT_NEAR(a.r[j], want.r[j], 1e-4);
+      EXPECT_NEAR(s.dx[j], want.dx[j], 2e-4);
     }
+  }
 }
 
 TEST(DistanceAB, AoSMatchesBruteForce)
@@ -181,9 +231,12 @@ TEST(DistanceSoA, HexagonalFastModeConsistentAcrossLayouts)
   DistanceTableAA_SoA<float> soa(sys.lattice, 32, MinImageMode::Fast);
   aos.evaluate(elec_aos);
   soa.evaluate(elec_soa);
-  for (int i = 0; i < 32; ++i)
+  for (int i = 0; i < 32; ++i) {
+    const SoARow<float> s(soa, i);
+    const AoSRow<float> a(aos, i);
     for (int j = 0; j < 32; ++j)
-      EXPECT_NEAR(soa.dist_row(i)[j], aos.dist(i, j), 2e-4) << i << ',' << j;
+      EXPECT_NEAR(s.r[j], a.r[j], 2e-4) << i << ',' << j;
+  }
 }
 
 TEST(DistanceSoA, ExactModeMatchesBruteForceOnHexagonal)
@@ -192,12 +245,14 @@ TEST(DistanceSoA, ExactModeMatchesBruteForceOnHexagonal)
   auto elec_soa = random_particles<float>(16, sys.lattice, 8);
   DistanceTableAA_SoA<float> soa(sys.lattice, 16, MinImageMode::Exact);
   soa.evaluate(elec_soa);
-  for (int i = 0; i < 16; ++i)
+  for (int i = 0; i < 16; ++i) {
+    const SoARow<float> row(soa, i);
     for (int j = 0; j < 16; ++j) {
       if (i == j)
         continue;
-      EXPECT_NEAR(soa.dist_row(i)[j], brute_distance(sys.lattice, elec_soa[i], elec_soa[j]), 1e-4);
+      EXPECT_NEAR(row.r[j], brute_distance(sys.lattice, elec_soa[i], elec_soa[j]), 1e-4);
     }
+  }
 }
 
 TEST(DistanceSoA, RowsAreAligned)
@@ -205,7 +260,128 @@ TEST(DistanceSoA, RowsAreAligned)
   Fixture f;
   DistanceTableAA_SoA<float> soa(f.lattice, f.elec_soa.size());
   soa.evaluate(f.elec_soa);
+  soa.compute_temp(f.elec_soa, Vec3<float>{0.4f, 2.9f, 1.7f}, 5);
   EXPECT_EQ(soa.row_stride() % simd_lanes<float>, 0u);
-  for (int i = 0; i < f.elec_soa.size(); ++i)
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(soa.dist_row(i)) % kAlignment, 0u);
+  for (const float* row : {soa.temp_r(), soa.temp_dx(), soa.temp_dy(), soa.temp_dz(), soa.old_r()})
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(row) % kAlignment, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// The AA table as a cache of the positions: incremental moves leave it equal
+// to a fresh table on the same positions
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// First column where row @p i of @p a and of @p b differ in any bit of a
+/// distance or displacement, or -1.
+int row_difference(const DistanceTableAA_SoA<float>& a, const DistanceTableAA_SoA<float>& b, int i)
+{
+  const SoARow<float> x(a, i), y(b, i);
+  for (const auto& [p, q] : {std::pair{&x.r, &y.r}, std::pair{&x.dx, &y.dx},
+                             std::pair{&x.dy, &y.dy}, std::pair{&x.dz, &y.dz}})
+    if (const int j = first_bit_difference(p->data(), q->data(), a.size()); j >= 0)
+      return j;
+  return -1;
+}
+
+int row_difference(const DistanceTableAA_AoS<float>& a, const DistanceTableAA_AoS<float>& b, int i)
+{
+  const AoSRow<float> x(a, i), y(b, i);
+  if (const int j = first_bit_difference(x.r.data(), y.r.data(), a.size()); j >= 0)
+    return j;
+  return first_bit_difference(x.dr.data(), y.dr.data(), a.size());
+}
+
+std::vector<float> recomputed_distances(const DistanceTableAA_SoA<float>& t, int i)
+{
+  const SoARow<float> row(t, i);
+  return std::vector<float>(row.r.begin(), row.r.begin() + t.size());
+}
+
+std::vector<float> recomputed_distances(const DistanceTableAA_AoS<float>& t, int i)
+{
+  return AoSRow<float>(t, i).r;
+}
+
+/// 2,000 random compute_temp / accept_move calls, about 70% of them
+/// accepted, on the electrons @p p.  Every old row must equal the mover's
+/// compute_row distances, and afterwards every row must equal, bit for bit,
+/// the row of a fresh table evaluated on the same positions.
+template <typename Table, typename Set>
+void check_random_walk(const Lattice& lattice, MinImageMode mode, Set p, std::uint64_t seed)
+{
+  constexpr int kMoves = 2000;
+  const int n = p.size();
+  Table table(lattice, n, mode);
+  table.evaluate(p);
+  Xoshiro256 rng(seed);
+  int accepted = 0, old_row_differs = 0;
+  for (int m = 0; m < kMoves; ++m) {
+    const int e = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    const Vec3<float> r = p[e];
+    const Vec3<float> rnew{r.x + static_cast<float>(0.7 * rng.gaussian()),
+                           r.y + static_cast<float>(0.7 * rng.gaussian()),
+                           r.z + static_cast<float>(0.7 * rng.gaussian())};
+    table.compute_temp(p, rnew, e);
+    if (first_bit_difference(table.old_r(), recomputed_distances(table, e).data(), n) >= 0)
+      ++old_row_differs;
+    if (rng.uniform() < 0.7) {
+      table.accept_move(e);
+      p.set(e, rnew);
+      ++accepted;
+    }
+  }
+  EXPECT_EQ(old_row_differs, 0);
+  EXPECT_GT(accepted, kMoves * 6 / 10);
+  EXPECT_LT(accepted, kMoves * 8 / 10);
+
+  Table fresh(lattice, n, mode);
+  fresh.evaluate(p);
+  for (int i = 0; i < n; ++i)
+    EXPECT_EQ(row_difference(table, fresh, i), -1) << "row " << i;
+}
+
+} // namespace
+
+TEST(DistanceAA, RandomWalkMatchesAFreshTableOnGraphiteFast)
+{
+  const auto sys = make_graphite_supercell(4, 4, 1);
+  const auto elec = random_particles<float>(sys.num_electrons(), sys.lattice, 11);
+  check_random_walk<DistanceTableAA_SoA<float>>(sys.lattice, MinImageMode::Fast, elec, 21);
+  check_random_walk<DistanceTableAA_AoS<float>>(sys.lattice, MinImageMode::Fast, to_aos(elec), 21);
+}
+
+TEST(DistanceAA, RandomWalkMatchesAFreshTableOnOrthorhombicExact)
+{
+  const Lattice lattice = Lattice::orthorhombic(5.0, 5.5, 6.0);
+  const auto elec = random_particles<float>(64, lattice, 12);
+  check_random_walk<DistanceTableAA_SoA<float>>(lattice, MinImageMode::Exact, elec, 22);
+  check_random_walk<DistanceTableAA_AoS<float>>(lattice, MinImageMode::Exact, to_aos(elec), 22);
+}
+
+TEST(DistanceSoA, WrapFractionMatchesFloorBitForBit)
+{
+  // Below SSE4.1 the float wrap floors by truncation; on every target its
+  // bits must be those of f - std::floor(f + 1/2), for every input.
+  std::vector<float> inputs = {0.0f,          -0.0f,          0.5f,          -0.5f,
+                               0.49999997f,   -0.49999997f,   0.50000006f,   -0.50000006f,
+                               1.5f,          -1.5f,          -2.5f,         8388607.5f,
+                               -8388607.5f,   8388608.0f,     -8388609.0f,   2147483520.0f,
+                               -2147483520.0f, 2147483648.0f, -2147483648.0f, -2147483904.0f,
+                               1e30f,         -1e30f,         1e-40f,        -1e-40f,
+                               std::numeric_limits<float>::infinity(),
+                               -std::numeric_limits<float>::infinity()};
+  Xoshiro256 rng(5);
+  for (int k = 0; k < 20000; ++k) {
+    const double scale = std::ldexp(1.0, static_cast<int>(rng() % 40) - 8);
+    inputs.push_back(static_cast<float>(rng.uniform(-scale, scale)));
+  }
+  for (const float f : inputs) {
+    const float got = wrap_fraction(f);
+    const float want = f - std::floor(f + 0.5f);
+    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << f << ": " << got << " vs " << want;
+  }
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  EXPECT_TRUE(std::isnan(wrap_fraction(nan)));
 }

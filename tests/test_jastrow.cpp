@@ -1,7 +1,9 @@
 // Tests for the Jastrow factors: functor accuracy (cusp, cutoff, smooth
 // truncation), gradient/Laplacian against finite differences of the log, and
 // AoS == SoA cross-layout equivalence including move ratios.
+#include <algorithm>
 #include <cmath>
+#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -311,6 +313,175 @@ TEST(J2, RatioMatchesRecompute)
   EXPECT_NEAR(ratio, log_after - log_before, 1e-9);
 }
 
+// ---------------------------------------------------------------------------
+// Known-answer oracle: J2 straight from its definition
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// log J2, its per-electron gradients and Laplacians, and move ratios from
+/// the definition, in double precision: pair sums of u(r_ij) with the
+/// orthorhombic minimum image taken per component (d - L round(d / L)), so
+/// neither the lattice code nor a distance table is involved.
+struct J2Oracle
+{
+  Vec3<double> box;
+  const BsplineJastrowFunctor<double>& f;
+  std::vector<Vec3<double>> pos;
+
+  [[nodiscard]] Vec3<double> displ(const Vec3<double>& a, const Vec3<double>& b) const
+  {
+    Vec3<double> d = a - b;
+    d.x -= box.x * std::round(d.x / box.x);
+    d.y -= box.y * std::round(d.y / box.y);
+    d.z -= box.z * std::round(d.z / box.z);
+    return d;
+  }
+
+  /// sum over j != skip of u(|r - r_j|).
+  [[nodiscard]] double u_sum(const Vec3<double>& r, int skip) const
+  {
+    double u = 0.0;
+    for (std::size_t j = 0; j < pos.size(); ++j)
+      if (static_cast<int>(j) != skip)
+        u += f.evaluate(norm(displ(r, pos[j])));
+    return u;
+  }
+
+  /// The pair sums and, for each, the sum of its terms' magnitudes (the
+  /// scale its rounding error grows with).
+  struct Full
+  {
+    double log_j2 = 0.0, u_scale = 0.0;
+    std::vector<Vec3<double>> grad;
+    std::vector<double> lap, grad_scale, lap_scale;
+  };
+
+  [[nodiscard]] Full evaluate() const
+  {
+    const std::size_t n = pos.size();
+    Full out;
+    out.grad.assign(n, Vec3<double>{});
+    out.lap.assign(n, 0.0);
+    out.grad_scale.assign(n, 0.0);
+    out.lap_scale.assign(n, 0.0);
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < n; ++j) {
+        if (i == j)
+          continue;
+        const Vec3<double> d = displ(pos[i], pos[j]);
+        const double r = norm(d);
+        double du = 0.0, d2u = 0.0;
+        const double u = f.evaluate(r, du, d2u);
+        if (j > i) {
+          out.log_j2 -= u;
+          out.u_scale += std::abs(u);
+        }
+        out.grad[i] -= (du / r) * d;
+        out.lap[i] -= d2u + 2.0 * du / r;
+        out.grad_scale[i] += std::abs(du);
+        out.lap_scale[i] += std::abs(d2u) + 2.0 * std::abs(du) / r;
+      }
+    return out;
+  }
+
+  [[nodiscard]] double ratio_log(int iel, const Vec3<double>& rnew) const
+  {
+    return u_sum(pos[static_cast<std::size_t>(iel)], iel) - u_sum(rnew, iel);
+  }
+};
+
+/// J2 evaluate_log and ratio_log of one layout in precision T (Exact mode,
+/// orthorhombic cell) against the oracle, before and after a run of
+/// accepted moves.  Each quantity must agree within @p tol times the sum of
+/// its terms' magnitudes (at least 1): sum |u| for the value and the
+/// ratios, sum |u'| for an electron's gradient, sum |u''| + 2|u'|/r for its
+/// Laplacian.
+template <typename T, bool kSoA>
+void check_j2_against_oracle(double tol)
+{
+  using Set = std::conditional_t<kSoA, ParticleSetSoA<T>, ParticleSetAoS<T>>;
+  using Table = std::conditional_t<kSoA, DistanceTableAA_SoA<T>, DistanceTableAA_AoS<T>>;
+  using J2 = std::conditional_t<kSoA, TwoBodyJastrowSoA<T>, TwoBodyJastrowAoS<T>>;
+  const Vec3<double> box{6.0, 6.5, 7.0};
+  const Lattice lattice = Lattice::orthorhombic(box.x, box.y, box.z);
+  const int n = 48;
+  const ParticleSetSoA<T> start = random_particles<T>(n, lattice, 31);
+  Set elec;
+  if constexpr (kSoA)
+    elec = start;
+  else
+    elec = to_aos(start);
+  const auto f = BsplineJastrowFunctor<T>::make_exponential(T(-0.5), T(1), T(2.5));
+  const auto fd = BsplineJastrowFunctor<double>::make_exponential(-0.5, 1.0, 2.5);
+  J2Oracle oracle{box, fd, {}};
+  auto widen = [](const Vec3<T>& r) {
+    return Vec3<double>{static_cast<double>(r.x), static_cast<double>(r.y),
+                        static_cast<double>(r.z)};
+  };
+  for (int i = 0; i < n; ++i)
+    oracle.pos.push_back(widen(start[i]));
+
+  Table table(lattice, n, MinImageMode::Exact);
+  table.evaluate(elec);
+  const J2 j2(f);
+  std::vector<Vec3<T>> g(static_cast<std::size_t>(n));
+  std::vector<T> l(static_cast<std::size_t>(n));
+  auto within = [tol](double scale) { return tol * std::max(1.0, scale); };
+  auto check_full = [&](const char* when) {
+    const J2Oracle::Full want = oracle.evaluate();
+    EXPECT_NEAR(static_cast<double>(j2.evaluate_log(table, g.data(), l.data())), want.log_j2,
+                within(want.u_scale))
+        << when;
+    for (std::size_t i = 0; i < static_cast<std::size_t>(n); ++i) {
+      const double gb = within(want.grad_scale[i]);
+      EXPECT_NEAR(static_cast<double>(g[i].x), want.grad[i].x, gb) << when << ", electron " << i;
+      EXPECT_NEAR(static_cast<double>(g[i].y), want.grad[i].y, gb) << when << ", electron " << i;
+      EXPECT_NEAR(static_cast<double>(g[i].z), want.grad[i].z, gb) << when << ", electron " << i;
+      EXPECT_NEAR(static_cast<double>(l[i]), want.lap[i], within(want.lap_scale[i]))
+          << when << ", electron " << i;
+    }
+    return within(want.u_scale);
+  };
+  const double bound = check_full("fresh");
+
+  Xoshiro256 rng(32);
+  for (int m = 0; m < 40; ++m) {
+    const int iel = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
+    const Vec3<double> rd = lattice.to_cartesian(Vec3<double>{rng.uniform(), rng.uniform(), rng.uniform()});
+    const Vec3<T> rnew{static_cast<T>(rd.x), static_cast<T>(rd.y), static_cast<T>(rd.z)};
+    table.compute_temp(elec, rnew, iel);
+    EXPECT_NEAR(static_cast<double>(j2.ratio_log(table, iel)), oracle.ratio_log(iel, widen(rnew)),
+                bound)
+        << "move " << m;
+    if (m % 4 != 3) {
+      table.accept_move(iel);
+      elec.set(iel, rnew);
+      oracle.pos[static_cast<std::size_t>(iel)] = widen(rnew);
+    }
+  }
+  check_full("after 30 accepted moves");
+}
+
+} // namespace
+
+// Tolerances, as fractions of each sum's magnitude: in double the tables
+// and the oracle differ only in rounding (fractional-coordinate against
+// per-component minimum image, summation order), so 1e-13; in float the
+// displacements, the spline and the sums each round at float precision, so
+// 2e-5.  A native x86-64 build's worst cases were 1.3e-15 and 3.2e-6.
+TEST(J2, KnownAnswerPairSumSoA)
+{
+  check_j2_against_oracle<double, true>(1e-13);
+  check_j2_against_oracle<float, true>(2e-5);
+}
+
+TEST(J2, KnownAnswerPairSumAoS)
+{
+  check_j2_against_oracle<double, false>(1e-13);
+  check_j2_against_oracle<float, false>(2e-5);
+}
+
 TEST(J1, ValueMatchesBruteForce)
 {
   JFixture f;
@@ -430,7 +601,7 @@ TEST(Jastrow, SumRowFollowsTheFixedLaneOrder)
     ee.compute_temp(fx.elec_soa, rnew, iel);
     ei.compute_temp(rnew);
     EXPECT_EQ(j2.ratio_log(ee, iel),
-              fx.fj2.sum_row(ee.dist_row(iel), n) - fx.fj2.sum_row(ee.temp_r(), n))
+              fx.fj2.sum_row(ee.old_r(), n) - fx.fj2.sum_row(ee.temp_r(), n))
         << "iel = " << iel;
     const int ns = ei.num_sources();
     EXPECT_EQ(j1.ratio_log(ei, iel),

@@ -19,11 +19,12 @@ last, to check another target); every message is mapped to the site whose
 loop body contains its line.
 
 One named exception: `no-vector-floor`.  Baseline x86-64 (SSE2) has no vector
-floor (roundps arrives with SSE4.1), so the minimum-image wrap of
-compute_distance_row_soa (distance/distance_table.h) stays scalar on that
-target; the only way round it is an SSE2 formulation that gives the same bits
-as std::floor(fx + T(0.5)).  A failure there is excused for units whose
-target lacks SSE4.1, and for no other unit or site.
+floor (roundps arrives with SSE4.1).  The float minimum-image wrap of
+compute_distance_row_soa (distance/distance_table.h, wrap_fraction) floors by
+an SSE2 truncation with std::floor's bits instead, but SSE2 has no truncation
+of doubles to int64, so the double row stays scalar on that target.  A
+failure there is excused for units whose target lacks SSE4.1, and for no
+other unit or site.
 
 Usage (from the repository root, after configuring and building `build/`):
 
@@ -60,8 +61,8 @@ FAILED_TEXT = "couldn't vectorize"
 SOURCE_EXTS = {".h", ".hpp", ".cpp", ".cc"}
 
 
-# The one named exception (no-vector-floor): the distance row's minimum-image
-# wrap needs a vector floor, which x86 gains only with SSE4.1.
+# The one named exception (no-vector-floor): the double distance row's
+# minimum-image wrap needs a vector floor, which x86 gains only with SSE4.1.
 NO_VECTOR_FLOOR_PATH = "src/distance/distance_table.h"
 
 

@@ -45,7 +45,7 @@ detected or a resumed trajectory diverges from the uninterrupted reference:
 Scenarios run for both drivers under two MQC_PARTITION shapes so the resume
 invariant is exercised across schedules, not just one thread layout.
 kill -> resume and corrupt -> fall back also run under --layout aos, so the
-AoS distance-table half of the walker codec sees injected faults too.  Every
+AoS distance-table rebuild on restore sees injected faults too.  Every
 scenario that injects file damage also asserts the binary CONFIRMED the
 injection on stderr (`fault-injected:`) — an injection that quietly becomes
 a no-op is itself a harness failure.
@@ -383,9 +383,9 @@ def main(argv=None):
         ("malformed-spec", scenario_malformed_spec),
         ("population-resume", scenario_population_resume),
     ]
-    # The default layout (SoA engine, SoA distance tables) only ever writes
-    # the SoA-table half of the walker codec; kill-resume and corrupt-fallback
-    # run again under --layout aos (AoS engine, AoS tables) for the other half.
+    # The default layout (SoA engine, SoA distance tables) only ever rebuilds
+    # SoA tables on restore; kill-resume and corrupt-fallback run again under
+    # --layout aos (AoS engine, AoS tables) for the AoS table rebuild.
     layouts = [("soa", [], scenarios), ("aos", ["--layout", "aos"], scenarios[:2])]
     for layout, layout_args, layout_scenarios in layouts:
         for driver in ("per-walker", "crowd"):
