@@ -3,10 +3,10 @@
 //
 // Two table kinds, each in two layouts:
 //   AA — electron-electron, a cache of the positions: it holds the electron
-//        positions and two rows (the proposal's and the mover's current
-//        one), and a reader that needs every row recomputes each from the
-//        positions (compute_row).  No N x N table exists, so an accepted move
-//        writes one position;
+//        positions, the proposal's row and the distances of the mover's
+//        current one, and a reader that needs every row recomputes each from
+//        the positions (compute_row).  No N x N table exists, so an accepted
+//        move writes one position;
 //   AB — ion-electron, sources fixed, one stored row per target electron.
 //   AoS — Vec3 positions, scalar minimum image per pair (the baseline);
 //   SoA — separate aligned x/y/z source streams, padded distance and
@@ -26,8 +26,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstddef>
-#include <cstdint>
-#include <type_traits>
+#include <limits>
 #include <vector>
 
 #include "common/aligned_allocator.h"
@@ -54,7 +53,7 @@ public:
   DistanceTableAA_AoS(const Lattice& lattice, int n, MinImageMode mode = MinImageMode::Exact)
       : lattice_(&lattice), mode_(mode), n_(n), pos_(static_cast<std::size_t>(n)),
         temp_r_(static_cast<std::size_t>(n)), temp_dr_(static_cast<std::size_t>(n)),
-        old_r_(static_cast<std::size_t>(n)), old_dr_(static_cast<std::size_t>(n))
+        old_r_(static_cast<std::size_t>(n))
   {
   }
 
@@ -68,14 +67,15 @@ public:
   }
 
   /// Rows for a proposed move of electron @p iel to @p rnew: the proposal's
-  /// (temp_*) and the mover's current one (old_*).  Both come from the
-  /// table's copy of the positions of @p p, which evaluate() took and
-  /// accept_move() keeps current.
+  /// (temp_r, temp_dr) and the distances of the mover's current one (old_r).
+  /// Both come from the table's copy of the positions of @p p, which
+  /// evaluate() took and accept_move() keeps current.  The current row is
+  /// computed first, so the proposal's displacements overwrite its own.
   void compute_temp([[maybe_unused]] const ParticleSetAoS<T>& p, const Vec3<T>& rnew, int iel)
   {
     assert(p.size() == n_);
+    row_from(pos_[static_cast<std::size_t>(iel)], iel, old_r_.data(), temp_dr_.data());
     row_from(rnew, iel, temp_r_.data(), temp_dr_.data());
-    row_from(pos_[static_cast<std::size_t>(iel)], iel, old_r_.data(), old_dr_.data());
     rnew_ = rnew;
     iel_ = iel;
   }
@@ -124,7 +124,6 @@ private:
   std::vector<T> temp_r_;
   std::vector<Vec3<T>> temp_dr_;
   std::vector<T> old_r_;
-  std::vector<Vec3<T>> old_dr_;
   Vec3<T> rnew_{};
   int iel_ = -1;
 };
@@ -213,28 +212,23 @@ private:
 // SoA tables
 // --------------------------------------------------------------------------
 
-/// The minimum-image wrap of one fractional coordinate, f - floor(f + 1/2).
-/// x86-64 gains a vector floor only with SSE4.1.  Below it, the float wrap
-/// floors by truncation (an SSE2 conversion), which gives std::floor's bits
-/// for every input: below 2^31 the exact truncation is corrected downward,
-/// and at or above it (or when not finite) f + 1/2 is its own floor.  The
-/// one input where the two floors differ, -0, is never f + 1/2.  The double
-/// wrap has no SSE2 truncation to int64, so it keeps std::floor there
-/// (tools/check_vectorization.py, `no-vector-floor`).
+/// The minimum-image wrap of one fractional coordinate, f - floor(f + 1/2),
+/// written without std::floor, which vectorizes on x86-64 only from SSE4.1
+/// (roundps).  For |y| below 2^p (p = 23 float, 52 double) adding and
+/// subtracting 2^p rounds |y| to an integer exactly; the sign restored and one
+/// subtracted where that lands above y, it is floor(y).  At or above 2^p (or
+/// when not finite) y is its own floor.  This gives std::floor's bits for every
+/// input, -0 included, under the default round-to-nearest and without
+/// reassociation (the build's math flags keep both).
 template <typename T>
 inline T wrap_fraction(T f) noexcept
 {
-#if defined(__x86_64__) && !defined(__SSE4_1__)
-  if constexpr (std::is_same_v<T, float>) {
-    const float y = f + 0.5f;
-    const bool small = std::abs(y) < 2147483648.0f;
-    const float yc = small ? y : 0.0f;
-    float t = static_cast<float>(static_cast<std::int32_t>(yc));
-    t = t > yc ? t - 1.0f : t;
-    return f - (small ? t : y);
-  }
-#endif
-  return f - std::floor(f + T(0.5));
+  constexpr T big = T(1) / std::numeric_limits<T>::epsilon();
+  const T y = f + T(0.5);
+  const T ay = std::abs(y);
+  const T t = std::copysign((ay + big) - big, y);
+  const T fl = t > y ? t - T(1) : t;
+  return f - (ay < big ? fl : y);
 }
 
 /// Shared SIMD row kernel: distances/displacements from one target position
@@ -242,7 +236,7 @@ inline T wrap_fraction(T f) noexcept
 /// an orthorhombic cell) is a pure SIMD loop (fractional wrap through the
 /// 3x3 lattice matrices); Exact mode on a skewed cell falls back to the
 /// scalar oracle per pair.  The loop vectorizes because the build drops
-/// errno and trapping math (std::sqrt, std::floor; see wrap_fraction).
+/// errno and trapping math (std::sqrt, and the selects of wrap_fraction).
 template <typename T>
 void compute_distance_row_soa(const Lattice& lattice, MinImageMode mode, T xi, T yi, T zi,
                               const T* MQC_RESTRICT sx, const T* MQC_RESTRICT sy,
@@ -302,8 +296,7 @@ public:
   DistanceTableAA_SoA(const Lattice& lattice, int n, MinImageMode mode = MinImageMode::Exact)
       : lattice_(&lattice), mode_(mode), n_(n), stride_(aligned_size<T>(static_cast<std::size_t>(n))),
         x_(stride_), y_(stride_), z_(stride_), temp_r_(stride_), temp_dx_(stride_),
-        temp_dy_(stride_), temp_dz_(stride_), old_r_(stride_), old_dx_(stride_), old_dy_(stride_),
-        old_dz_(stride_)
+        temp_dy_(stride_), temp_dz_(stride_), old_r_(stride_)
   {
   }
 
@@ -320,14 +313,15 @@ public:
   }
 
   /// Rows for a proposed move of electron @p iel to @p rnew: the proposal's
-  /// (temp_*) and the mover's current one (old_*).  Both come from the
-  /// table's copy of the positions of @p p, which evaluate() took and
-  /// accept_move() keeps current.
+  /// (temp_*) and the distances of the mover's current one (old_r).  Both
+  /// come from the table's copy of the positions of @p p, which evaluate()
+  /// took and accept_move() keeps current.  The current row is computed
+  /// first, so the proposal's displacements overwrite its own.
   void compute_temp([[maybe_unused]] const ParticleSetSoA<T>& p, const Vec3<T>& rnew, int iel)
   {
     assert(p.size() == n_);
+    row_from(position(iel), iel, old_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
     row_from(rnew, iel, temp_r_.data(), temp_dx_.data(), temp_dy_.data(), temp_dz_.data());
-    row_from(position(iel), iel, old_r_.data(), old_dx_.data(), old_dy_.data(), old_dz_.data());
     rnew_ = rnew;
     iel_ = iel;
   }
@@ -377,7 +371,7 @@ private:
   std::size_t stride_;
   aligned_vector<T> x_, y_, z_;
   aligned_vector<T> temp_r_, temp_dx_, temp_dy_, temp_dz_;
-  aligned_vector<T> old_r_, old_dx_, old_dy_, old_dz_;
+  aligned_vector<T> old_r_;
   Vec3<T> rnew_{};
   int iel_ = -1;
 };

@@ -360,28 +360,47 @@ TEST(DistanceAA, RandomWalkMatchesAFreshTableOnOrthorhombicExact)
   check_random_walk<DistanceTableAA_AoS<float>>(lattice, MinImageMode::Exact, to_aos(elec), 22);
 }
 
-TEST(DistanceSoA, WrapFractionMatchesFloorBitForBit)
+template <typename T>
+void check_wrap_fraction_against_floor()
 {
-  // Below SSE4.1 the float wrap floors by truncation; on every target its
-  // bits must be those of f - std::floor(f + 1/2), for every input.
-  std::vector<float> inputs = {0.0f,          -0.0f,          0.5f,          -0.5f,
-                               0.49999997f,   -0.49999997f,   0.50000006f,   -0.50000006f,
-                               1.5f,          -1.5f,          -2.5f,         8388607.5f,
-                               -8388607.5f,   8388608.0f,     -8388609.0f,   2147483520.0f,
-                               -2147483520.0f, 2147483648.0f, -2147483648.0f, -2147483904.0f,
-                               1e30f,         -1e30f,         1e-40f,        -1e-40f,
-                               std::numeric_limits<float>::infinity(),
-                               -std::numeric_limits<float>::infinity()};
+  constexpr T big = T(1) / std::numeric_limits<T>::epsilon();
+  constexpr T inf = std::numeric_limits<T>::infinity();
+  std::vector<T> inputs = {T(0),       T(-0.0),    T(0.5),        T(-0.5),     T(1.5),
+                           T(-1.5),    T(-2.5),    big - T(0.5),  -big + T(0.5), big,
+                           -big,       big + T(1), -big - T(1),   T(2) * big,  T(1e30),
+                           T(-1e30),   std::numeric_limits<T>::denorm_min(),
+                           -std::numeric_limits<T>::denorm_min(), inf,         -inf};
+  for (const T x : {T(0.5), T(-0.5), T(1.5)}) {
+    inputs.push_back(std::nextafter(x, inf));
+    inputs.push_back(std::nextafter(x, -inf));
+  }
   Xoshiro256 rng(5);
   for (int k = 0; k < 20000; ++k) {
-    const double scale = std::ldexp(1.0, static_cast<int>(rng() % 40) - 8);
-    inputs.push_back(static_cast<float>(rng.uniform(-scale, scale)));
+    const double scale = std::ldexp(1.0, static_cast<int>(rng() % 70) - 8);
+    inputs.push_back(static_cast<T>(rng.uniform(-scale, scale)));
   }
-  for (const float f : inputs) {
-    const float got = wrap_fraction(f);
-    const float want = f - std::floor(f + 0.5f);
-    EXPECT_EQ(std::memcmp(&got, &want, sizeof got), 0) << f << ": " << got << " vs " << want;
+  // The same loop shape as the row kernel's, so the vector code is checked.
+  std::vector<T> got(inputs.size());
+  const int n = static_cast<int>(inputs.size());
+  const T* MQC_RESTRICT in = inputs.data();
+  T* MQC_RESTRICT out = got.data();
+  MQC_SIMD
+  for (int i = 0; i < n; ++i)
+    out[i] = wrap_fraction(in[i]);
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const T f = inputs[i];
+    const T want = f - std::floor(f + T(0.5));
+    EXPECT_EQ(std::memcmp(&got[i], &want, sizeof want), 0)
+        << f << ": " << got[i] << " vs " << want;
   }
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  EXPECT_TRUE(std::isnan(wrap_fraction(nan)));
+  EXPECT_TRUE(std::isnan(wrap_fraction(std::numeric_limits<T>::quiet_NaN())));
+}
+
+TEST(DistanceSoA, WrapFractionMatchesFloorBitForBit)
+{
+  // The row kernel's wrap floors without std::floor; its bits must be those
+  // of f - std::floor(f + 1/2) for every input, in both precisions, in
+  // scalar and in vector code.
+  check_wrap_fraction_against_floor<float>();
+  check_wrap_fraction_against_floor<double>();
 }

@@ -18,13 +18,9 @@ Each unit is compiled with its own command from compile_commands.json plus
 last, to check another target); every message is mapped to the site whose
 loop body contains its line.
 
-One named exception: `no-vector-floor`.  Baseline x86-64 (SSE2) has no vector
-floor (roundps arrives with SSE4.1).  The float minimum-image wrap of
-compute_distance_row_soa (distance/distance_table.h, wrap_fraction) floors by
-an SSE2 truncation with std::floor's bits instead, but SSE2 has no truncation
-of doubles to int64, so the double row stays scalar on that target.  A
-failure there is excused for units whose target lacks SSE4.1, and for no
-other unit or site.
+No site is excused, on any target: a loop that one target cannot vectorize is
+rewritten until it can (the distance row's minimum-image wrap floors without
+std::floor, which x86-64 vectorizes only from SSE4.1).
 
 Usage (from the repository root, after configuring and building `build/`):
 
@@ -59,11 +55,6 @@ SITE_RE = re.compile(r"\bMQC_SIMD(_REDUCTION|_ALIGNED)?\b")
 MSG_RE = re.compile(r"^(?P<file>[^\s:][^:]*):(?P<line>\d+):\d+: (?P<kind>optimized|missed): (?P<text>.*)$")
 FAILED_TEXT = "couldn't vectorize"
 SOURCE_EXTS = {".h", ".hpp", ".cpp", ".cc"}
-
-
-# The one named exception (no-vector-floor): the double distance row's
-# minimum-image wrap needs a vector floor, which x86 gains only with SSE4.1.
-NO_VECTOR_FLOOR_PATH = "src/distance/distance_table.h"
 
 
 class Site:
@@ -220,7 +211,7 @@ def map_messages(lines, cwd, root, by_path, unit):
 
 def run_gate(root: Path, build_dir: Path, cxxflags, jobs, quiet=False):
     """Returns (exit code, {site label: status}) where status is one of
-    vectorized, failed, uninstantiated, excused:<name>."""
+    vectorized, failed, uninstantiated."""
     db = build_dir / "compile_commands.json"
     if not db.is_file():
         print(f"error: {db} not found (configure with CMAKE_EXPORT_COMPILE_COMMANDS)",
@@ -245,15 +236,9 @@ def run_gate(root: Path, build_dir: Path, cxxflags, jobs, quiet=False):
         print("check_vectorization: skipped: MQC_NO_VECTOR build (no simd pragmas to check)")
         return 0, {}
 
-    macro_cache = {}
-
-    def macros(args, cwd):
-        flags = tuple(a for a in args if a != "-c" and not a.endswith(tuple(SOURCE_EXTS)))
-        if flags not in macro_cache:
-            macro_cache[flags] = target_macros(flags, cwd)
-        return macro_cache[flags]
-
-    first = macros(units[0][1], units[0][2])
+    _, args, cwd = units[0]
+    first = target_macros([a for a in args if a != "-c" and not a.endswith(tuple(SOURCE_EXTS))],
+                          cwd)
     if "__clang__" in first or "__GNUC__" not in first:
         print("check_vectorization: skipped: the compiler is not GCC "
               "(the gate reads GCC's -fopt-info report)")
@@ -268,7 +253,6 @@ def run_gate(root: Path, build_dir: Path, cxxflags, jobs, quiet=False):
     for (rel, _, cwd), lines in zip(units, reports):
         map_messages(lines, cwd, root, by_path, rel)
 
-    unit_macros = {rel: macros(args, cwd) for rel, args, cwd in units}
     status = {}
     for s in sites:
         label = s.label()
@@ -280,22 +264,14 @@ def run_gate(root: Path, build_dir: Path, cxxflags, jobs, quiet=False):
             line = f"ok       {label}  vectorized ({len(s.seen_in)} units)"
         else:
             failed = sorted(s.failed_in)
-            if (s.path == NO_VECTOR_FLOOR_PATH
-                    and all("__SSE4_1__" not in unit_macros[u] for u in failed)):
-                status[label] = "excused:no-vector-floor"
-                line = (f"excused  {label}  [no-vector-floor] baseline x86-64 has no vector "
-                        f"floor before SSE4.1 ({len(failed)} units without __SSE4_1__)")
-            else:
-                status[label] = "failed"
-                line = (f"FAIL     {label}  couldn't vectorize in {', '.join(failed[:3])}"
-                        + (f" and {len(failed) - 3} more" if len(failed) > 3 else ""))
+            status[label] = "failed"
+            line = (f"FAIL     {label}  couldn't vectorize in {', '.join(failed[:3])}"
+                    + (f" and {len(failed) - 3} more" if len(failed) > 3 else ""))
         if not quiet:
             print(line)
     bad = sum(st in ("failed", "uninstantiated") for st in status.values())
     if not quiet:
-        excused = sum(1 for v in status.values() if v.startswith("excused"))
-        print(f"check_vectorization: {len(sites)} sites, {len(units)} units, "
-              f"{bad} failing, {excused} excused")
+        print(f"check_vectorization: {len(sites)} sites, {len(units)} units, {bad} failing")
     return (1 if bad else 0), status
 
 
