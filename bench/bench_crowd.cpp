@@ -1,14 +1,12 @@
-// Crowd driver sweep: crowd size x determinant delay rank, against the
-// per-walker driver on the identical trajectory (same seeds, same walker
-// population — the equivalence the test suite enforces bit-for-bit).
+// Crowd driver sweep: crowd size against the per-walker driver on the
+// identical trajectory (same seeds, same walker population — the
+// equivalence the test suite enforces bit-for-bit).
 //
 // The crowd is both the batching unit (one multi-position spline sweep per
 // tile per electron move) and the threading unit (one crowd per thread), so
 // on a fixed walker population crowd_size trades thread count against batch
 // depth: crowd_size = 1 reproduces the per-walker schedule, crowd_size = Nw
-// runs one thread with the deepest tile-resident batches.  delay_rank
-// additionally swaps the per-move Sherman-Morrison determinant update for
-// the delayed rank-k window (McDaniel et al.).
+// runs one thread with the deepest tile-resident batches.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -22,7 +20,7 @@
 #include "common/table.h"
 #include "common/threading.h"
 #include "common/timer.h"
-#include "determinant/det_update.h"
+#include "determinant/dirac_determinant.h"
 #include "qmc/miniqmc_driver.h"
 #include "bench_common.h"
 
@@ -30,30 +28,22 @@ namespace {
 
 using namespace mqc;
 
-/// Microbench for the determinant-update engines at production N: time M
-/// accepted column updates (ratio + accept, plus a final flush so the
-/// delayed engine's amortized cost includes its blocked rank-k application)
-/// and report microseconds per update.  This locates the crossover where
-/// delay_rank starts winning — the per-move Sherman-Morrison update is a
-/// rank-1 sweep of the N^2 inverse per accept, while the delayed engine
-/// touches k small panels per accept and sweeps the inverse once per k
-/// accepts in the tiled BLAS3-style flush.
-double us_per_update(int n, int delay_rank, int updates, std::uint64_t seed,
-                     TeamHandle flush_team = TeamHandle::serial())
+/// Microbench for the Sherman-Morrison determinant update at production N:
+/// time M accepted column updates (ratio + accept, each a sweep of the N^2
+/// inverse) and report microseconds per update.
+double us_per_update(int n, int updates, std::uint64_t seed)
 {
   Xoshiro256 rng(seed);
   Matrix<double> a(n);
   for (int i = 0; i < n; ++i)
     for (int j = 0; j < n; ++j)
       a(i, j) = rng.uniform(-0.5, 0.5) + (i == j ? 4.0 : 0.0); // well conditioned
-  DetUpdater det(delay_rank);
+  DiracDeterminant det;
   if (!det.build(a))
     return 0.0;
-  det.set_team(flush_team);
 
-  // Pre-generate every update column OUTSIDE the timed region: the O(N)
-  // rng fill per update is comparable to the delayed engine's O(kN) accept
-  // cost and would flatten exactly the crossover this table locates.
+  // Pre-generate every update column OUTSIDE the timed region, so only the
+  // determinant arithmetic is timed.
   std::vector<std::vector<double>> us(static_cast<std::size_t>(updates));
   for (int m = 0; m < updates; ++m) {
     const int col = m % n;
@@ -70,7 +60,6 @@ double us_per_update(int n, int delay_rank, int updates, std::uint64_t seed,
     (void)det.ratio(u, col);
     det.accept_move(u, col);
   }
-  det.flush();
   return watch.elapsed() * 1e6 / updates;
 }
 
@@ -109,40 +98,34 @@ int main(int argc, char** argv)
                                    [&](int cs) { return cs > cfg.num_walkers; }),
                     crowd_sizes.end());
   crowd_sizes.erase(std::unique(crowd_sizes.begin(), crowd_sizes.end()), crowd_sizes.end());
-  const std::vector<int> delay_ranks{0, 4, 8};
 
-  print_banner(std::cout, "Crowd driver: crowd size x determinant delay rank");
+  print_banner(std::cout, "Crowd driver: crowd size");
   std::cout << "system: graphite " << cfg.supercell[0] << 'x' << cfg.supercell[1] << 'x'
             << cfg.supercell[2] << ", AoSoA tiles of " << cfg.tile_size << ", "
             << cfg.num_walkers << " walkers, " << cfg.steps << " steps\n"
-            << "baseline per delay rank: the per-walker driver (one walker per thread)\n\n";
+            << "baseline: the per-walker driver (one walker per thread)\n\n";
 
-  TablePrinter tp({"delay k", "crowd size", "total (s)", "B-splines (s)", "speedup vs per-walker"});
-  for (int k : delay_ranks) {
-    MiniQMCConfig base_cfg = cfg;
-    base_cfg.driver = DriverMode::PerWalker;
-    base_cfg.delay_rank = k;
-    const auto base = best_run(base_cfg);
-    tp.add_row({TablePrinter::cell(k), "per-walker", TablePrinter::cell(base.seconds, 4),
-                TablePrinter::cell(base.profile.seconds(kSectionBspline), 4),
-                TablePrinter::cell(1.0, 2)});
-    json.add("perwalker_delay" + std::to_string(k) + "_seconds", base.seconds, "s");
-    for (int cs : crowd_sizes) {
-      MiniQMCConfig ccfg = cfg;
-      ccfg.driver = DriverMode::Crowd;
-      ccfg.crowd_size = cs;
-      ccfg.delay_rank = k;
-      const auto crowd = best_run(ccfg);
-      const double speedup = crowd.seconds > 0 ? base.seconds / crowd.seconds : 0.0;
-      tp.add_row({TablePrinter::cell(k), TablePrinter::cell(cs),
-                  TablePrinter::cell(crowd.seconds, 4),
-                  TablePrinter::cell(crowd.profile.seconds(kSectionBspline), 4),
-                  TablePrinter::cell(speedup, 2)});
-      json.add("crowd" + std::to_string(cs) + "_delay" + std::to_string(k) + "_seconds",
-               crowd.seconds, "s");
-      json.add("crowd" + std::to_string(cs) + "_delay" + std::to_string(k) + "_speedup", speedup,
-               "x");
-    }
+  // The row names keep the `delay0` tag of the retired delay-rank columns so
+  // they stay comparable with the committed baselines.
+  TablePrinter tp({"crowd size", "total (s)", "B-splines (s)", "speedup vs per-walker"});
+  MiniQMCConfig base_cfg = cfg;
+  base_cfg.driver = DriverMode::PerWalker;
+  const auto base = best_run(base_cfg);
+  tp.add_row({"per-walker", TablePrinter::cell(base.seconds, 4),
+              TablePrinter::cell(base.profile.seconds(kSectionBspline), 4),
+              TablePrinter::cell(1.0, 2)});
+  json.add("perwalker_delay0_seconds", base.seconds, "s");
+  for (int cs : crowd_sizes) {
+    MiniQMCConfig ccfg = cfg;
+    ccfg.driver = DriverMode::Crowd;
+    ccfg.crowd_size = cs;
+    const auto crowd = best_run(ccfg);
+    const double speedup = crowd.seconds > 0 ? base.seconds / crowd.seconds : 0.0;
+    tp.add_row({TablePrinter::cell(cs), TablePrinter::cell(crowd.seconds, 4),
+                TablePrinter::cell(crowd.profile.seconds(kSectionBspline), 4),
+                TablePrinter::cell(speedup, 2)});
+    json.add("crowd" + std::to_string(cs) + "_delay0_seconds", crowd.seconds, "s");
+    json.add("crowd" + std::to_string(cs) + "_delay0_speedup", speedup, "x");
   }
   tp.print(std::cout);
   std::cout << "\nReading guide: larger crowds deepen the per-tile position batch (coefficient\n"
@@ -162,7 +145,6 @@ int main(int argc, char** argv)
     MiniQMCConfig ncfg = cfg;
     ncfg.driver = DriverMode::Crowd;
     ncfg.crowd_size = 0; // one crowd spanning the population
-    ncfg.delay_rank = 8; // threaded flushes engage too
     ncfg.inner_threads = 1;
     const auto flat = best_run(ncfg);
     ncfg.inner_threads = 0; // auto: the topology partition
@@ -208,7 +190,6 @@ int main(int argc, char** argv)
     MiniQMCConfig kcfg = cfg;
     kcfg.driver = DriverMode::Crowd;
     kcfg.crowd_size = 4;
-    kcfg.delay_rank = 4;
     kcfg.checkpoint_path = ckpt_path;
     kcfg.checkpoint_interval = 0; // end-of-run snapshot only
     const auto final_only = best_run(kcfg);
@@ -231,55 +212,23 @@ int main(int argc, char** argv)
     json.add("ckpt_interval1_vs_final_ratio", ratio, "x");
   }
 
-  // ---- determinant-update crossover: where delay_rank starts winning -----
+  // ---- determinant updates at production N ---------------------------------
   // Isolated from the driver so production N is affordable: microseconds per
-  // accepted column update, Sherman-Morrison (k<=1) vs the delayed rank-k
-  // window with its tiled BLAS3-style flush.
-  print_banner(std::cout, "Determinant updates: us/update, Sherman-Morrison vs delayed rank-k");
+  // accepted column update.  The `k1` row names keep the Sherman-Morrison
+  // column of the retired delay-rank table.
+  print_banner(std::cout, "Determinant updates: us/update, Sherman-Morrison");
   const std::vector<int> det_sizes = full ? std::vector<int>{256, 512, 1024}
                                           : std::vector<int>{128, 256, 512};
-  const std::vector<int> det_ranks{1, 4, 8, 16, 32};
   const int updates = 96;
-  // Threaded-flush column: the same delayed engine with the machine's auto
-  // inner team distributing the flush's column blocks (bit-identical, only
-  // faster where the partition resolves > 1 thread).
-  const int flush_team = ThreadPartition::resolve(/*outer_work=*/1).inner;
-  const int flush_k = 16;
-  TablePrinter dt({"N", "k=1 (SM)", "k=4", "k=8", "k=16", "k=32",
-                   "k=16 team=" + std::to_string(flush_team), "best k"});
+  TablePrinter dt({"N", "us/update"});
   for (int n : det_sizes) {
-    std::vector<std::string> row{TablePrinter::cell(n)};
-    double best = 0.0;
-    int best_k = 0;
-    for (int k : det_ranks) {
-      const double us = us_per_update(n, k, updates, 99 + static_cast<std::uint64_t>(n));
-      row.push_back(TablePrinter::cell(us, 1));
-      json.add("det_n" + std::to_string(n) + "_k" + std::to_string(k) + "_us_per_update", us,
-               "us");
-      if (best_k == 0 || us < best) {
-        best = us;
-        best_k = k;
-      }
-    }
-    const double us_team = us_per_update(n, flush_k, updates, 99 + static_cast<std::uint64_t>(n),
-                                         TeamHandle::of(flush_team));
-    row.push_back(TablePrinter::cell(us_team, 1));
-    json.add("det_n" + std::to_string(n) + "_k" + std::to_string(flush_k) +
-                 "_teamflush_us_per_update",
-             us_team, "us");
-    row.push_back(TablePrinter::cell(best_k));
-    dt.add_row(row);
-    json.add("det_n" + std::to_string(n) + "_best_delay_rank", best_k, "");
+    const double us = us_per_update(n, updates, 99 + static_cast<std::uint64_t>(n));
+    dt.add_row({TablePrinter::cell(n), TablePrinter::cell(us, 1)});
+    json.add("det_n" + std::to_string(n) + "_k1_us_per_update", us, "us");
   }
-  json.add("det_flush_team", flush_team, "");
   dt.print(std::cout);
-  std::cout << "\nReading guide: Sherman-Morrison sweeps the N^2 inverse on every accept; the\n"
-               "delayed engine keeps accepts at O(kN) and sweeps the inverse once per k\n"
-               "accepts in the blocked flush, so its win grows with N until the k x N panels\n"
-               "fall out of cache.  The crossover N is where the \"best k\" column leaves 1.\n"
-               "The team column threads the flush's column blocks over the auto inner team\n"
-               "(bit-identical results; it only helps once N spans several 256-column blocks\n"
-               "and the partition resolves more than one thread).\n";
+  std::cout << "\nReading guide: each accept sweeps the N^2 inverse once (rank-1 update), so\n"
+               "the cost grows as N^2 until the inverse falls out of cache.\n";
   if (!json.write())
     std::cout << "warning: could not write " << json.path() << "\n";
   return 0;

@@ -72,7 +72,6 @@ int main(int argc, char** argv)
   base.tile_size = 64;
   base.spo = SpoLayout::AoSoA;
   base.optimized_dt_jastrow = true;
-  base.delay_rank = 4;
   base.driver = DriverMode::DMC;
   base.dmc_generations = full ? 6 : 4;
   base.dmc_gen_steps = 1;

@@ -64,7 +64,6 @@ int main(int argc, char** argv)
   cfg.tile_size = 64;
   cfg.spo = SpoLayout::AoSoA;
   cfg.optimized_dt_jastrow = true;
-  cfg.delay_rank = 4;
   cfg.num_walkers = std::max(8, max_threads());
   cfg.steps = 0; // populations advance by explicit targets
   const int steps = full ? 4 : 2;

@@ -31,7 +31,6 @@ void usage(const char* prog)
       "                              mixed = SP tables, DP accumulation)\n"
       "  --walkers N                 walker count (default 4)\n"
       "  --steps N                   Monte Carlo sweeps (default 6)\n"
-      "  --delay K                   determinant delay rank (default 1)\n"
       "  --crowd-size N              crowd driver crowd size (default whole population)\n"
       "  --seed S                    rng seed\n"
       "  --ckpt PATH                 checkpoint file (enables snapshots)\n"
@@ -100,8 +99,6 @@ int main(int argc, char** argv)
       cfg.num_walkers = std::atoi(next());
     } else if (arg == "--steps") {
       cfg.steps = std::atoi(next());
-    } else if (arg == "--delay") {
-      cfg.delay_rank = std::atoi(next());
     } else if (arg == "--crowd-size") {
       cfg.crowd_size = std::atoi(next());
     } else if (arg == "--seed") {

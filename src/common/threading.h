@@ -26,16 +26,14 @@
 // explicit flat Nw×nth decomposition, now derived from a ThreadPartition.
 //
 // Every split is trajectory-neutral by construction: teams only distribute
-// independent (tile, position-block) work items or disjoint column blocks,
-// so results are bit-for-bit identical for every partition shape — the
-// invariant tests/test_crowd.cpp enforces.
+// independent (tile, position-block) work items, so results are bit-for-bit
+// identical for every partition shape — the invariant tests/test_crowd.cpp
+// enforces.
 #ifndef MQC_COMMON_THREADING_H
 #define MQC_COMMON_THREADING_H
 
 #include <algorithm>
 #include <cstddef>
-
-#include "common/contracts.h"
 
 #ifdef _OPENMP
 #include <omp.h>
@@ -211,12 +209,6 @@ int resolve_shard_count(int requested = 0);
 struct TeamHandle
 {
   int nthreads = 1;
-#ifdef MQC_CONTRACTS
-  /// Contract state: the OpenMP nesting level this handle belongs to, or -1
-  /// for an unbound handle (no region ownership asserted).  Set by
-  /// bound_to_current_region(); checked by resolve().
-  int owner_level = -1;
-#endif
 
   [[nodiscard]] static constexpr TeamHandle serial() noexcept { return TeamHandle{1}; }
   /// Let the runtime size the team at the parallel site.
@@ -228,33 +220,8 @@ struct TeamHandle
     return TeamHandle{p.inner};
   }
 
-  /// A copy of this handle bound to the enclosing parallel region: under
-  /// MQC_CONTRACTS, resolve() then aborts when called from a different
-  /// nesting level — the "team outlived its owning region" misuse (e.g. a
-  /// walker's inner team stashed and resolved after the driver's outer
-  /// region closed, where its thread budget is meaningless).  Drivers bind
-  /// the teams they store into long-lived state; transient handles stay
-  /// unbound and carry no check.  A no-op without MQC_CONTRACTS.
-  [[nodiscard]] TeamHandle bound_to_current_region() const noexcept
-  {
-    TeamHandle t = *this;
-#ifdef MQC_CONTRACTS
-    t.owner_level = nest_level();
-#endif
-    return t;
-  }
-
   /// Concrete thread count to hand to num_threads(...).
-  [[nodiscard]] int resolve() const noexcept
-  {
-#ifdef MQC_CONTRACTS
-    mqc_contract(owner_level < 0 || owner_level == nest_level(),
-                 "TeamHandle resolved outside its owning region: bound at nesting level %d, "
-                 "resolved at level %d (team of %d threads)",
-                 owner_level, nest_level(), nthreads);
-#endif
-    return nthreads > 0 ? nthreads : max_threads();
-  }
+  [[nodiscard]] int resolve() const noexcept { return nthreads > 0 ? nthreads : max_threads(); }
   /// Should a parallel schedule be attempted at all?
   [[nodiscard]] constexpr bool parallel() const noexcept { return nthreads != 1; }
 };

@@ -1,8 +1,8 @@
-// The determinant engines' one dot-product kernel.
+// The determinant engine's one dot-product kernel.
 //
 // The length-N dot products of the Slater determinant go through
-// lane_dot_rows: the ratio's row dot (paper Eq. 3), each row of the
-// Sherman-Morrison matvec t = Ainv u, and the delayed engine's Woodbury dots.
+// lane_dot_rows: the ratio's row dot (paper Eq. 3) and each row of the
+// Sherman-Morrison matvec t = Ainv u.
 // Its summation order is fixed by the source, not by the vector width: the
 // fixed lane order of common/simd.h over the products a_i * b_i,
 //

@@ -458,94 +458,34 @@ struct Fnv1a
   }
 };
 
+// Engine kind byte of a determinant record.  Only Sherman-Morrison exists;
+// 1 was the removed delayed engine, and any other byte fails the section.
 constexpr std::uint8_t kDetSherman = 0;
-constexpr std::uint8_t kDetDelayed = 1;
 
 void serialize_det(BlobWriter& w, const DetUpdater& det)
 {
   const int n = det.size();
   w.u32(static_cast<std::uint32_t>(n));
-  if (det.kind() == DetUpdateKind::Delayed) {
-    const DelayedDeterminant& d = det.delayed();
-    w.u8(kDetDelayed);
-    w.raw(d.base_inverse().data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    w.raw(d.base_matrix().data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    w.f64(d.log_det());
-    w.f64(d.sign());
-    const auto k = static_cast<std::uint32_t>(d.pending_columns().size());
-    w.u32(k);
-    for (const int c : d.pending_columns())
-      w.i32(c);
-    auto panel = [&](const std::vector<std::vector<double>>& cols) {
-      for (const auto& col : cols) {
-        w.u32(static_cast<std::uint32_t>(col.size()));
-        w.raw(col.data(), col.size() * sizeof(double));
-      }
-    };
-    panel(d.pending_u());
-    panel(d.pending_bu());
-    panel(d.pending_vtb());
-  } else {
-    const DiracDeterminant& d = det.dirac();
-    w.u8(kDetSherman);
-    w.raw(d.inverse().data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    w.f64(d.log_det());
-    w.f64(d.sign());
-  }
+  w.u8(kDetSherman);
+  w.raw(det.inverse().data(), static_cast<std::size_t>(n) * n * sizeof(double));
+  w.f64(det.log_det());
+  w.f64(det.sign());
 }
 
 bool restore_det(BlobReader& r, DetUpdater& det, int norb)
 {
   const auto n = static_cast<int>(r.u32());
   const std::uint8_t kind = r.u8();
-  if (!r.ok() || n != norb)
+  if (!r.ok() || n != norb || kind != kDetSherman)
     return false;
-  const auto want = det.kind() == DetUpdateKind::Delayed ? kDetDelayed : kDetSherman;
-  if (kind != want)
+  Matrix<double> ainv(n);
+  r.raw(ainv.data(), static_cast<std::size_t>(n) * n * sizeof(double));
+  const double log_det = r.f64();
+  const double sign = r.f64();
+  if (!r.ok())
     return false;
-  if (kind == kDetDelayed) {
-    Matrix<double> binv(n), a_current(n);
-    r.raw(binv.data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    r.raw(a_current.data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    const double log_det = r.f64();
-    const double sign = r.f64();
-    const std::uint32_t k = r.u32();
-    if (!r.ok() || k > static_cast<std::uint32_t>(det.delay()))
-      return false;
-    std::vector<int> cols(k);
-    for (auto& c : cols) {
-      c = static_cast<int>(r.i32());
-      if (c < 0 || c >= n)
-        return false;
-    }
-    auto panel = [&](std::vector<std::vector<double>>& out) {
-      out.resize(k);
-      for (auto& col : out) {
-        const std::uint32_t len = r.u32();
-        if (len != static_cast<std::uint32_t>(n)) {
-          out.clear();
-          return false;
-        }
-        col.resize(len);
-        r.raw(col.data(), col.size() * sizeof(double));
-      }
-      return true;
-    };
-    std::vector<std::vector<double>> u, bu, vtb;
-    if (!panel(u) || !panel(bu) || !panel(vtb) || !r.ok())
-      return false;
-    det.delayed().restore(std::move(binv), std::move(a_current), log_det, sign, std::move(cols),
-                          std::move(u), std::move(bu), std::move(vtb));
-  } else {
-    Matrix<double> ainv(n);
-    r.raw(ainv.data(), static_cast<std::size_t>(n) * n * sizeof(double));
-    const double log_det = r.f64();
-    const double sign = r.f64();
-    if (!r.ok())
-      return false;
-    det.dirac().restore(std::move(ainv), log_det, sign);
-  }
-  return r.ok();
+  det.restore(std::move(ainv), log_det, sign);
+  return true;
 }
 
 std::vector<std::uint8_t> serialize_walker(const WalkerState& w, const MiniQMCSystem& sys,
@@ -695,6 +635,8 @@ std::uint64_t miniqmc_config_hash(const MiniQMCConfig& cfg, const MiniQMCSystem&
   std::memcpy(&sigma_bits, &cfg.move_sigma, sizeof sigma_bits);
   h.mix(sigma_bits);
   h.mix(cfg.seed);
+  // delay_rank 0 and 1 run the same engine, but the field stays mixed in so
+  // every snapshot written while it chose between engines keeps its hash.
   h.mix(static_cast<std::uint64_t>(static_cast<std::int64_t>(cfg.delay_rank)));
   // The RESOLVED precision path (after the AoS-has-no-mixed-variant
   // fallback) changes every accepted move, so mixed and native snapshots
@@ -913,15 +855,15 @@ void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem&
   // Light state (rng stream incl. the Box–Muller cache, counters, positions)
   // rides the Walker-section codec, and the restore rebuilds the distance
   // tables from the positions, so a clone is exactly a snapshot round-trip
-  // of its parent; the O(norb^2) determinant panels skip the byte codec via
-  // the direct engine copy.
+  // of its parent; the O(norb^2) inverses skip the byte codec via a plain
+  // engine copy.
   const std::vector<std::uint8_t> blob =
       serialize_walker(src, sys, cfg, /*wid=*/0, /*include_dets=*/false);
   const bool applied = restore_walker(blob, dst, sys, cfg, /*wid=*/0, /*include_dets=*/false);
   (void)applied;
   assert(applied); // dst shell-initialized for the same (sys, cfg) => same shapes
-  dst.det_up.clone_state_from(src.det_up);
-  dst.det_dn.clone_state_from(src.det_dn);
+  dst.det_up = src.det_up;
+  dst.det_dn = src.det_dn;
 }
 
 } // namespace mqc::detail

@@ -2,10 +2,9 @@
 //
 // A checkpoint serializes the FULL resumable run state of a miniQMC sweep —
 // every walker's positions, rng stream (including the cached Box–Muller
-// deviate), move counters, and determinant engine state (the delayed
-// engine's in-flight rank-k panel is serialized verbatim; see
-// delayed_update.h for why a flush-at-snapshot would not be
-// trajectory-neutral) — so that a run killed at step k and resumed produces
+// deviate), move counters, and determinant state (the Sherman–Morrison
+// inverse verbatim: a rebuild from the orbital matrix would not give its
+// bits) — so that a run killed at step k and resumed produces
 // the bit-for-bit identical `walker_accepts`/`walker_log_det` fingerprints
 // as an uninterrupted run (tests/test_checkpoint.cpp, tools/fault_harness.py).
 // The distance tables are not stored: each is a function of the positions
@@ -30,10 +29,10 @@
 //   3 x u64 counters (accepted, attempted, orbital evaluations);
 //   u32 nel, then nel x 3 f32 positions;
 //   u8  distance-table layout tag (1 = SoA, 0 = AoS; no table bytes follow);
-//   per spin (up, then down): u32 norb, u8 engine kind, then for
-//     Sherman–Morrison the norb x norb f64 inverse, f64 log det, f64 sign —
-//     116 + 12 nel + 16 norb^2 bytes in all — or the delayed engine's base
-//     inverse, base matrix, log det, sign and pending rank-k panels.
+//   per spin (up, then down): u32 norb, u8 engine kind (0 = Sherman–Morrison,
+//     the only kind; the removed delayed engine's 1 is rejected), the
+//     norb x norb f64 inverse, f64 log det, f64 sign —
+//     116 + 12 nel + 16 norb^2 bytes in all.
 //
 // Version 1 also stored every distance-table array after the layout tag; a
 // version-1 file is refused on its version field.

@@ -81,15 +81,9 @@ public:
   }
 
   /// Hand this crowd its inner team (common/threading.h): the batched
-  /// facade requests below schedule onto it and every walker's delayed
-  /// determinant flush distributes over it.  Defaults to serial; any team
+  /// facade requests below schedule onto it.  Defaults to serial; any team
   /// size is bit-identical.
-  void set_team(TeamHandle team)
-  {
-    team_ = team;
-    for (auto* w : walkers_)
-      w->set_det_team(team);
-  }
+  void set_team(TeamHandle team) noexcept { team_ = team; }
 
   /// Price moving electron @p iel of every walker to its own trial position
   /// rnew[i], writing log(|psi'|/|psi|) into log_ratios[i].  One

@@ -26,6 +26,7 @@
 #include <variant>
 #include <vector>
 
+#include "common/contracts.h"
 #include "core/coef_storage.h"
 #include "qmc/miniqmc_context.h"
 
@@ -341,11 +342,10 @@ inline MiniQMCResult run_provenance(const MiniQMCSystem& sys, int nw, int crowd_
 /// step.  It holds the shard systems, the walker -> shard -> crowd split,
 /// the nested-team partition, ONE flat walker vector indexed by walker id
 /// (one Walker section per id, so snapshots written under any shard count
-/// interoperate) with each crowd's CrowdScratch and region-bound inner
-/// teams, the checkpoint runtime and the result provenance.
+/// interoperate) with each crowd's CrowdScratch, the checkpoint runtime and
+/// the result provenance.
 ///
-/// Every team region here is a team_for over the crowd ids, so the teams
-/// bound in one region stay contract-valid in the next, and the static
+/// Every team region here is a team_for over the crowd ids, so the static
 /// schedule keeps the crowd -> thread map stable: scratch is first-touched
 /// on the thread that sweeps it.  Walker state is a function of (config,
 /// walker id) only — a shard system only changes WHERE the table is read.
@@ -360,8 +360,7 @@ struct PopulationCore
     crowd_cap = resolve_crowd_cap(cfg, sys0);
     crowds = decompose_population(sys0.nw, shards.size(), crowd_cap);
     // One outer member per crowd, each owning an inner team for its facade
-    // sweeps and delayed-update flushes (Opt C); resolved once, kept across
-    // re-blocks.
+    // sweeps (Opt C); resolved once, kept across re-blocks.
     const ThreadPartition part =
         resolve_team_partition(cfg, sys0, static_cast<int>(crowds.size()));
     inner = TeamHandle::inner_of(part);
@@ -390,16 +389,13 @@ struct PopulationCore
       const CrowdRef& c = crowds[static_cast<std::size_t>(ci)];
       CrowdScratch& scr = *scratch[static_cast<std::size_t>(ci)];
 #ifdef MQC_CONTRACTS
-      // The scratch must point at this crowd's walkers, and their stored
-      // inner teams must belong to this region (resolve() checks the level).
-      for (int i = 0; i < c.count; ++i) {
-        WalkerState& w = walkers[static_cast<std::size_t>(c.first + i)];
-        mqc_contract(scr.v[static_cast<std::size_t>(i)] == w.out.v.data(),
+      // The scratch must point at this crowd's walkers.
+      for (int i = 0; i < c.count; ++i)
+        mqc_contract(scr.v[static_cast<std::size_t>(i)] ==
+                         walkers[static_cast<std::size_t>(c.first + i)].out.v.data(),
                      "crowd %d swept with stale scratch: the walker vector changed "
                      "without reblock()",
                      ci);
-        (void)w.det_up.team().resolve();
-      }
 #endif
       crowd_sweep_steps(shards[c.shard], cfg, walkers, c.first, c.count, scr,
                         crowd_profiles[static_cast<std::size_t>(ci)], inner, step_begin,
@@ -441,7 +437,7 @@ struct PopulationCore
 
   /// After the walker vector changed (a branch step, a DMC resume): re-split
   /// the walkers contiguously across the same shards, then rebuild each
-  /// crowd's scratch and rebind its walkers' teams in one team region.
+  /// crowd's scratch in one team region.
   void reblock()
   {
     for (const ProfileRegistry& p : crowd_profiles)
@@ -477,8 +473,7 @@ struct PopulationCore
 
 private:
   /// One team region over the crowds: build each walker first when
-  /// @p fresh, bind its inner team to the region, and build the crowd's
-  /// scratch on the thread that sweeps it.
+  /// @p fresh, and build the crowd's scratch on the thread that sweeps it.
   void bind_crowds(bool fresh)
   {
     const auto n = crowds.size();
@@ -487,12 +482,9 @@ private:
     team_for(TeamHandle::of(static_cast<int>(n)), static_cast<int>(n), [&](int ci) {
       const CrowdRef& c = crowds[static_cast<std::size_t>(ci)];
       const MiniQMCSystem& ssys = shards[c.shard];
-      for (int wid = c.first; wid < c.first + c.count; ++wid) {
-        WalkerState& w = walkers[static_cast<std::size_t>(wid)];
-        if (fresh)
-          init_walker(w, ssys, cfg, wid);
-        w.set_team(inner.bound_to_current_region());
-      }
+      if (fresh)
+        for (int wid = c.first; wid < c.first + c.count; ++wid)
+          init_walker(walkers[static_cast<std::size_t>(wid)], ssys, cfg, wid);
       scratch[static_cast<std::size_t>(ci)] =
           std::make_unique<CrowdScratch>(walkers, c.first, c.count, ssys);
     });

@@ -42,7 +42,7 @@
 // disabled entirely (multiplicity pinned to 1) and each generation runs
 // crowd_sweep_steps with a zero drift argument — the run is then bit-for-bit
 // a VMC crowd run of dmc_generations*dmc_gen_steps steps, for every layout,
-// crowd size, delay rank, partition shape, and shard count
+// crowd size, partition shape, and shard count
 // (tests/test_dmc.cpp).
 // Full DMC runs are seed-deterministic: identical population trace, birth/
 // death counters, trial energy and per-walker fingerprints on every rerun

@@ -134,11 +134,8 @@ struct JobQueue::Impl
       jcfg.resume = false;
       jcfg.fault_inject.clear();
       offsets.push_back(off);
-      for (int k = 0; k < j->spec.num_walkers; ++k) {
-        WalkerState& w = walkers[static_cast<std::size_t>(off + k)];
-        detail::init_walker(w, sys, jcfg, k);
-        w.set_team(TeamHandle::serial()); // plain thread: no OpenMP regions
-      }
+      for (int k = 0; k < j->spec.num_walkers; ++k)
+        detail::init_walker(walkers[static_cast<std::size_t>(off + k)], sys, jcfg, k);
       off += j->spec.num_walkers;
     }
 

@@ -65,9 +65,14 @@ struct MiniQMCSystem
   /// shape; MultiBspline rejects a set that is not its tile split); since
   /// they are a deterministic function of (grid, norb, tile width, seed),
   /// adopting a copy is trajectory-neutral bit-for-bit.
+  ///
+  /// @throws std::invalid_argument for cfg.delay_rank >= 2 (check_delay_rank).
+  /// Every driver builds its first system on the calling thread before any
+  /// team region, so the refusal surfaces to the caller.
   explicit MiniQMCSystem(const MiniQMCConfig& cfg, CoefTables<qmc_real> replica = {})
       : crystal(make_graphite_supercell(cfg.supercell[0], cfg.supercell[1], cfg.supercell[2]))
   {
+    check_delay_rank(cfg.delay_rank);
     norb = cfg.num_splines > 0 ? cfg.num_splines : crystal.num_orbitals();
     nel = 2 * norb;
     nw = cfg.num_walkers > 0 ? cfg.num_walkers : max_threads();
@@ -288,16 +293,6 @@ struct WalkerState
   std::size_t accepted = 0;
   std::size_t attempted = 0;
   std::size_t orbital_evals = 0;
-
-  /// Hand this walker its inner team (common/threading.h): the delayed
-  /// determinant flush may fork this many threads under the driver's outer
-  /// region.  Scheduling only — every team size produces the bit-identical
-  /// trajectory.
-  void set_team(TeamHandle t)
-  {
-    det_up.set_team(t);
-    det_dn.set_team(t);
-  }
 };
 
 /// Resolve the nested-team partition for an outer region of @p outer_work
@@ -333,12 +328,12 @@ inline Vec3<qmc_real> propose(Xoshiro256& rng, const Vec3<qmc_real>& r, double s
 }
 
 /// Allocate every buffer of @p w for (@p sys, @p cfg) without computing any
-/// physical state: the electrons in the configured layout, output/scratch
-/// buffers, and determinant engines sized for cfg.delay_rank.  This is the
-/// shared shell of init_walker and of the restore/clone paths
-/// (qmc/checkpoint.cpp, qmc/dmc_driver.cpp), which set the full committed
-/// state anyway (the distance tables rebuilt from the restored positions)
-/// and must not pay the O(norb) orbital evaluations of a fresh build.
+/// physical state: the electrons in the configured layout and the
+/// output/scratch buffers.  This is the shared shell of init_walker and of
+/// the restore/clone paths (qmc/checkpoint.cpp, qmc/dmc_driver.cpp), which
+/// set the full committed state anyway (the distance tables rebuilt from the
+/// restored positions) and must not pay the O(norb) orbital evaluations of a
+/// fresh build.
 inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const MiniQMCConfig& cfg)
 {
   if (cfg.optimized_dt_jastrow)
@@ -355,8 +350,6 @@ inline void init_walker_shell(WalkerState& w, const MiniQMCSystem& sys, const Mi
   w.phi.resize(static_cast<std::size_t>(sys.norb));
   w.jgrad.resize(static_cast<std::size_t>(sys.nel));
   w.jlap.resize(static_cast<std::size_t>(sys.nel));
-  w.det_up = DetUpdater(cfg.delay_rank);
-  w.det_dn = DetUpdater(cfg.delay_rank);
 }
 
 /// Walker setup (not profiled): rng stream, positions, tables, output
@@ -522,8 +515,7 @@ MiniQMCResult run_miniqmc_dmc(const MiniQMCConfig& cfg);
 // then boundary() — OUTSIDE any team region, with no OrbitalResource live —
 // snapshots / injects faults / stops, and resume() restores before the first
 // sweep.  Chunking the sweep into epochs is trajectory-neutral: per-walker
-// state and rng streams persist across regions, and the stored walker teams
-// stay region-valid because TeamHandle binds by nesting level (threading.h).
+// state and rng streams persist across regions.
 // --------------------------------------------------------------------------
 
 /// Per-run checkpoint/fault state resolved once from the config.
@@ -603,10 +595,10 @@ void checkpoint_step_boundary(const CheckpointRuntime& rt, const MiniQMCConfig& 
 
 /// Clone the FULL per-walker state of @p src into @p dst (the DMC birth
 /// path): blob round-trip for positions/rng/counters, whose restore rebuilds
-/// both distance tables from the positions, plus a direct determinant-engine
-/// copy (DetUpdater::clone_state_from) so the O(norb^2) matrices skip the
-/// byte codec.  @p dst must be shell-initialized for the same (sys, cfg);
-/// its rng stream is the parent's — callers give the child its own stream
+/// both distance tables from the positions, plus a plain copy of the
+/// determinant engines so the O(norb^2) inverses skip the byte codec.
+/// @p dst must be shell-initialized for the same (sys, cfg); its rng stream
+/// is the parent's — callers give the child its own stream
 /// (Xoshiro256::split) afterwards.
 void clone_walker_state(WalkerState& dst, WalkerState& src, const MiniQMCSystem& sys,
                         const MiniQMCConfig& cfg);

@@ -91,17 +91,19 @@ struct MiniQMCConfig
   /// the size does not divide num_walkers, the remainder runs as an extra,
   /// smaller trailing crowd.  The per-walker driver always uses 1.
   int crowd_size = 0;
-  /// Determinant updates: <= 1 => per-move Sherman-Morrison (DiracDeterminant,
-  /// default), k >= 2 => delayed rank-k window (DelayedDeterminant).  Applies
-  /// to both drivers so their trajectories stay comparable.
+  /// Determinant update rank.  0 and 1 both run per-move Sherman-Morrison
+  /// (determinant/det_update.h); k >= 2 named the removed delayed rank-k
+  /// engine and is refused with std::invalid_argument before the run starts.
+  /// Kept, and mixed into the checkpoint config hash, so existing snapshots
+  /// keep loading.
   int delay_rank = 0;
   /// Inner team size per outer member (a crowd, or one walker in the
   /// per-walker driver): how many threads that member's multi-position
-  /// spline requests and delayed-update flushes may fork UNDER the outer
-  /// region (the paper's Opt C nested layer).  0 = auto — the topology-aware
-  /// ThreadPartition::resolve split of the machine (threads left over after
-  /// the outer split, kept inside one socket; MQC_PARTITION /
-  /// MQC_INNER_THREADS env still override).  -1 = tuned size from `wisdom`.
+  /// spline requests may fork UNDER the outer region (the paper's Opt C
+  /// nested layer).  0 = auto — the topology-aware ThreadPartition::resolve
+  /// split of the machine (threads left over after the outer split, kept
+  /// inside one socket; MQC_PARTITION / MQC_INNER_THREADS env still
+  /// override).  -1 = tuned size from `wisdom`.
   /// >= 1 = explicit.  A pure scheduling knob: trajectories are bit-for-bit
   /// identical for every value (enforced by tests/test_crowd.cpp); the
   /// schedule actually run is surfaced as MiniQMCResult::team_path.

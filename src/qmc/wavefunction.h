@@ -4,9 +4,8 @@
 //
 // assembled from the library's components: the SoA B-spline engine supplies
 // phi / grad phi / lap phi, the SoA distance tables and Jastrow factors the
-// correlation part, and a configurable determinant-update engine the
-// incrementally maintained inverses (per-move Sherman-Morrison or delayed
-// rank-k, selected by `delay_rank` — see determinant/det_update.h).
+// correlation part, and the determinant engine the inverses, kept by a
+// Sherman-Morrison update per accepted move (determinant/det_update.h).
 // Implements the particle-by-particle protocol the paper's walkers run
 // (ratio -> accept/reject) plus the local kinetic-energy estimator, with
 // spin-restricted N_up == N_dn == N_orbitals.
@@ -45,24 +44,17 @@ template <typename T>
 class SlaterJastrow
 {
 public:
-  /// @p delay_rank selects the determinant-update algorithm for both spin
-  /// sectors: <= 1 keeps the per-move Sherman-Morrison path, k >= 2 delays
-  /// accepted columns into a rank-k window (determinant/det_update.h).
   SlaterJastrow(std::shared_ptr<const CoefStorage<T>> orbitals, const Lattice& lattice,
                 ParticleSetSoA<T> ions, BsplineJastrowFunctor<T> j1_functor,
-                BsplineJastrowFunctor<T> j2_functor, MinImageMode mode = MinImageMode::Fast,
-                int delay_rank = 0)
+                BsplineJastrowFunctor<T> j2_functor, MinImageMode mode = MinImageMode::Fast)
       : engine_(std::move(orbitals)), lattice_(&lattice), ions_(std::move(ions)),
         j1f_(std::move(j1_functor)), j2f_(std::move(j2_functor)), j1_(j1f_), j2_(j2f_),
-        mode_(mode), out_(engine_.out_stride()), norb_(engine_.num_splines()),
-        det_up_(delay_rank), det_dn_(delay_rank)
+        mode_(mode), out_(engine_.out_stride()), norb_(engine_.num_splines())
   {
   }
 
   [[nodiscard]] int num_orbitals() const noexcept { return norb_; }
   [[nodiscard]] int num_electrons() const noexcept { return 2 * norb_; }
-  [[nodiscard]] DetUpdateKind det_update_kind() const noexcept { return det_up_.kind(); }
-  [[nodiscard]] int delay_rank() const noexcept { return det_up_.delay(); }
   /// The orbital engine (read-only): crowd drivers use its grid and
   /// multi-position kernels to batch evaluations across walkers.
   [[nodiscard]] const BsplineSoA<T>& engine() const noexcept { return engine_; }
@@ -107,16 +99,6 @@ public:
     return log_jastrow_ + det_up_.log_det() + det_dn_.log_det();
   }
   [[nodiscard]] double sign() const noexcept { return det_up_.sign() * det_dn_.sign(); }
-
-  /// Hand the caller's inner team (common/threading.h) to both spin
-  /// determinants: delayed-update flushes distribute their column blocks
-  /// over it (bit-identical for every team size; no-op under
-  /// Sherman-Morrison).
-  void set_det_team(TeamHandle team) noexcept
-  {
-    det_up_.set_team(team);
-    det_dn_.set_team(team);
-  }
 
   /// log(|psi(r')| / |psi(r)|) for moving electron @p iel to @p rnew.
   /// Caches everything accept(iel) needs; reject() discards implicitly.
@@ -191,9 +173,7 @@ public:
     // lap log D = sum_n Ainv(e,n) lap phi_n - |grad log D|^2.
     for (int i = 0; i < nel; ++i) {
       const int col = i < norb_ ? i : i - norb_;
-      // Non-const: the delayed engine folds its pending window into the
-      // stored inverse before exposing it.
-      DetUpdater& det = i < norb_ ? det_up_ : det_dn_;
+      const DetUpdater& det = i < norb_ ? det_up_ : det_dn_;
       const Vec3<T> r = elec_[i];
       spo().evaluate_one(DerivLevel::VGL, r, out_.v.data(), out_.g.data(), out_.l.data(),
                          out_.stride);

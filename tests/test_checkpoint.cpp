@@ -2,11 +2,10 @@
 //
 // The contract under test: a run snapshotted at step k and resumed produces
 // the bit-for-bit identical `walker_accepts` / `walker_log_det` fingerprints
-// as the uninterrupted run — across spline layouts, both drivers, delayed
-// determinant ranks (the rank-4 grid leaves in-flight Woodbury panels
-// pending at snapshot boundaries, so their verbatim serialization is
-// exercised, not just the flushed state), partition shapes, and snapshot
-// intervals.  And every way a snapshot file can be damaged (version skew,
+// as the uninterrupted run — across spline layouts, both drivers, partition
+// shapes, and snapshot intervals; the Sherman–Morrison inverse is stored
+// verbatim, so a resumed walker continues from its accumulated bits.  And
+// every way a snapshot file can be damaged (version skew,
 // foreign config, per-section corruption, truncation, garbage) is detected
 // and degrades to the `.prev` fallback or a fresh start — never a crash,
 // never a silent wrong-state resume.
@@ -178,7 +177,7 @@ TEST(CheckpointRoundTrip, BitExactAcrossLayoutsDriversAndDelayRank)
                             {SpoLayout::AoSoA, false, "aosoa_aostables"}};
   for (const auto& layout : layouts)
     for (const DriverMode driver : {DriverMode::PerWalker, DriverMode::Crowd})
-      for (const int delay : {1, 4}) {
+      for (const int delay : {1}) {
         const std::string tag = std::string(layout.name) + "_" +
                                 (driver == DriverMode::Crowd ? "crowd" : "pw") + "_d" +
                                 std::to_string(delay);
@@ -191,7 +190,7 @@ TEST(CheckpointRoundTrip, ResumeIsPartitionShapeNeutral)
   // Snapshot under one partition shape, resume under another: the trajectory
   // is scheduling-independent, so the config hash accepts the snapshot and
   // the fingerprints still match the no-env reference.
-  const MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+  const MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
   const MiniQMCResult ref = run_miniqmc(cfg);
 
   ScopedCkpt ck("partition_shape");
@@ -241,15 +240,15 @@ TEST(CheckpointRoundTrip, SnapshotCadenceIsTrajectoryNeutral)
 {
   // Snapshotting is a pure observer: interval 1 (a snapshot at every step
   // boundary) and interval 3 resume to the same fingerprints.
-  round_trip_case(make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4), "interval1", 1);
-  round_trip_case(make_cfg(DriverMode::PerWalker, SpoLayout::SoA, true, 4), "interval3", 3);
+  round_trip_case(make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1), "interval1", 1);
+  round_trip_case(make_cfg(DriverMode::PerWalker, SpoLayout::SoA, true, 1), "interval3", 3);
 }
 
 TEST(CheckpointRoundTrip, MixedPathRoundTripsAndRefusesCrossPrecisionResume)
 {
   // A Mixed run snapshots and resumes bit-for-bit like any other config...
   {
-    MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+    MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
     cfg.precision_path = PrecisionPath::Mixed;
     round_trip_case(cfg, "mixed_soa");
   }
@@ -261,19 +260,19 @@ TEST(CheckpointRoundTrip, MixedPathRoundTripsAndRefusesCrossPrecisionResume)
   const auto cross_resume = [](PrecisionPath write_as, PrecisionPath resume_as,
                                const std::string& tag) {
     ScopedCkpt ck(tag);
-    MiniQMCConfig wcfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+    MiniQMCConfig wcfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
     wcfg.precision_path = write_as;
     wcfg.steps = 4;
     wcfg.checkpoint_path = ck.path;
     wcfg.checkpoint_interval = 2;
     EXPECT_GE(run_miniqmc(wcfg).checkpoints_written, 1) << tag;
 
-    MiniQMCConfig rcfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+    MiniQMCConfig rcfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
     rcfg.precision_path = resume_as;
     rcfg.checkpoint_path = ck.path;
     rcfg.resume = true;
     const MiniQMCResult ref = [&] {
-      MiniQMCConfig fresh = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+      MiniQMCConfig fresh = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
       fresh.precision_path = resume_as;
       return run_miniqmc(fresh);
     }();
@@ -349,7 +348,7 @@ TEST(CheckpointRoundTrip, ResumeAtOrPastEndWritesSnapshotAndKeepsTrajectory)
   // A resume that lands exactly at cfg.steps sweeps nothing; it must not
   // crash, must re-assert the snapshot, and must report the completed-run
   // fingerprints unchanged.
-  MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+  MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
   ScopedCkpt ck("resume_past_end");
   cfg.checkpoint_path = ck.path;
   cfg.checkpoint_interval = 2;
@@ -387,7 +386,7 @@ TEST(CheckpointPopulation, KilledPopulationResumesUnderDifferentShardCount)
   // the snapshot under 3 shards and a different partition shape: shard
   // assignment is derived machine layout, not trajectory state, so the
   // fingerprints must match the uninterrupted single-shard run bit-for-bit.
-  const MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 4);
+  const MiniQMCConfig cfg = make_cfg(DriverMode::Crowd, SpoLayout::SoA, true, 1);
   const MiniQMCResult ref = run_miniqmc(cfg);
 
   ScopedCkpt ck("population_shards");
@@ -662,8 +661,10 @@ TEST(CheckpointFormat, ForgedWalkerFlagBytesAreRejectedEvenWithValidCrc)
   // own section header.  In the walker payload the rng's have_gauss byte is
   // at +36 (after the slot id and four state words), nel at +69, and the
   // distance-table layout tag right after the positions, at +73 + 12 * nel.
-  // Both flags are 0 or 1; set each to 0x02 and RE-COMPUTE the section CRC,
-  // so only the flag check itself can reject the walker.
+  // Both flags are 0 or 1; set each to 0x02.  The spin-up determinant's
+  // engine kind follows the tag and its u32 norb, at +tag + 5; set it to
+  // 0x01, the removed delayed engine's kind.  RE-COMPUTE the section CRC
+  // each time, so only the flag check itself can reject the walker.
   constexpr std::size_t kMeta = 28;
   ASSERT_GE(written.size(), kMeta + 20);
   std::uint64_t meta_len = 0;
@@ -680,12 +681,21 @@ TEST(CheckpointFormat, ForgedWalkerFlagBytesAreRejectedEvenWithValidCrc)
   ASSERT_EQ(id, static_cast<std::uint32_t>(ckpt::SectionId::Walker));
   ASSERT_EQ(index, 0u);
   const std::size_t tag = 73 + 12 * static_cast<std::size_t>(nel);
-  ASSERT_GT(len, tag);
+  ASSERT_GT(len, tag + 5);
   ASSERT_EQ(written[payload + tag], 1u) << "expected the SoA-table layout tag";
+  ASSERT_EQ(written[payload + tag + 5], 0u) << "expected the Sherman-Morrison kind";
 
-  for (const auto& [at, what] : {std::pair{std::size_t{36}, "have_gauss"}, std::pair{tag, "layout"}}) {
+  struct Forgery
+  {
+    std::size_t at;
+    std::uint8_t value;
+    const char* what;
+  };
+  for (const auto& [at, value, what] :
+       {Forgery{36, 0x02, "have_gauss"}, Forgery{tag, 0x02, "layout"},
+        Forgery{tag + 5, 0x01, "determinant kind"}}) {
     std::vector<std::uint8_t> bytes = written;
-    bytes[payload + at] = 0x02;
+    bytes[payload + at] = value;
     const std::uint32_t crc = ckpt::crc32(bytes.data() + payload, static_cast<std::size_t>(len));
     std::memcpy(bytes.data() + walker + 16, &crc, sizeof crc);
     spit(ck.path, bytes);

@@ -1,5 +1,5 @@
 // Death tests for the MQC_CONTRACTS debug-contract layer (common/contracts.h
-// and the seam checks in common/threading.h / core/orbital_set.h).  Each
+// and the seam checks in core/orbital_set.h / qmc/crowd_sweep.h).  Each
 // abort path is exercised once: the diagnostic must fire, name the violated
 // contract, and kill the process.  In a build without MQC_CONTRACTS the
 // whole layer compiles to nothing, so every test skips — the suite then only
@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "common/contracts.h"
-#include "common/threading.h"
 #include "core/multi_bspline.h"
 #include "core/orbital_set.h"
 #include "core/synthetic_orbitals.h"
@@ -90,32 +89,6 @@ TEST(ContractsDeathTest, FailureAbortsWithDiagnostic)
   EXPECT_DEATH(mqc_contract(false, "probe value %d", 41), "probe value 41");
 }
 
-TEST(ContractsDeathTest, TeamHandleResolvedOutsideOwningRegionAborts)
-{
-  // The real misuse: a driver binds a walker's inner team inside its outer
-  // region, the region closes, and stale state resolves the handle later.
-  TeamHandle stale = TeamHandle::serial();
-#pragma omp parallel num_threads(2)
-  {
-#pragma omp single
-    stale = TeamHandle::of(2).bound_to_current_region();
-  }
-  EXPECT_DEATH(static_cast<void>(stale.resolve()), "resolved outside its owning region");
-}
-
-TEST(ContractsDeathTest, BoundTeamHandleResolvesFineInItsOwnRegion)
-{
-  int resolved = -1;
-#pragma omp parallel num_threads(2)
-  {
-#pragma omp single
-    resolved = TeamHandle::of(2).bound_to_current_region().resolve();
-  }
-  EXPECT_EQ(resolved, 2);
-  // Unbound handles carry no region ownership and never trip the check.
-  EXPECT_EQ(TeamHandle::of(3).resolve(), 3);
-}
-
 TEST(ContractsDeathTest, OrbitalResourceReentryAborts)
 {
   ContractFixture fx;
@@ -164,11 +137,9 @@ TEST(ContractsDeathTest, DisjointSlotsPassTheOverlapCheck)
   SUCCEED();
 }
 
-// The population core's crowds, scratch and walker teams describe one walker
-// vector.  A sweep after the vector changed without reblock() aborts; after
-// reblock() the re-split scratch and the teams rebound to the new region
-// shape pass.  Two crowds sweep in a forked region and one crowd serially,
-// so the shrink below moves the teams' owning region to another level.
+// The population core's crowds and scratch describe one walker vector.  A
+// sweep after the vector changed without reblock() aborts; after reblock()
+// the re-split scratch passes.
 TEST(ContractsDeathTest, PopulationSweepsOnlyAfterReblock)
 {
   MiniQMCConfig cfg;
@@ -178,8 +149,6 @@ TEST(ContractsDeathTest, PopulationSweepsOnlyAfterReblock)
   cfg.num_walkers = 2;
   cfg.quadrature_points = 1;
   cfg.crowd_size = 1;
-  cfg.delay_rank = 2;
-  cfg.inner_threads = 2;
   detail::PopulationCore pop(cfg, 1);
   ASSERT_EQ(pop.crowds.size(), 2u);
   pop.sweep(0, 1);

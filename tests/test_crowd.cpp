@@ -7,8 +7,8 @@
 // because the multi-position spline kernels are bit-identical to their
 // single-position counterparts and everything else is per-walker arithmetic.
 // The WavefunctionCrowd tests check the same equivalence on the templated
-// Slater-Jastrow wave function in float and double, with and without
-// delayed determinant updates.
+// Slater-Jastrow wave function in float and double, with and without an
+// inner team.
 #include <cmath>
 #include <cstdlib>
 #include <memory>
@@ -234,9 +234,9 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
 TEST(CrowdDriver, PerWalkerDriverHonorsInnerTeamsBitForBit)
 {
   // The per-walker driver owns the same seam: walkers with inner teams
-  // (parallel quadrature batches, threaded delayed flushes) must walk the
-  // identical trajectory as the flat per-walker sweep.
-  for (int delay : {0, 4}) {
+  // (parallel quadrature batches) must walk the identical trajectory as the
+  // flat per-walker sweep.
+  for (int delay : {0}) {
     auto cfg = crowd_test_config();
     cfg.spo = SpoLayout::AoSoA;
     cfg.tile_size = 16;
@@ -356,58 +356,11 @@ TEST(CrowdDriver, WisdomTileWidthRoundsUpToALaneMultiple)
   expect_identical_trajectories(lane_width, run_miniqmc(cfg), "wisdom Nb = 8 vs Nb = 16");
 }
 
-TEST(CrowdDriver, BitForBitMatchesPerWalkerWithDelayedUpdates)
-{
-  auto cfg = crowd_test_config();
-  cfg.spo = SpoLayout::AoSoA;
-  cfg.tile_size = 16;
-  cfg.optimized_dt_jastrow = true;
-  cfg.delay_rank = 4; // both drivers on the delayed rank-k engine
-  const auto per_walker = run_miniqmc(cfg);
-  for (int cs : {2, 3, 0}) {
-    auto ccfg = cfg;
-    ccfg.driver = DriverMode::Crowd;
-    ccfg.crowd_size = cs;
-    const auto crowd = run_miniqmc(ccfg);
-    expect_identical_trajectories(per_walker, crowd, "AoSoA+delay4");
-  }
-}
-
-TEST(CrowdDriver, DelayRankDoesNotChangeTheTrajectory)
-{
-  // Delayed updates change WHEN the inverse is materialized, not the wave
-  // function: ratios (and therefore accept decisions) must agree with the
-  // Sherman-Morrison path to numerical accuracy.  With this small,
-  // well-conditioned system the Metropolis decisions are identical; the
-  // accumulated log dets agree to tight tolerance rather than bit-for-bit
-  // (different but algebraically equivalent update order).
-  auto cfg = crowd_test_config();
-  cfg.spo = SpoLayout::AoSoA;
-  cfg.tile_size = 16;
-  cfg.optimized_dt_jastrow = true;
-  cfg.driver = DriverMode::Crowd;
-  cfg.crowd_size = 2;
-  const auto sm = run_miniqmc(cfg);
-  for (int k : {2, 8}) {
-    auto dcfg = cfg;
-    dcfg.delay_rank = k;
-    const auto delayed = run_miniqmc(dcfg);
-    EXPECT_EQ(sm.moves_attempted, delayed.moves_attempted) << k;
-    EXPECT_EQ(sm.acceptance_ratio, delayed.acceptance_ratio) << k;
-    ASSERT_EQ(sm.walker_log_det.size(), delayed.walker_log_det.size());
-    for (std::size_t i = 0; i < sm.walker_log_det.size(); ++i)
-      EXPECT_NEAR(sm.walker_log_det[i], delayed.walker_log_det[i],
-                  1e-7 * std::max(1.0, std::abs(sm.walker_log_det[i])))
-          << "k=" << k << " walker " << i;
-  }
-}
-
 TEST(CrowdDriver, SeedDeterminismAcrossRepeatedRuns)
 {
   // Fixed seed + fixed walker count => identical acceptance_ratio and
-  // moves_attempted on every run, in both driver modes and with delayed
-  // updates engaged.
-  for (int delay : {0, 4}) {
+  // moves_attempted on every run, in both driver modes.
+  for (int delay : {0}) {
     for (DriverMode mode : {DriverMode::PerWalker, DriverMode::Crowd}) {
       auto cfg = crowd_test_config();
       cfg.spo = SpoLayout::AoSoA;
@@ -595,12 +548,12 @@ struct CrowdWfHarness
     rcut = static_cast<T>(0.9 * sys.lattice.wigner_seitz_radius());
   }
 
-  std::unique_ptr<SlaterJastrow<T>> make_wf(int delay_rank) const
+  std::unique_ptr<SlaterJastrow<T>> make_wf() const
   {
     auto j1 = BsplineJastrowFunctor<T>::make_exponential(T(-1.0), T(0.8), rcut);
     auto j2 = BsplineJastrowFunctor<T>::make_exponential(T(-0.5), T(1.0), rcut);
     return std::make_unique<SlaterJastrow<T>>(coefs, sys.lattice, ions, j1, j2,
-                                              MinImageMode::Fast, delay_rank);
+                                              MinImageMode::Fast);
   }
 
   ParticleSetSoA<T> electrons_for(int walker) const
@@ -611,14 +564,13 @@ struct CrowdWfHarness
   /// Run the same Markov chain through a sequential per-walker loop and a
   /// lock-step crowd and require bit-identical ratios and final log psi.
   /// @p team hands the crowd an inner thread team (batched facade requests
-  /// and delayed flushes schedule onto it) — equivalence must hold for
-  /// every team size.
-  void run_equivalence(int delay_rank, TeamHandle team = TeamHandle::serial())
+  /// schedule onto it) — equivalence must hold for every team size.
+  void run_equivalence(TeamHandle team = TeamHandle::serial())
   {
     std::vector<std::unique_ptr<SlaterJastrow<T>>> seq, batched;
     for (int i = 0; i < kWalkers; ++i) {
-      seq.push_back(make_wf(delay_rank));
-      batched.push_back(make_wf(delay_rank));
+      seq.push_back(make_wf());
+      batched.push_back(make_wf());
       const auto elec = electrons_for(i);
       ASSERT_TRUE(seq.back()->initialize(elec));
       ASSERT_TRUE(batched.back()->initialize(elec));
@@ -692,21 +644,14 @@ TYPED_TEST_SUITE(WavefunctionCrowdTest, CrowdRealTypes);
 TYPED_TEST(WavefunctionCrowdTest, LockStepMatchesSequentialBitForBit)
 {
   CrowdWfHarness<TypeParam> h;
-  h.run_equivalence(/*delay_rank=*/0);
-}
-
-TYPED_TEST(WavefunctionCrowdTest, LockStepMatchesSequentialWithDelayedUpdates)
-{
-  CrowdWfHarness<TypeParam> h;
-  h.run_equivalence(/*delay_rank=*/3);
+  h.run_equivalence();
 }
 
 TYPED_TEST(WavefunctionCrowdTest, InnerTeamKeepsLockStepBitForBit)
 {
-  // The crowd's inner team parallelizes its batched value requests and the
-  // walkers' delayed flushes; both are work-distribution only, so the chain
-  // stays bit-identical to the sequential per-walker loop in both
-  // precisions.
+  // The crowd's inner team parallelizes its batched value requests, which is
+  // work distribution only, so the chain stays bit-identical to the
+  // sequential per-walker loop in both precisions.
   CrowdWfHarness<TypeParam> h;
-  h.run_equivalence(/*delay_rank=*/3, TeamHandle::of(2));
+  h.run_equivalence(TeamHandle::of(2));
 }

@@ -1,14 +1,12 @@
 // Tests for the determinant engine: LU factorization/inverse/determinant,
-// the ratio formula (paper Eq. 3), Sherman-Morrison updates over long move
-// sequences, and the delayed rank-k update path against both.
+// the ratio formula (paper Eq. 3), and Sherman-Morrison updates over long
+// move sequences.
 #include <cmath>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "determinant/delayed_update.h"
-#include "determinant/det_update.h"
 #include "determinant/dirac_determinant.h"
 #include "determinant/lane_dot.h"
 #include "determinant/lu.h"
@@ -205,209 +203,6 @@ TEST(Dirac, LogDetAccumulatesRatios)
   const double r = det.ratio(u.data(), 2);
   det.accept_move(u.data(), 2);
   EXPECT_NEAR(det.log_det(), log0 + std::log(std::abs(r)), 1e-12);
-}
-
-TEST(Delayed, MatchesShermanMorrisonSequence)
-{
-  for (int n : kRemainderSizes) {
-    Matrix<double> a = random_matrix(n, 21, 2.0);
-    DiracDeterminant sm;
-    DelayedDeterminant delayed(4);
-    ASSERT_TRUE(sm.build(a)) << n;
-    ASSERT_TRUE(delayed.build(a)) << n;
-
-    Xoshiro256 rng(22);
-    for (int move = 0; move < 25; ++move) {
-      const int e = static_cast<int>(rng() % static_cast<std::uint64_t>(n));
-      std::vector<double> u(static_cast<std::size_t>(n));
-      for (int i = 0; i < n; ++i)
-        u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-      const double r_sm = sm.ratio(u.data(), e);
-      const double r_delayed = delayed.ratio(u.data(), e);
-      ASSERT_NEAR(r_delayed, r_sm, 1e-7 * std::max(1.0, std::abs(r_sm)))
-          << "n=" << n << " move " << move;
-      if (std::abs(r_sm) < 0.05)
-        continue;
-      sm.accept_move(u.data(), e);
-      delayed.accept_move(u.data(), e);
-      ASSERT_NEAR(delayed.log_det(), sm.log_det(), 1e-7) << "n=" << n << " move " << move;
-    }
-    delayed.flush();
-    const auto& bi = delayed.inverse();
-    for (int i = 0; i < n; ++i)
-      for (int j = 0; j < n; ++j)
-        ASSERT_NEAR(bi(i, j), sm.inverse()(i, j), 1e-6) << "n=" << n << " at " << i << ',' << j;
-  }
-}
-
-TEST(Delayed, AutoFlushAtWindowAndRepeatedElectron)
-{
-  const int n = 10;
-  Matrix<double> a = random_matrix(n, 31, 2.0);
-  DelayedDeterminant delayed(3);
-  ASSERT_TRUE(delayed.build(a));
-  Xoshiro256 rng(33);
-  std::vector<double> u(static_cast<std::size_t>(n));
-
-  auto make_u = [&](int e) {
-    for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-  };
-
-  make_u(0);
-  delayed.accept_move(u.data(), 0);
-  EXPECT_EQ(delayed.pending(), 1);
-  make_u(1);
-  delayed.accept_move(u.data(), 1);
-  EXPECT_EQ(delayed.pending(), 2);
-  // Touching electron 0 again must flush the window first.
-  make_u(0);
-  delayed.accept_move(u.data(), 0);
-  EXPECT_EQ(delayed.pending(), 1);
-  make_u(5);
-  delayed.accept_move(u.data(), 5);
-  make_u(6);
-  delayed.accept_move(u.data(), 6); // hits delay=3 -> auto flush
-  EXPECT_EQ(delayed.pending(), 0);
-}
-
-TEST(Delayed, DelayOneEqualsImmediateUpdates)
-{
-  const int n = 9;
-  Matrix<double> a = random_matrix(n, 41, 2.0);
-  DiracDeterminant sm;
-  DelayedDeterminant d1(1);
-  ASSERT_TRUE(sm.build(a));
-  ASSERT_TRUE(d1.build(a));
-  Xoshiro256 rng(44);
-  for (int move = 0; move < 10; ++move) {
-    const int e = static_cast<int>(rng() % n);
-    std::vector<double> u(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-    if (std::abs(sm.ratio(u.data(), e)) < 0.05)
-      continue;
-    sm.accept_move(u.data(), e);
-    d1.accept_move(u.data(), e);
-  }
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      ASSERT_NEAR(d1.inverse()(i, j), sm.inverse()(i, j), 1e-8);
-}
-
-TEST(Delayed, ThreadedFlushIsBitIdenticalToSerial)
-{
-  // The flush's column blocks (256 columns each) are disjoint and within a
-  // block the per-element (i, m, j) order is untouched, so distributing
-  // blocks over an inner team must reproduce the serial flush BIT for bit —
-  // not merely to tolerance.  N = 520 spans 3 blocks (256 + 256 + 8,
-  // including a partial one); team 3 does not divide anything evenly.
-  const int n = 520;
-  const int k = 6;
-  const Matrix<double> a = random_matrix(n, 2026, 8.0);
-  DelayedDeterminant serial(k), teamed(k);
-  ASSERT_TRUE(serial.build(a));
-  ASSERT_TRUE(teamed.build(a));
-  teamed.set_team(TeamHandle::of(3));
-
-  Xoshiro256 rng(77);
-  std::vector<double> u(static_cast<std::size_t>(n));
-  for (int m = 0; m < k; ++m) { // fill exactly one window, flush on accept k
-    const int col = (m * 97) % n;
-    for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == col ? 8.0 : 0.0);
-    ASSERT_EQ(serial.ratio(u.data(), col), teamed.ratio(u.data(), col)) << "m=" << m;
-    serial.accept_move(u.data(), col);
-    teamed.accept_move(u.data(), col);
-  }
-  ASSERT_EQ(serial.pending(), 0); // the window flushed
-  ASSERT_EQ(teamed.pending(), 0);
-  EXPECT_EQ(serial.log_det(), teamed.log_det());
-  const Matrix<double>& si = serial.inverse();
-  const Matrix<double>& ti = teamed.inverse();
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      ASSERT_EQ(si(i, j), ti(i, j)) << "inverse differs at (" << i << ", " << j << ")";
-}
-
-TEST(DetUpdater, SetTeamRoutesToTheDelayedEngine)
-{
-  // The wrapper forwards the caller's inner team to the delayed engine and
-  // drops it for Sherman-Morrison; both stay correct afterwards.
-  const int n = 40;
-  const Matrix<double> a = random_matrix(n, 5, 6.0);
-  DetUpdater sm(0), delayed(4);
-  ASSERT_TRUE(sm.build(a));
-  ASSERT_TRUE(delayed.build(a));
-  sm.set_team(TeamHandle::of(4)); // no-op, must not crash or change results
-  delayed.set_team(TeamHandle::of(4));
-
-  Xoshiro256 rng(9);
-  std::vector<double> u(static_cast<std::size_t>(n));
-  for (int m = 0; m < 8; ++m) {
-    const int col = m % n;
-    for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == col ? 6.0 : 0.0);
-    const double rs = sm.ratio(u.data(), col);
-    const double rd = delayed.ratio(u.data(), col);
-    EXPECT_NEAR(rs, rd, 1e-9 * std::max(1.0, std::abs(rs)));
-    sm.accept_move(u.data(), col);
-    delayed.accept_move(u.data(), col);
-  }
-  delayed.flush();
-  EXPECT_NEAR(sm.log_det(), delayed.log_det(), 1e-8 * std::max(1.0, std::abs(sm.log_det())));
-}
-
-TEST(DetUpdater, DelayRankKnobSelectsTheAlgorithm)
-{
-  EXPECT_EQ(DetUpdater(0).kind(), DetUpdateKind::ShermanMorrison);
-  EXPECT_EQ(DetUpdater(1).kind(), DetUpdateKind::ShermanMorrison);
-  EXPECT_EQ(DetUpdater(2).kind(), DetUpdateKind::Delayed);
-  EXPECT_EQ(DetUpdater(8).kind(), DetUpdateKind::Delayed);
-  EXPECT_EQ(DetUpdater(0).delay(), 1);
-  EXPECT_EQ(DetUpdater(8).delay(), 8);
-}
-
-TEST(DetUpdater, DispatchMatchesUnderlyingEngines)
-{
-  // The wrapper must be a pure dispatcher: bit-identical to DiracDeterminant
-  // for delay_rank <= 1 and to DelayedDeterminant for delay_rank >= 2, over
-  // a mixed accept/reject sequence.
-  const int n = 12;
-  Matrix<double> a = random_matrix(n, 61, 2.0);
-  DiracDeterminant sm;
-  DelayedDeterminant delayed(3);
-  DetUpdater u_sm(0), u_delayed(3);
-  ASSERT_TRUE(sm.build(a));
-  ASSERT_TRUE(delayed.build(a));
-  ASSERT_TRUE(u_sm.build(a));
-  ASSERT_TRUE(u_delayed.build(a));
-
-  Xoshiro256 rng(62);
-  for (int move = 0; move < 20; ++move) {
-    const int e = static_cast<int>(rng() % n);
-    std::vector<double> u(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-      u[static_cast<std::size_t>(i)] = rng.uniform(-1.0, 1.0) + (i == e ? 2.0 : 0.0);
-    EXPECT_EQ(u_sm.ratio(u.data(), e), sm.ratio(u.data(), e));
-    EXPECT_EQ(u_delayed.ratio(u.data(), e), delayed.ratio(u.data(), e));
-    EXPECT_EQ(u_delayed.pending(), delayed.pending());
-    if (std::abs(sm.ratio(u.data(), e)) < 0.05)
-      continue;
-    sm.accept_move(u.data(), e);
-    delayed.accept_move(u.data(), e);
-    u_sm.accept_move(u.data(), e);
-    u_delayed.accept_move(u.data(), e);
-    EXPECT_EQ(u_sm.log_det(), sm.log_det());
-    EXPECT_EQ(u_delayed.log_det(), delayed.log_det());
-  }
-  // inverse() flushes the delayed window before exposing the matrix.
-  EXPECT_EQ(u_sm.pending(), 0);
-  const auto& inv = u_delayed.inverse();
-  EXPECT_EQ(u_delayed.pending(), 0);
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j)
-      EXPECT_EQ(inv(i, j), delayed.inverse()(i, j));
 }
 
 TEST(Matrix, BasicsAndMatmul)

@@ -4,8 +4,8 @@
 // the driver pins every branching multiplicity to 1 and runs the unmodified
 // crowd-sweep body, so a DMC run of G generations x S steps is bit-for-bit
 // a VMC crowd run of G*S steps — same per-walker accept counts, bit-
-// identical log dets — across spline layouts, delay ranks, crowd sizes,
-// partition shapes and shard counts.  (2) Full DMC (drift + weights +
+// identical log dets — across spline layouts, crowd sizes, partition shapes
+// and shard counts.  (2) Full DMC (drift + weights +
 // birth/death) is a deterministic function of (config, seed): reruns and
 // every crowd/shard/partition decomposition reproduce the identical
 // population trace, birth/death counters, trial energy bits and per-walker
@@ -132,7 +132,7 @@ void expect_same_dmc_run(const MiniQMCResult& ref, const MiniQMCResult& got,
 
 // The oracle: fixed-population replay IS a VMC crowd run.  G generations of
 // S steps against a crowd run of G*S steps, bit for bit, for every layout,
-// delay rank, crowd size, partition shape and shard count — generation
+// crowd size, partition shape and shard count — generation
 // chunking and the DMC scaffolding must be trajectory-neutral.
 TEST(DmcDriver, ReplayModeMatchesVmcCrowdBitForBit)
 {
@@ -148,7 +148,7 @@ TEST(DmcDriver, ReplayModeMatchesVmcCrowdBitForBit)
   const char* partitions[] = {"1x2", "2x1"};
 
   for (const LayoutCase& lc : layouts) {
-    for (int delay : {1, 4}) {
+    for (int delay : {1}) {
       for (const char* part : partitions) {
         ScopedEnv penv("MQC_PARTITION", part);
         ScopedEnv senv("MQC_SHARDS", "2");
@@ -186,7 +186,7 @@ TEST(DmcDriver, ReplayModeMatchesVmcCrowdBitForBit)
 TEST(DmcDriver, FullDmcIsSeedDeterministic)
 {
   for (SpoLayout spo : {SpoLayout::AoS, SpoLayout::SoA}) {
-    MiniQMCConfig cfg = dmc_cfg(spo, spo != SpoLayout::AoS, 4);
+    MiniQMCConfig cfg = dmc_cfg(spo, spo != SpoLayout::AoS, 1);
     const MiniQMCResult a = run_miniqmc(cfg);
     const MiniQMCResult b = run_miniqmc(cfg);
     expect_same_dmc_run(a, b, spo == SpoLayout::AoS ? "AoS rerun" : "SoA rerun");
@@ -198,7 +198,7 @@ TEST(DmcDriver, FullDmcIsSeedDeterministic)
 // otherwise every "dynamic population" assertion above is vacuous.
 TEST(DmcDriver, PopulationActuallyFluctuates)
 {
-  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 1);
   cfg.dmc_generations = 8;
   cfg.dmc_tau = 0.8; // aggressive: push weights through the window fast
   cfg.dmc_weight_min = 0.05;
@@ -221,7 +221,7 @@ TEST(DmcDriver, PopulationActuallyFluctuates)
 // invariant under every crowd/shard/partition decomposition.
 TEST(DmcDriver, FullDmcIsDecompositionNeutral)
 {
-  MiniQMCConfig cfg = dmc_cfg(SpoLayout::AoSoA, true, 4);
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::AoSoA, true, 1);
   MiniQMCResult ref;
   {
     ScopedEnv senv("MQC_SHARDS", "1");
@@ -254,7 +254,7 @@ TEST(DmcDriver, FullDmcIsDecompositionNeutral)
 TEST(DmcDriver, MixedFullDmcIsSeedDeterministicAndSurfaced)
 {
   for (SpoLayout spo : {SpoLayout::SoA, SpoLayout::AoSoA}) {
-    MiniQMCConfig cfg = dmc_cfg(spo, true, 4);
+    MiniQMCConfig cfg = dmc_cfg(spo, true, 1);
     cfg.precision_path = PrecisionPath::Mixed;
     const MiniQMCResult a = run_miniqmc(cfg);
     const MiniQMCResult b = run_miniqmc(cfg);
@@ -263,14 +263,14 @@ TEST(DmcDriver, MixedFullDmcIsSeedDeterministicAndSurfaced)
     ASSERT_EQ(static_cast<int>(a.dmc_population.size()), cfg.dmc_generations);
   }
   // AoS has no mixed variant: the branching driver surfaces the resolution.
-  MiniQMCConfig acfg = dmc_cfg(SpoLayout::AoS, false, 4);
+  MiniQMCConfig acfg = dmc_cfg(SpoLayout::AoS, false, 1);
   acfg.precision_path = PrecisionPath::Mixed;
   EXPECT_EQ(run_miniqmc(acfg).precision_path, PrecisionPath::Native);
 }
 
 TEST(DmcDriver, MixedFullDmcIsDecompositionNeutral)
 {
-  MiniQMCConfig cfg = dmc_cfg(SpoLayout::AoSoA, true, 4);
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::AoSoA, true, 1);
   cfg.precision_path = PrecisionPath::Mixed;
   MiniQMCResult ref;
   {
@@ -336,7 +336,7 @@ TEST(DmcDriver, DriftMovesTheProposalCentre)
 // all per-walker fingerprints.
 TEST(DmcDriver, CheckpointResumeIsBitForBit)
 {
-  for (int delay : {1, 4}) {
+  for (int delay : {1}) {
     MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, delay);
     cfg.dmc_generations = 6;
     const std::string tag = "resume_d" + std::to_string(delay);
@@ -381,7 +381,7 @@ TEST(DmcDriver, CheckpointResumeIsBitForBit)
 // sweep.  It must still land bit-for-bit on the uninterrupted run.
 TEST(DmcDriver, ResumeUnderADifferentDecompositionIsBitForBit)
 {
-  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 1);
   cfg.dmc_generations = 6;
   ScopedCkpt ck("resume_redecomposed");
 
@@ -427,7 +427,7 @@ TEST(DmcDriver, ResumeUnderADifferentDecompositionIsBitForBit)
 TEST(DmcDriver, VmcSnapshotCannotResumeIntoDmc)
 {
   ScopedCkpt ck("vmc_cross");
-  MiniQMCConfig vmc = base_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig vmc = base_cfg(SpoLayout::SoA, true, 1);
   vmc.driver = DriverMode::Crowd;
   vmc.steps = 4;
   vmc.checkpoint_path = ck.path;
@@ -435,7 +435,7 @@ TEST(DmcDriver, VmcSnapshotCannotResumeIntoDmc)
   const MiniQMCResult wrote = run_miniqmc(vmc);
   ASSERT_GE(wrote.checkpoints_written, 1);
 
-  MiniQMCConfig dmc = dmc_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig dmc = dmc_cfg(SpoLayout::SoA, true, 1);
   dmc.checkpoint_path = ck.path;
   dmc.resume = true;
   const MiniQMCResult got = run_miniqmc(dmc);
@@ -449,14 +449,14 @@ TEST(DmcDriver, VmcSnapshotCannotResumeIntoDmc)
 TEST(DmcDriver, ReplaySnapshotCannotResumeFullDmc)
 {
   ScopedCkpt ck("replay_cross");
-  MiniQMCConfig rep = dmc_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig rep = dmc_cfg(SpoLayout::SoA, true, 1);
   rep.dmc_replay = true;
   rep.checkpoint_path = ck.path;
   rep.checkpoint_interval = 1;
   const MiniQMCResult wrote = run_miniqmc(rep);
   ASSERT_GE(wrote.checkpoints_written, 1);
 
-  MiniQMCConfig full = dmc_cfg(SpoLayout::SoA, true, 4);
+  MiniQMCConfig full = dmc_cfg(SpoLayout::SoA, true, 1);
   full.checkpoint_path = ck.path;
   full.resume = true;
   const MiniQMCResult got = run_miniqmc(full);

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "core/coef_storage.h"
 #include "core/synthetic_orbitals.h"
 #include "core/table_memory.h"
+#include "determinant/det_update.h"
 #include "qmc/crowd_sweep.h"
 #include "qmc/job_queue.h"
 #include "qmc/miniqmc_driver.h"
@@ -69,7 +71,6 @@ MiniQMCConfig make_cfg(int walkers = 6, int steps = 6)
   cfg.optimized_dt_jastrow = true;
   cfg.num_walkers = walkers;
   cfg.steps = steps;
-  cfg.delay_rank = 4; // in-flight Woodbury panels cross epoch boundaries
   return cfg;
 }
 
@@ -125,6 +126,39 @@ TEST(WalkerPopulationSuite, SecondsIncludeTheWalkerBuild)
   EXPECT_GT(built, 0.0);
   pop.run_to_step(2);
   EXPECT_GT(pop.result().seconds, built);
+}
+
+TEST(WalkerPopulationSuite, DelayRankOfTwoOrMoreIsRefusedBeforeTheRun)
+{
+  // Sherman-Morrison is the only determinant engine.  delay_rank >= 2 named
+  // the removed delayed engine: every driver refuses it with an exception
+  // that names the value, thrown on the caller's thread before any team
+  // region (a throw inside an OpenMP region would terminate the process).
+  auto expect_refused = [](const auto& run, const std::string& what) {
+    try {
+      run();
+      ADD_FAILURE() << what << ": delay_rank = 2 was not refused";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("delay_rank = 2"), std::string::npos)
+          << what << ": " << e.what();
+    }
+  };
+  MiniQMCConfig cfg = make_cfg(4, 2);
+  cfg.delay_rank = 2;
+  for (const DriverMode mode : {DriverMode::PerWalker, DriverMode::Crowd, DriverMode::DMC}) {
+    MiniQMCConfig c = cfg;
+    c.driver = mode;
+    expect_refused([&] { (void)run_miniqmc(c); },
+                   "run_miniqmc driver " + std::to_string(static_cast<int>(mode)));
+  }
+  PopulationConfig pcfg;
+  pcfg.qmc = cfg;
+  expect_refused([&] { WalkerPopulation pop(pcfg); }, "WalkerPopulation");
+
+  EXPECT_THROW((void)DetUpdater(2), std::invalid_argument);
+  EXPECT_THROW((void)DetUpdater(8), std::invalid_argument);
+  EXPECT_NO_THROW((void)DetUpdater(0));
+  EXPECT_NO_THROW((void)DetUpdater(1));
 }
 
 TEST(WalkerPopulationSuite, ShardCountIsTrajectoryNeutral)

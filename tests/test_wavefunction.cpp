@@ -25,7 +25,7 @@ struct WfFixture
   std::unique_ptr<SlaterJastrow<double>> psi;
   int norb = 6;
 
-  explicit WfFixture(std::uint64_t seed = 3, int delay_rank = 0)
+  explicit WfFixture(std::uint64_t seed = 3)
   {
     const double l = sys.lattice.rows()[0].x;
     const auto grid = Grid3D<double>::cube(12, l);
@@ -38,7 +38,7 @@ struct WfFixture
     auto j1 = BsplineJastrowFunctor<double>::make_exponential(-1.0, 0.8, rcut);
     auto j2 = BsplineJastrowFunctor<double>::make_exponential(-0.5, 1.0, rcut);
     psi = std::make_unique<SlaterJastrow<double>>(coefs, sys.lattice, ions, j1, j2,
-                                                  MinImageMode::Fast, delay_rank);
+                                                  MinImageMode::Fast);
     elec = random_particles<double>(2 * norb, sys.lattice, seed + 7);
     EXPECT_TRUE(psi->initialize(elec));
   }
@@ -194,71 +194,6 @@ TEST(WaveFunction, KineticEnergyFiniteAndStableUnderMoves)
   SlaterJastrow<double> fresh(f.coefs, f.sys.lattice, f.ions, j1, j2);
   ASSERT_TRUE(fresh.initialize(conf));
   EXPECT_NEAR(f.psi->kinetic_energy(), fresh.kinetic_energy(), 1e-6);
-}
-
-TEST(WaveFunction, DelayedDeterminantTracksShermanMorrisonAcrossDelayRanks)
-{
-  // The SlaterJastrow determinant-update policy: running the SAME Markov
-  // chain on the delayed rank-k engine must reproduce the Sherman-Morrison
-  // ratio/accept trajectory to tight tolerance for every window size —
-  // k = 1 (degenerate window), k < N, k = N, and k > N (N = 6 columns per
-  // spin sector), where N-and-above exercise the repeated-column flush.
-  // The sequence mixes accepts and rejects and touches the same electron
-  // back-to-back so pending-window pricing is hit in every state.
-  for (int k : {1, 2, 4, 8, 12}) {
-    WfFixture sm(3, 0);
-    WfFixture delayed(3, k);
-    ASSERT_EQ(delayed.psi->delay_rank(), k >= 2 ? k : 1);
-    Xoshiro256 rng(55);
-    // Electron schedule with deliberate immediate re-touches (0, 0 and 7, 7).
-    const int schedule[] = {0, 0, 3, 7, 7, 1, 10, 4, 0, 8, 3, 3, 11, 5, 2, 9, 6, 1, 7, 0};
-    double max_scale = 1.0;
-    for (int iel : schedule) {
-      const Vec3<double> r = sm.psi->electrons()[iel];
-      const Vec3<double> rnew{r.x + 0.25 * rng.gaussian(), r.y + 0.25 * rng.gaussian(),
-                              r.z + 0.25 * rng.gaussian()};
-      const double lr_sm = sm.psi->ratio_log(iel, rnew);
-      const double lr_d = delayed.psi->ratio_log(iel, rnew);
-      ASSERT_NEAR(lr_d, lr_sm, 1e-9 * std::max(1.0, std::abs(lr_sm))) << "k=" << k;
-      if (rng.uniform() < std::exp(2.0 * lr_sm)) {
-        sm.psi->accept(iel);
-        delayed.psi->accept(iel);
-      } else {
-        sm.psi->reject(iel);
-        delayed.psi->reject(iel);
-      }
-      max_scale = std::max(max_scale, std::abs(sm.psi->log_psi()));
-      ASSERT_NEAR(delayed.psi->log_psi(), sm.psi->log_psi(), 1e-9 * max_scale) << "k=" << k;
-    }
-    // Derived quantities that force the pending window to flush (inverse
-    // materialization) must agree too.
-    EXPECT_NEAR(delayed.psi->kinetic_energy(), sm.psi->kinetic_energy(), 1e-6) << "k=" << k;
-    EXPECT_EQ(delayed.psi->sign(), sm.psi->sign()) << "k=" << k;
-  }
-}
-
-TEST(WaveFunction, DelayedDeterminantMatchesRebuildOracle)
-{
-  // Incremental delayed state vs a fresh O(N^3) wave function build at the
-  // final configuration: the end-to-end guarantee, independent of the
-  // Sherman-Morrison reference path.
-  WfFixture f(3, 4);
-  Xoshiro256 rng(77);
-  auto conf = f.elec;
-  for (int m = 0; m < 40; ++m) {
-    const int iel = static_cast<int>(rng() % 12);
-    const Vec3<double> r = conf[iel];
-    const Vec3<double> rnew{r.x + 0.3 * rng.gaussian(), r.y + 0.3 * rng.gaussian(),
-                            r.z + 0.3 * rng.gaussian()};
-    (void)f.psi->ratio_log(iel, rnew);
-    if (rng.uniform() < 0.6) {
-      f.psi->accept(iel);
-      conf.set(iel, rnew);
-    } else {
-      f.psi->reject(iel);
-    }
-  }
-  EXPECT_NEAR(f.psi->log_psi(), f.log_psi_at(conf), 1e-7);
 }
 
 TEST(WaveFunction, FloatKernelsTrackDoubleWaveFunction)

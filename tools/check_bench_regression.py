@@ -22,8 +22,8 @@ Gating policy — what is safe to compare across the heterogeneous CI fleet:
   (useful on a pinned, self-hosted runner).  Absolute rows are
   lower-is-better when their unit is a time unit ("s", "us", "ms"), else
   higher-is-better.
-* unitless rows (counters like nested_inner_threads, det_*_best_delay_rank)
-  are informational: reported, never gated.
+* unitless rows (counters like nested_inner_threads) are informational:
+  reported, never gated.
 
 Rows present on only one side are reported as added/removed, never fatal —
 benches grow rows across PRs and a stale baseline should fail loudly only

@@ -391,7 +391,7 @@ def main(argv=None):
         for driver in ("per-walker", "crowd"):
             for partition in ("1x2", "2x1"):
                 env = {"MQC_PARTITION": partition}
-                base_args = ["--driver", driver, "--walkers", "4", "--delay", "4"] + layout_args
+                base_args = ["--driver", driver, "--walkers", "4"] + layout_args
                 label = f"layout={layout} driver={driver} partition={partition}"
                 ref = None
                 for name, fn in layout_scenarios:
@@ -419,8 +419,7 @@ def main(argv=None):
     ]
     for partition in ("1x2", "2x1"):
         env = {"MQC_PARTITION": partition}
-        base_args = ["--driver", "dmc", "--walkers", "4", "--delay", "4",
-                     "--dmc", "6", "--dmc-tau", "1.2"]
+        base_args = ["--driver", "dmc", "--walkers", "4", "--dmc", "6", "--dmc-tau", "1.2"]
         label = f"driver=dmc partition={partition}"
         ref = None
         for name, fn in dmc_scenarios:
