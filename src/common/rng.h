@@ -5,12 +5,16 @@
 // random access nature of QMC, each walker generates ns random positions").
 // We use xoshiro256** seeded through splitmix64 — fast, tiny state, and every
 // walker stream is reproducible from (global seed, walker id), which the test
-// suite relies on for cross-layout equivalence checks.
+// suite relies on for cross-layout equivalence checks.  advance(n) jumps a
+// stream n draws ahead in O(log n), so one stream can be drawn by several
+// threads at once, each from its own offset (the coefficient table fill).
 #ifndef MQC_COMMON_RNG_H
 #define MQC_COMMON_RNG_H
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 
 namespace mqc {
@@ -95,6 +99,63 @@ public:
     cached_gauss_ = st.cached_gauss;
   }
 
+  /// A polynomial over GF(2) of degree below 256: bit b of word w is the
+  /// coefficient of x^(64w + b).  The state transition T is linear over
+  /// GF(2) with characteristic polynomial P(x) = x^256 + kCharPoly, so
+  /// P(T) = 0 and T^n = J(T) for J = x^n mod P (Haramoto et al., "Efficient
+  /// jump ahead for F2-linear random number generators", INFORMS J. Comput.
+  /// 20(3), 2008).  kCharPoly (P's terms below x^256) is the Berlekamp–
+  /// Massey polynomial of one state bit's sequence; the reference JUMP
+  /// constant is x^(2^128) mod P, which the tests check.
+  using JumpPolynomial = std::array<std::uint64_t, 4>;
+  static constexpr JumpPolynomial kCharPoly = {0x9d116f2bb0f0f001ULL, 0x0280002bcefd1a5eULL,
+                                               0x04b4edcf26259f85ULL, 0x0003c03c3f3ecb19ULL};
+
+  /// a * b mod P.
+  [[nodiscard]] static JumpPolynomial multiply_mod_p(const JumpPolynomial& a,
+                                                     const JumpPolynomial& b) noexcept
+  {
+    JumpPolynomial r{};
+    for (int k = 255; k >= 0; --k) {
+      r = times_x_mod_p(r);
+      if ((b[static_cast<std::size_t>(k / 64)] >> (k % 64)) & 1U)
+        for (std::size_t w = 0; w < 4; ++w)
+          r[w] ^= a[w];
+    }
+    return r;
+  }
+
+  /// x^n mod P, by square-and-multiply.
+  [[nodiscard]] static JumpPolynomial jump_polynomial(std::uint64_t n) noexcept
+  {
+    JumpPolynomial r{1, 0, 0, 0};
+    for (int bit = std::bit_width(n) - 1; bit >= 0; --bit) {
+      r = multiply_mod_p(r, r);
+      if ((n >> bit) & 1U)
+        r = times_x_mod_p(r);
+    }
+    return r;
+  }
+
+  /// Skip @p n raw draws in O(log n): the xoshiro words become exactly what
+  /// n operator() calls would leave.  Like those calls, it leaves the cached
+  /// Box–Muller deviate as it is, so a gaussian() after advance(n) still
+  /// returns the deviate cached before it.  The state is J(T)s for
+  /// J = x^n mod P, summed over 256 steps the way the reference jump()
+  /// applies its JUMP constant.
+  void advance(std::uint64_t n) noexcept
+  {
+    const JumpPolynomial j = jump_polynomial(n);
+    std::array<std::uint64_t, 4> sum{};
+    for (std::size_t k = 0; k < 256; ++k) {
+      if ((j[k / 64] >> (k % 64)) & 1U)
+        for (std::size_t w = 0; w < 4; ++w)
+          sum[w] ^= state_[w];
+      (void)(*this)();
+    }
+    state_ = sum;
+  }
+
   /// Derive an independent stream for a spawned walker (DMC birth path).
   /// The child is seeded from the next two raw draws of THIS stream, so it
   /// is a pure function of the parent's state at the split point, and the
@@ -136,6 +197,18 @@ public:
 
 private:
   static std::uint64_t rotl(std::uint64_t x, int k) noexcept { return (x << k) | (x >> (64 - k)); }
+
+  /// a * x mod P: shift up one degree, folding x^256 back as kCharPoly.
+  static JumpPolynomial times_x_mod_p(JumpPolynomial a) noexcept
+  {
+    const std::uint64_t fold = 0 - (a[3] >> 63);
+    for (std::size_t w = 3; w > 0; --w)
+      a[w] = (a[w] << 1) | (a[w - 1] >> 63);
+    a[0] <<= 1;
+    for (std::size_t w = 0; w < 4; ++w)
+      a[w] ^= kCharPoly[w] & fold;
+    return a;
+  }
 
   std::array<std::uint64_t, 4> state_{};
   bool have_gauss_ = false;

@@ -31,6 +31,7 @@
 
 #include "common/config.h"
 #include "common/rng.h"
+#include "common/threading.h"
 #include "core/grid.h"
 #include "core/table_memory.h"
 
@@ -157,17 +158,23 @@ public:
   /// [0, count) — the AoSoA tile split.  Grids must match.
   void assign_spline_range(const CoefStorage& src, int first, int count)
   {
+    for (int i = 0; i < grid_.x.num + 3; ++i)
+      assign_spline_range_plane(src, first, count, i);
+  }
+
+  /// The x-plane @p i share of assign_spline_range: the unit MultiBspline's
+  /// team-split copy hands out, so distinct planes may be copied at once.
+  void assign_spline_range_plane(const CoefStorage& src, int first, int count, int i)
+  {
     assert(count <= num_splines_);
     assert(first + count <= src.num_splines());
-    const int nx = grid_.x.num + 3, ny = grid_.y.num + 3, nz = grid_.z.num + 3;
-    for (int i = 0; i < nx; ++i)
-      for (int j = 0; j < ny; ++j)
-        for (int k = 0; k < nz; ++k) {
-          const T* s = src.row(i, j, k) + first;
-          T* d = row(i, j, k);
-          for (int n = 0; n < count; ++n)
-            d[n] = s[n];
-        }
+    for (int j = 0; j < grid_.y.num + 3; ++j)
+      for (int k = 0; k < grid_.z.num + 3; ++k) {
+        const T* s = src.row(i, j, k) + first;
+        T* d = row(i, j, k);
+        for (int n = 0; n < count; ++n)
+          d[n] = s[n];
+      }
   }
 
 private:
@@ -189,6 +196,8 @@ using CoefTables = std::vector<std::shared_ptr<const CoefStorage<T>>>;
 /// row, one draw per padded lane of each part in turn, 0 stored in padding
 /// lanes.  Every part but the last must be padding-free, so the parts' lanes
 /// line up with the untiled table's; throws std::invalid_argument otherwise.
+/// Runs on the machine's team (Xoshiro256::advance gives each member its
+/// slab's draws); the bytes do not depend on the team size.
 template <typename T>
 void fill_random_split(std::span<CoefStorage<T>* const> parts, std::uint64_t seed)
 {
@@ -202,18 +211,35 @@ void fill_random_split(std::span<CoefStorage<T>* const> parts, std::uint64_t see
          parts[p]->padded_splines() != static_cast<std::size_t>(parts[p]->num_splines())))
       throw std::invalid_argument("fill_random_split: parts are not one table's split");
   }
-  Xoshiro256 rng(seed);
-  for (int i = 0; i < g.x.num + 3; ++i)
-    for (int j = 0; j < g.y.num + 3; ++j)
-      for (int k = 0; k < g.z.num + 3; ++k)
-        for (CoefStorage<T>* part : parts) {
-          T* r = part->row(i, j, k);
-          const std::size_t count = static_cast<std::size_t>(part->num_splines());
-          for (std::size_t n = 0; n < part->padded_splines(); ++n) {
-            const T v = static_cast<T>(rng.uniform(-0.5, 0.5));
-            r[n] = n < count ? v : T(0);
+  // Each member of the machine's team fills a contiguous slab of x-planes
+  // from the one stream advanced to the slab's first draw, so every team
+  // size writes the single-stream bytes, and the filling threads are the
+  // first to touch their slabs' pages.
+  std::uint64_t row_draws = 0;
+  for (const CoefStorage<T>* part : parts)
+    row_draws += part->padded_splines();
+  const std::uint64_t plane_draws =
+      row_draws * static_cast<std::uint64_t>(g.y.num + 3) * static_cast<std::uint64_t>(g.z.num + 3);
+  const int members = TeamHandle::whole_machine().resolve();
+  team_for(TeamHandle::whole_machine(), members, [&](int m) {
+    const Range slab = block_range(static_cast<std::size_t>(g.x.num + 3),
+                                   static_cast<std::size_t>(members), static_cast<std::size_t>(m));
+    if (slab.empty())
+      return;
+    Xoshiro256 rng(seed);
+    rng.advance(slab.first * plane_draws);
+    for (int i = static_cast<int>(slab.first); i < static_cast<int>(slab.last); ++i)
+      for (int j = 0; j < g.y.num + 3; ++j)
+        for (int k = 0; k < g.z.num + 3; ++k)
+          for (CoefStorage<T>* part : parts) {
+            T* r = part->row(i, j, k);
+            const std::size_t count = static_cast<std::size_t>(part->num_splines());
+            for (std::size_t n = 0; n < part->padded_splines(); ++n) {
+              const T v = static_cast<T>(rng.uniform(-0.5, 0.5));
+              r[n] = n < count ? v : T(0);
+            }
           }
-        }
+  });
 }
 
 /// Convert a grid between element types, recomputing delta/delta_inv in the
@@ -267,8 +293,9 @@ template <typename TDst, typename TSrc>
 /// copy of the set, materialized by `replicate(s)` ON the shard's own
 /// thread — under Linux's default first-touch policy the copy's pages land
 /// on the socket of the thread that writes them.  Shard 0 always resolves to
-/// the master set itself (no copy; it was first-touched by whoever built
-/// it), and each shard's engines/OrbitalSet facade are then constructed over
+/// the master set itself (no copy; it was first-touched by the threads that
+/// built it, the machine's team for the random fill and the copy split), and
+/// each shard's engines/OrbitalSet facade are then constructed over
 /// its replica, so every facade evaluation on that shard reads socket-local
 /// memory.
 ///

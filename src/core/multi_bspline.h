@@ -20,7 +20,8 @@
 // the table IS the tile a split would copy).  Built from pre-split tiles
 // (make_random_tiles fills them straight from the generator; a shard
 // replica copies them) it adopts those.  Only the const-reference
-// constructor copies: it is the reference split the tests compare against.
+// constructor copies (on the machine's team, one (tile, x-plane) item at a
+// time): it is the reference split the tests compare against.
 //
 // Precision split: like BsplineSoA, the element type is two parameters
 // `MultiBspline<TStore, TCompute>` (storage/interface type vs internal
@@ -39,6 +40,7 @@
 #include <vector>
 
 #include "common/config.h"
+#include "common/threading.h"
 #include "common/vec3.h"
 #include "core/bspline_soa.h"
 #include "core/coef_storage.h"
@@ -273,17 +275,22 @@ public:
   }
 
 private:
+  /// The copy split on the machine's team, one (tile, x-plane) item per
+  /// iteration: items write disjoint rows, so any team size copies the same
+  /// bytes, and the copying threads are the first to touch the tiles' pages.
   static CoefTables<TStore> split(const CoefStorage<TStore>& full, int tile_size)
   {
-    CoefTables<TStore> tiles;
-    int first = 0;
-    for (const int count : tile_counts<TStore>(full.num_splines(), tile_size)) {
-      auto tile = std::make_shared<CoefStorage<TStore>>(full.grid(), count);
-      tile->assign_spline_range(full, first, count);
-      tiles.push_back(std::move(tile));
-      first += count;
-    }
-    return tiles;
+    std::vector<std::shared_ptr<CoefStorage<TStore>>> tiles;
+    for (const int count : tile_counts<TStore>(full.num_splines(), tile_size))
+      tiles.push_back(std::make_shared<CoefStorage<TStore>>(full.grid(), count));
+    const int planes = full.grid().x.num + 3;
+    const int nb = tile_width<TStore>(tile_size);
+    team_for(TeamHandle::whole_machine(), static_cast<int>(tiles.size()) * planes, [&](int item) {
+      const int t = item / planes;
+      CoefStorage<TStore>& tile = *tiles[static_cast<std::size_t>(t)];
+      tile.assign_spline_range_plane(full, t * nb, tile.num_splines(), item % planes);
+    });
+    return {tiles.begin(), tiles.end()};
   }
 
   int num_splines_ = 0;

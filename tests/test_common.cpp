@@ -2,6 +2,7 @@
 // RNG determinism and statistics, thread-team partitions, timers, tables.
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <set>
 #include <sstream>
 #include <string>
@@ -119,6 +120,74 @@ TEST(Rng, GaussianMoments)
     stats.add(rng.gaussian());
   EXPECT_NEAR(stats.mean(), 0.0, 1e-2);
   EXPECT_NEAR(stats.stddev(), 1.0, 1e-2);
+}
+
+// advance(n) is n raw draws skipped in O(log n): same xoshiro words as n
+// operator() calls, below, across and far beyond the 256-step jump loop.
+TEST(Rng, AdvanceEqualsRepeatedDraws)
+{
+  for (const std::uint64_t seed : {3ULL, 0xdeadbeefcafef00dULL})
+    for (const std::uint64_t n : {0ULL, 1ULL, 255ULL, 256ULL, 257ULL, (1ULL << 20) + 3, 10000001ULL}) {
+      Xoshiro256 stepped(seed), jumped(seed);
+      for (std::uint64_t i = 0; i < n; ++i)
+        (void)stepped();
+      jumped.advance(n);
+      EXPECT_EQ(jumped.state().s, stepped.state().s) << "seed " << seed << " n " << n;
+      EXPECT_EQ(jumped(), stepped()) << "seed " << seed << " n " << n;
+    }
+}
+
+TEST(Rng, AdvanceComposes)
+{
+  const std::uint64_t splits[][2] = {{0, 5}, {7, 0}, {1000, 24}, {1ULL << 40, 12345}, {255, 257}};
+  for (const auto& ab : splits) {
+    Xoshiro256 twice(41), once(41);
+    twice.advance(ab[0]);
+    twice.advance(ab[1]);
+    once.advance(ab[0] + ab[1]);
+    EXPECT_EQ(twice.state().s, once.state().s) << ab[0] << " + " << ab[1];
+  }
+}
+
+// Known answers: x^(2^128) mod P and x^(2^192) mod P are the JUMP and
+// LONG_JUMP constants of the reference xoshiro256 jump() and long_jump(),
+// so P is the characteristic polynomial of the state transition.
+TEST(Rng, JumpPolynomialMatchesThePublishedJumpConstants)
+{
+  const Xoshiro256::JumpPolynomial jump = {0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL,
+                                           0xa9582618e03fc9aaULL, 0x39abdc4529b1661cULL};
+  const Xoshiro256::JumpPolynomial long_jump = {0x76e15d3efefdcbbfULL, 0xc5004e441c522fb3ULL,
+                                                0x77710069854ee241ULL, 0x39109bb02acbe635ULL};
+  Xoshiro256::JumpPolynomial p = Xoshiro256::jump_polynomial(1); // x
+  EXPECT_EQ(p, (Xoshiro256::JumpPolynomial{2, 0, 0, 0}));
+  for (int doubling = 1; doubling <= 192; ++doubling) {
+    p = Xoshiro256::multiply_mod_p(p, p); // x^(2^doubling)
+    if (doubling == 128) {
+      EXPECT_EQ(p, jump);
+    }
+  }
+  EXPECT_EQ(p, long_jump);
+}
+
+// advance moves only the xoshiro words: the cached Box-Muller deviate stays,
+// exactly as it does across n operator() calls.
+TEST(Rng, AdvanceKeepsTheCachedGaussian)
+{
+  Xoshiro256 stepped(17), jumped(17);
+  (void)stepped.gaussian();
+  (void)jumped.gaussian();
+  ASSERT_TRUE(jumped.state().have_gauss);
+  for (int i = 0; i < 1000; ++i)
+    (void)stepped();
+  jumped.advance(1000);
+  const Xoshiro256::State a = stepped.state(), b = jumped.state();
+  EXPECT_EQ(a.s, b.s);
+  EXPECT_TRUE(b.have_gauss);
+  EXPECT_EQ(std::memcmp(&a.cached_gauss, &b.cached_gauss, sizeof(double)), 0);
+  EXPECT_EQ(jumped.gaussian(), b.cached_gauss);
+  EXPECT_EQ(stepped.gaussian(), a.cached_gauss);
+  for (int i = 0; i < 4; ++i)
+    EXPECT_EQ(jumped.gaussian(), stepped.gaussian()) << i;
 }
 
 TEST(Stats, RunningStatsBasics)

@@ -236,20 +236,18 @@ TEST(CrowdDriver, PerWalkerDriverHonorsInnerTeamsBitForBit)
   // The per-walker driver owns the same seam: walkers with inner teams
   // (parallel quadrature batches) must walk the identical trajectory as the
   // flat per-walker sweep.
-  for (int delay : {0}) {
-    auto cfg = crowd_test_config();
-    cfg.spo = SpoLayout::AoSoA;
-    cfg.tile_size = 16;
-    cfg.optimized_dt_jastrow = true;
-    cfg.delay_rank = delay;
-    cfg.inner_threads = 1;
-    const auto flat = run_miniqmc(cfg);
-    EXPECT_EQ(flat.team_path, TeamPath::Flat);
-    cfg.inner_threads = 3;
-    const auto nested = run_miniqmc(cfg);
-    expect_identical_trajectories(flat, nested, delay ? "per-walker delay4" : "per-walker");
-    EXPECT_EQ(nested.inner_threads_used, 3);
-  }
+  auto cfg = crowd_test_config();
+  cfg.spo = SpoLayout::AoSoA;
+  cfg.tile_size = 16;
+  cfg.optimized_dt_jastrow = true;
+  cfg.delay_rank = 0;
+  cfg.inner_threads = 1;
+  const auto flat = run_miniqmc(cfg);
+  EXPECT_EQ(flat.team_path, TeamPath::Flat);
+  cfg.inner_threads = 3;
+  const auto nested = run_miniqmc(cfg);
+  expect_identical_trajectories(flat, nested, "per-walker");
+  EXPECT_EQ(nested.inner_threads_used, 3);
 }
 
 TEST(CrowdDriver, TeamPathIsAnExplicitRuntimeCapabilityDecision)
@@ -360,23 +358,21 @@ TEST(CrowdDriver, SeedDeterminismAcrossRepeatedRuns)
 {
   // Fixed seed + fixed walker count => identical acceptance_ratio and
   // moves_attempted on every run, in both driver modes.
-  for (int delay : {0}) {
-    for (DriverMode mode : {DriverMode::PerWalker, DriverMode::Crowd}) {
-      auto cfg = crowd_test_config();
-      cfg.spo = SpoLayout::AoSoA;
-      cfg.tile_size = 16;
-      cfg.driver = mode;
-      cfg.crowd_size = 3;
-      cfg.delay_rank = delay;
-      const auto r1 = run_miniqmc(cfg);
-      const auto r2 = run_miniqmc(cfg);
-      EXPECT_EQ(r1.moves_attempted, r2.moves_attempted);
-      EXPECT_EQ(r1.acceptance_ratio, r2.acceptance_ratio);
-      EXPECT_EQ(r1.spline_orbital_evals, r2.spline_orbital_evals);
-      ASSERT_EQ(r1.walker_log_det.size(), r2.walker_log_det.size());
-      for (std::size_t i = 0; i < r1.walker_log_det.size(); ++i)
-        EXPECT_EQ(r1.walker_log_det[i], r2.walker_log_det[i]);
-    }
+  for (DriverMode mode : {DriverMode::PerWalker, DriverMode::Crowd}) {
+    auto cfg = crowd_test_config();
+    cfg.spo = SpoLayout::AoSoA;
+    cfg.tile_size = 16;
+    cfg.driver = mode;
+    cfg.crowd_size = 3;
+    cfg.delay_rank = 0;
+    const auto r1 = run_miniqmc(cfg);
+    const auto r2 = run_miniqmc(cfg);
+    EXPECT_EQ(r1.moves_attempted, r2.moves_attempted);
+    EXPECT_EQ(r1.acceptance_ratio, r2.acceptance_ratio);
+    EXPECT_EQ(r1.spline_orbital_evals, r2.spline_orbital_evals);
+    ASSERT_EQ(r1.walker_log_det.size(), r2.walker_log_det.size());
+    for (std::size_t i = 0; i < r1.walker_log_det.size(); ++i)
+      EXPECT_EQ(r1.walker_log_det[i], r2.walker_log_det[i]);
   }
 }
 

@@ -148,34 +148,32 @@ TEST(DmcDriver, ReplayModeMatchesVmcCrowdBitForBit)
   const char* partitions[] = {"1x2", "2x1"};
 
   for (const LayoutCase& lc : layouts) {
-    for (int delay : {1}) {
-      for (const char* part : partitions) {
-        ScopedEnv penv("MQC_PARTITION", part);
-        ScopedEnv senv("MQC_SHARDS", "2");
+    for (const char* part : partitions) {
+      ScopedEnv penv("MQC_PARTITION", part);
+      ScopedEnv senv("MQC_SHARDS", "2");
 
-        MiniQMCConfig vmc = base_cfg(lc.spo, lc.optimized, delay);
-        vmc.driver = DriverMode::Crowd;
-        vmc.steps = 6;
-        vmc.crowd_size = 3; // does not divide nw = 4
-        const MiniQMCResult ref = run_miniqmc(vmc);
+      MiniQMCConfig vmc = base_cfg(lc.spo, lc.optimized, 1);
+      vmc.driver = DriverMode::Crowd;
+      vmc.steps = 6;
+      vmc.crowd_size = 3; // does not divide nw = 4
+      const MiniQMCResult ref = run_miniqmc(vmc);
 
-        for (int gen_steps : {1, 2, 3}) {
-          MiniQMCConfig dmc = base_cfg(lc.spo, lc.optimized, delay);
-          dmc.driver = DriverMode::DMC;
-          dmc.dmc_replay = true;
-          dmc.dmc_generations = 6 / gen_steps;
-          dmc.dmc_gen_steps = gen_steps;
-          dmc.crowd_size = 3;
-          const MiniQMCResult got = run_miniqmc(dmc);
-          const std::string what = std::string(lc.name) + " delay=" + std::to_string(delay) +
-                                   " part=" + part + " gen_steps=" + std::to_string(gen_steps);
-          expect_same_trajectory(ref, got, what);
-          EXPECT_EQ(got.num_walkers, ref.num_walkers) << what;
-          EXPECT_EQ(got.dmc_births, 0u) << what;
-          EXPECT_EQ(got.dmc_deaths, 0u) << what;
-          for (int pop : got.dmc_population)
-            EXPECT_EQ(pop, vmc.num_walkers) << what;
-        }
+      for (int gen_steps : {1, 2, 3}) {
+        MiniQMCConfig dmc = base_cfg(lc.spo, lc.optimized, 1);
+        dmc.driver = DriverMode::DMC;
+        dmc.dmc_replay = true;
+        dmc.dmc_generations = 6 / gen_steps;
+        dmc.dmc_gen_steps = gen_steps;
+        dmc.crowd_size = 3;
+        const MiniQMCResult got = run_miniqmc(dmc);
+        const std::string what = std::string(lc.name) + " delay=1 part=" + part +
+                                 " gen_steps=" + std::to_string(gen_steps);
+        expect_same_trajectory(ref, got, what);
+        EXPECT_EQ(got.num_walkers, ref.num_walkers) << what;
+        EXPECT_EQ(got.dmc_births, 0u) << what;
+        EXPECT_EQ(got.dmc_deaths, 0u) << what;
+        for (int pop : got.dmc_population)
+          EXPECT_EQ(pop, vmc.num_walkers) << what;
       }
     }
   }
@@ -336,43 +334,41 @@ TEST(DmcDriver, DriftMovesTheProposalCentre)
 // all per-walker fingerprints.
 TEST(DmcDriver, CheckpointResumeIsBitForBit)
 {
-  for (int delay : {1}) {
-    MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, delay);
-    cfg.dmc_generations = 6;
-    const std::string tag = "resume_d" + std::to_string(delay);
-    ScopedCkpt ck(tag);
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::SoA, true, 1);
+  cfg.dmc_generations = 6;
+  const std::string tag = "resume_d1";
+  ScopedCkpt ck(tag);
 
-    const MiniQMCResult ref = run_miniqmc(cfg);
+  const MiniQMCResult ref = run_miniqmc(cfg);
 
-    MiniQMCConfig part = cfg;
-    part.dmc_generations = 3;
-    part.checkpoint_path = ck.path;
-    part.checkpoint_interval = 1; // gen_steps = 1: every generation boundary
-    const MiniQMCResult first = run_miniqmc(part);
-    EXPECT_GE(first.checkpoints_written, 1) << tag;
+  MiniQMCConfig part = cfg;
+  part.dmc_generations = 3;
+  part.checkpoint_path = ck.path;
+  part.checkpoint_interval = 1; // gen_steps = 1: every generation boundary
+  const MiniQMCResult first = run_miniqmc(part);
+  EXPECT_GE(first.checkpoints_written, 1) << tag;
 
-    MiniQMCConfig rest = cfg;
-    rest.checkpoint_path = ck.path;
-    rest.resume = true;
-    const MiniQMCResult got = run_miniqmc(rest);
-    EXPECT_EQ(got.resumed_from_step, 3) << tag << ": " << got.resume_error;
-    EXPECT_FALSE(got.resume_fallback_used) << tag;
+  MiniQMCConfig rest = cfg;
+  rest.checkpoint_path = ck.path;
+  rest.resume = true;
+  const MiniQMCResult got = run_miniqmc(rest);
+  EXPECT_EQ(got.resumed_from_step, 3) << tag << ": " << got.resume_error;
+  EXPECT_FALSE(got.resume_fallback_used) << tag;
 
-    expect_same_trajectory(ref, got, tag);
-    EXPECT_EQ(ref.num_walkers, got.num_walkers) << tag;
-    EXPECT_EQ(ref.dmc_births, got.dmc_births) << tag;
-    EXPECT_EQ(ref.dmc_deaths, got.dmc_deaths) << tag;
-    std::uint64_t a = 0, b = 0;
-    std::memcpy(&a, &ref.dmc_trial_energy, sizeof a);
-    std::memcpy(&b, &got.dmc_trial_energy, sizeof b);
-    EXPECT_EQ(a, b) << tag << ": trial energy bits differ";
-    // The resumed trace covers generations 3..6; it must equal the tail of
-    // the uninterrupted trace.
-    ASSERT_EQ(got.dmc_population.size(), 3u) << tag;
-    ASSERT_EQ(ref.dmc_population.size(), 6u) << tag;
-    for (std::size_t g = 0; g < 3; ++g)
-      EXPECT_EQ(got.dmc_population[g], ref.dmc_population[g + 3]) << tag << " gen " << g + 3;
-  }
+  expect_same_trajectory(ref, got, tag);
+  EXPECT_EQ(ref.num_walkers, got.num_walkers) << tag;
+  EXPECT_EQ(ref.dmc_births, got.dmc_births) << tag;
+  EXPECT_EQ(ref.dmc_deaths, got.dmc_deaths) << tag;
+  std::uint64_t a = 0, b = 0;
+  std::memcpy(&a, &ref.dmc_trial_energy, sizeof a);
+  std::memcpy(&b, &got.dmc_trial_energy, sizeof b);
+  EXPECT_EQ(a, b) << tag << ": trial energy bits differ";
+  // The resumed trace covers generations 3..6; it must equal the tail of
+  // the uninterrupted trace.
+  ASSERT_EQ(got.dmc_population.size(), 3u) << tag;
+  ASSERT_EQ(ref.dmc_population.size(), 6u) << tag;
+  for (std::size_t g = 0; g < 3; ++g)
+    EXPECT_EQ(got.dmc_population[g], ref.dmc_population[g + 3]) << tag << " gen " << g + 3;
 }
 
 // A snapshot carries no decomposition: a run killed under one shard and one

@@ -10,11 +10,14 @@
 #include <new>
 #include <set>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include "core/bspline_ref.h"
 #include "core/coef_storage.h"
+#include "core/multi_bspline.h"
 #include "core/synthetic_orbitals.h"
 #include "core/table_memory.h"
 #include "test_utils.h"
@@ -125,6 +128,100 @@ TEST(Storage, FillRandomKeepsTheDrawOrderAndZeroesPadding)
   expect_reference_draw<float>(4, 10, 77, 16);
   expect_reference_draw<float>(4, 16, 78, 16);
   expect_reference_draw<double>(5, 3, 79, 8);
+}
+
+// The table builds run on the machine's team: fill_random_split hands each
+// member a slab of x-planes from the advanced stream, and the MultiBspline
+// copy split hands out (tile, x-plane) items.  Every team width must write
+// the bytes of one serial single-stream loop.  On a 4^3 grid there are 7
+// x-planes, so width 8 leaves a member without a slab.
+namespace {
+
+/// Sets the OpenMP team width for one scope and restores the old value.
+class ScopedTeamWidth
+{
+public:
+  explicit ScopedTeamWidth(int width) : saved_(omp_get_max_threads()) { omp_set_num_threads(width); }
+  ~ScopedTeamWidth() { omp_set_num_threads(saved_); }
+  ScopedTeamWidth(const ScopedTeamWidth&) = delete;
+  ScopedTeamWidth& operator=(const ScopedTeamWidth&) = delete;
+
+private:
+  int saved_;
+};
+
+/// The untiled table of @p n splines drawn by expect_reference_draw's serial
+/// loop: one draw per padded lane, row by row, 0 in padding lanes.
+template <typename T>
+CoefStorage<T> serial_draw(int ng, int n, std::uint64_t seed)
+{
+  CoefStorage<T> s(Grid3D<T>::cube(ng, T(1)), n);
+  Xoshiro256 rng(seed);
+  for (int i = 0; i < ng + 3; ++i)
+    for (int j = 0; j < ng + 3; ++j)
+      for (int k = 0; k < ng + 3; ++k)
+        for (std::size_t l = 0; l < s.padded_splines(); ++l) {
+          const T drawn = static_cast<T>(rng.uniform(-0.5, 0.5));
+          s.row(i, j, k)[l] = static_cast<int>(l) < n ? drawn : T(0);
+        }
+  return s;
+}
+
+/// @p tile holds splines [first, first + tile.num_splines()) of @p ref,
+/// byte for byte, with zero padding lanes.
+void expect_tile_bytes(const CoefStorage<float>& ref, const CoefStorage<float>& tile, int first,
+                       const std::string& what)
+{
+  const int ng = ref.grid().x.num;
+  std::vector<float> want(tile.padded_splines());
+  for (int i = 0; i < ng + 3; ++i)
+    for (int j = 0; j < ng + 3; ++j)
+      for (int k = 0; k < ng + 3; ++k) {
+        std::fill(want.begin(), want.end(), 0.0f);
+        std::copy_n(ref.row(i, j, k) + first, tile.num_splines(), want.begin());
+        ASSERT_EQ(std::memcmp(tile.row(i, j, k), want.data(), want.size() * sizeof(float)), 0)
+            << what << " (" << i << ',' << j << ',' << k << ')';
+      }
+}
+
+} // namespace
+
+TEST(Storage, TableBuildsWriteTheSingleStreamBytesAtEveryTeamWidth)
+{
+  constexpr int ng = 4;
+  const auto grid = Grid3D<float>::cube(ng, 1.0f);
+  const CoefStorage<float> ref_f = serial_draw<float>(ng, 10, 301); // 6 padding lanes
+  const CoefStorage<double> ref_d = serial_draw<double>(ng, 3, 302); // 5 padding lanes
+  const CoefStorage<float> ref_tiled = serial_draw<float>(ng, 40, 303);
+  for (const int width : {1, 2, 3, 8}) {
+    ScopedTeamWidth team(width);
+    const std::string at = "width " + std::to_string(width);
+
+    CoefStorage<float> f(grid, 10);
+    f.fill_random(301);
+    ASSERT_EQ(f.size_bytes(), ref_f.size_bytes());
+    EXPECT_EQ(std::memcmp(f.row(0, 0, 0), ref_f.row(0, 0, 0), f.size_bytes()), 0)
+        << "fill_random<float>, " << at;
+    CoefStorage<double> d(Grid3D<double>::cube(ng, 1.0), 3);
+    d.fill_random(302);
+    ASSERT_EQ(d.size_bytes(), ref_d.size_bytes());
+    EXPECT_EQ(std::memcmp(d.row(0, 0, 0), ref_d.row(0, 0, 0), d.size_bytes()), 0)
+        << "fill_random<double>, " << at;
+
+    // 40 splines at width 16: two full tiles and a remainder tile of 8.
+    const CoefTables<float> tiles = make_random_tiles<float>(grid, 40, 16, 303);
+    ASSERT_EQ(tiles.size(), 3u);
+    EXPECT_EQ(tiles[2]->num_splines(), 8);
+    for (std::size_t t = 0; t < tiles.size(); ++t)
+      expect_tile_bytes(ref_tiled, *tiles[t], 16 * static_cast<int>(t),
+                        "make_random_tiles tile " + std::to_string(t) + ", " + at);
+
+    const MultiBspline<float> split(ref_tiled, 16);
+    ASSERT_EQ(split.num_tiles(), 3);
+    for (int t = 0; t < split.num_tiles(); ++t)
+      expect_tile_bytes(ref_tiled, split.tile(t).coefs(), 16 * t,
+                        "MultiBspline split tile " + std::to_string(t) + ", " + at);
+  }
 }
 
 TEST(Storage, AssignSplineRangeExtractsTile)
