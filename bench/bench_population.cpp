@@ -84,7 +84,7 @@ int main(int argc, char** argv)
   tp.add_row({TablePrinter::cell(auto_shards), TablePrinter::cell(tn, 4),
               TablePrinter::cell(locality, 2)});
   tp.print(std::cout);
-  std::cout << "\nReading guide: every shard sweeps its walkers against a socket-local copy\n"
+  std::cout << "\nReading guide: every shard sweeps its walkers against its socket's copy\n"
                "of the coefficient table; on a single-socket host both rows share one shard\n"
                "layout in effect and the ratio is noise around 1.\n";
   json.add("population_shard1_seconds", t1, "s");

@@ -189,12 +189,13 @@ struct ThreadPartition
                                      const MachineTopology& topo);
 };
 
-/// Number of resident-population shards to run on this host.  A shard is the
-/// NUMA replication unit (qmc/walker_population.h): each shard owns a
-/// socket-local first-touch copy of the read-only coefficient tables, so the
-/// natural count is one per socket.  `requested` > 0 pins the count; 0 means
-/// auto: MQC_SHARDS if set and valid (one positive integer; malformed values
-/// warn and fall through), else machine_topology().sockets.
+/// Number of resident-population shards to run on this host.  The shards sit
+/// on the sockets in blocks, and each socket in use holds one first-touch
+/// copy of the read-only coefficient tables that its shards share
+/// (qmc/walker_population.h), so the natural count is one per socket.
+/// `requested` > 0 pins the count; 0 means auto: MQC_SHARDS if set and valid
+/// (one positive integer; malformed values warn and fall through), else
+/// machine_topology().sockets.
 int resolve_shard_count(int requested = 0);
 
 /// resolve_shard_count() against an explicit topology (unit-testable: no

@@ -282,78 +282,98 @@ template <typename TDst, typename TSrc>
   return dst;
 }
 
-/// Per-shard (per-socket) replicas of the read-only coefficient tables one
-/// engine reads (CoefTables: the single table of a SoA/AoS engine, or every
-/// tile of an AoSoA engine — never an untiled table the engine does not read).
+/// Per-socket replicas of the read-only coefficient tables one engine reads
+/// (CoefTables: the single table of a SoA/AoS engine, or every tile of an
+/// AoSoA engine — never an untiled table the engine does not read), shared
+/// by the shards on each socket.
 ///
 /// On a NUMA host the table is the bandwidth wall (paper §IV; Luo et al.,
 /// arXiv:1805.07406): a single allocation lands on one socket and every
 /// other socket's inner teams pull all spline traffic across the
-/// interconnect.  A WalkerPopulation therefore gives each shard its own
-/// copy of the set, materialized by `replicate(s)` ON the shard's own
-/// thread — under Linux's default first-touch policy the copy's pages land
-/// on the socket of the thread that writes them.  Shard 0 always resolves to
+/// interconnect.  A WalkerPopulation therefore gives each socket it runs on
+/// one copy of the set, materialized by `replicate(s)` ON a thread of the
+/// socket's first shard — under Linux's default first-touch policy the
+/// copy's pages land on the socket of the thread that writes them.  Shards
+/// on one socket read one set: a second copy there would buy no locality,
+/// only memory and a larger cache working set.  Socket 0 always resolves to
 /// the master set itself (no copy; it was first-touched by the threads that
-/// built it, the machine's team for the random fill and the copy split), and
-/// each shard's engines/OrbitalSet facade are then constructed over
-/// its replica, so every facade evaluation on that shard reads socket-local
-/// memory.
+/// built it, the machine's team for the random fill and the copy split),
+/// and each socket's engines/OrbitalSet facade are then constructed over
+/// its set, so every facade evaluation reads socket-local memory.
 ///
 /// Replicas are exact byte copies, so which replica serves a walker is
-/// trajectory-neutral: bit-for-bit identical results for any shard count.
+/// trajectory-neutral: bit-for-bit identical results for any shard count
+/// and placement.
 template <typename T>
 class CoefReplicaSet
 {
 public:
   CoefReplicaSet() = default;
 
-  /// @p master (one engine's tables) becomes shard 0's set (no copy);
-  /// shards 1..n-1 start empty until their owning thread calls replicate().
-  CoefReplicaSet(CoefTables<T> master, int num_shards)
-      : replicas_(static_cast<std::size_t>(num_shards < 1 ? 1 : num_shards))
+  /// @p master (one engine's tables) becomes socket 0's set (no copy).
+  /// @p shard_socket maps shard s to its socket: it starts at 0 and never
+  /// skips a socket (qmc/crowd_sweep.h shard_sockets).  Every further
+  /// socket's set starts empty until its first shard calls replicate().
+  CoefReplicaSet(CoefTables<T> master, std::vector<int> shard_socket)
+      : shard_socket_(std::move(shard_socket)),
+        sets_(shard_socket_.empty() ? 1 : static_cast<std::size_t>(shard_socket_.back()) + 1)
   {
-    assert(!master.empty());
-    replicas_[0] = std::move(master);
+    assert(!master.empty() && !shard_socket_.empty() && shard_socket_.front() == 0);
+    sets_[0] = std::move(master);
   }
 
-  [[nodiscard]] int num_shards() const noexcept { return static_cast<int>(replicas_.size()); }
+  [[nodiscard]] int num_shards() const noexcept { return static_cast<int>(shard_socket_.size()); }
+  /// Sockets in use: one set each.
+  [[nodiscard]] int num_sockets() const noexcept { return static_cast<int>(sets_.size()); }
+  [[nodiscard]] int socket_of(int s) const noexcept
+  {
+    return shard_socket_[static_cast<std::size_t>(s)];
+  }
+  /// True for the shard whose thread copies its socket's set: the first
+  /// shard of every socket but socket 0.
+  [[nodiscard]] bool copies(int s) const noexcept
+  {
+    return s > 0 && socket_of(s) != socket_of(s - 1);
+  }
 
-  /// Materialize shard @p s's set, allocated and written by the CALLING
-  /// thread (the first-touch point — call it from the shard's own team): a
-  /// copy of every master table.  Idempotent: an existing set is returned
-  /// as-is.  Distinct shards may replicate concurrently (each writes only its
-  /// own pre-sized slot).
+  /// The set shard @p s reads: its socket's.  Materialized on first call,
+  /// allocated and written by the CALLING thread (the first-touch point —
+  /// call it from the shard that copies(), on its own team member) as a copy
+  /// of every master table.  Idempotent: an existing set is returned as-is.
+  /// Distinct sockets may replicate concurrently (each writes only its own
+  /// pre-sized slot); two shards of one socket must not.
   const CoefTables<T>& replicate(int s)
   {
-    auto& slot = replicas_[static_cast<std::size_t>(s)];
+    auto& slot = sets_[static_cast<std::size_t>(socket_of(s))];
     if (slot.empty())
-      for (const auto& table : replicas_[0])
+      for (const auto& table : sets_[0])
         slot.push_back(std::make_shared<CoefStorage<T>>(*table));
     return slot;
   }
 
-  /// Bytes held by shard @p s's materialized set (0 until replicate(s);
-  /// shard 0 reports the master it adopted).
-  [[nodiscard]] std::size_t replica_bytes(int s) const noexcept
+  /// Bytes held by socket @p k's set (0 until replicated; socket 0 reports
+  /// the master it adopted).
+  [[nodiscard]] std::size_t replica_bytes(int k) const noexcept
   {
     std::size_t total = 0;
-    for (const auto& table : replicas_[static_cast<std::size_t>(s)])
+    for (const auto& table : sets_[static_cast<std::size_t>(k)])
       total += table->size_bytes();
     return total;
   }
 
-  /// Total bytes across all materialized sets — what the population
-  /// actually pinned across sockets for these tables.
+  /// Total bytes across the materialized sets, each set once — what the
+  /// population actually pinned for these tables.
   [[nodiscard]] std::size_t total_replica_bytes() const noexcept
   {
     std::size_t total = 0;
-    for (int s = 0; s < num_shards(); ++s)
-      total += replica_bytes(s);
+    for (int k = 0; k < num_sockets(); ++k)
+      total += replica_bytes(k);
     return total;
   }
 
 private:
-  std::vector<CoefTables<T>> replicas_;
+  std::vector<int> shard_socket_;    ///< [num_shards]
+  std::vector<CoefTables<T>> sets_;  ///< [num_sockets]
 };
 
 } // namespace mqc

@@ -102,7 +102,7 @@ public:
   {
   }
 
-  /// Adopt pre-split @p tiles (make_random_tiles, shard replicas): tile t
+  /// Adopt pre-split @p tiles (make_random_tiles, socket replicas): tile t
   /// holds splines [t*Nb, t*Nb + count) on one grid.  Throws
   /// std::invalid_argument when they are not the tile_counts split.
   MultiBspline(CoefTables<TStore> tiles, int tile_size) : tile_size_(tile_width<TStore>(tile_size))

@@ -266,14 +266,33 @@ inline std::vector<CrowdRef> decompose_population(int nw, int num_shards, int cr
   return crowds;
 }
 
-/// The shard systems (paper §IV-V + the mctop placement model): shard 0's
-/// system generates its engine's coefficient tables, and every other shard
-/// builds its engines and OrbitalSet facade over a FIRST-TOUCH replica of
-/// exactly those tables (CoefReplicaSet: one copy of the engine's set per
-/// shard, never an untiled table the engine does not read), copied by one
-/// team member per shard on its own thread so the pages land on that
-/// thread's socket.  Identical table bytes make this bit-for-bit neutral.
-/// Built once; only the walker -> shard map may change.
+/// Shard -> socket placement: @p num_shards shards in contiguous blocks over
+/// @p sockets sockets (block_range, the split the auto shard count implies —
+/// one shard per socket).  Non-empty blocks come first, so the sockets in use
+/// are 0 .. min(num_shards, sockets) - 1.
+inline std::vector<int> shard_sockets(int num_shards, int sockets)
+{
+  std::vector<int> socket(static_cast<std::size_t>(num_shards));
+  for (int k = 0; k < sockets; ++k) {
+    const Range r = block_range(socket.size(), static_cast<std::size_t>(sockets),
+                                static_cast<std::size_t>(k));
+    for (std::size_t s = r.first; s < r.last; ++s)
+      socket[s] = k;
+  }
+  return socket;
+}
+
+/// The shard systems (paper §IV-V + the mctop placement model): the shards
+/// sit on the topology's sockets in blocks (shard_sockets), and each socket
+/// in use holds ONE system that its shards share.  Socket 0's system
+/// generates its engine's coefficient tables, and every other socket's
+/// system builds its engines and OrbitalSet facade over a FIRST-TOUCH
+/// replica of exactly those tables (CoefReplicaSet: one copy of the
+/// engine's set per socket, never an untiled table the engine does not
+/// read), copied by the team member of the socket's first shard so the
+/// pages land on that thread's socket.  Shards beyond the socket count add
+/// workers and crowds, not tables.  Identical table bytes make this
+/// bit-for-bit neutral.  Built once; only the walker -> shard map may change.
 struct ShardSystems
 {
   /// @p requested_shards: 0 = auto (MQC_SHARDS, else one per socket;
@@ -282,34 +301,40 @@ struct ShardSystems
   {
     sys.push_back(std::make_unique<MiniQMCSystem>(cfg));
     const int n = std::min(resolve_shard_count(requested_shards), sys.front()->nw);
-    sys.resize(static_cast<std::size_t>(n));
-    replicas = CoefReplicaSet<qmc_real>(sys.front()->tables, n);
+    replicas = CoefReplicaSet<qmc_real>(sys.front()->tables,
+                                        shard_sockets(n, machine_topology().sockets));
+    sys.resize(static_cast<std::size_t>(replicas.num_sockets()));
     team_for(TeamHandle::of(n), n, [&](int s) {
-      if (s > 0)
-        sys[static_cast<std::size_t>(s)] =
+      if (replicas.copies(s))
+        sys[static_cast<std::size_t>(replicas.socket_of(s))] =
             std::make_unique<MiniQMCSystem>(cfg, replicas.replicate(s));
     });
     // Memory-footprint provenance (opt-in, stderr like the checkpoint
     // diagnostics): the coefficient table is the dominant resident
     // allocation, and the replica bytes are what the precision path halves.
     if (std::getenv("MQC_VERBOSE") != nullptr) {
-      for (int s = 0; s < n; ++s)
-        std::fprintf(stderr, "miniqmc: shard %d coef replica: %zu bytes\n", s,
-                     replicas.replica_bytes(s));
-      std::fprintf(stderr, "miniqmc: coef replicas total: %zu bytes across %d shard(s)\n",
-                   replicas.total_replica_bytes(), n);
+      for (int s = 0; s < n; ++s) {
+        const int k = replicas.socket_of(s);
+        std::fprintf(stderr, "miniqmc: shard %d on socket %d: %s coef tables (%zu bytes)\n", s,
+                     k, s == 0 ? "generated" : replicas.copies(s) ? "copied" : "adopted",
+                     replicas.replica_bytes(k));
+      }
+      std::fprintf(stderr,
+                   "miniqmc: coef replicas total: %zu bytes, %d set(s) for %d shard(s)\n",
+                   replicas.total_replica_bytes(), replicas.num_sockets(), n);
     }
   }
 
-  [[nodiscard]] int size() const noexcept { return static_cast<int>(sys.size()); }
+  [[nodiscard]] int size() const noexcept { return replicas.num_shards(); }
+  /// Shard @p s's system: its socket's, shared with the socket's other shards.
   [[nodiscard]] MiniQMCSystem& operator[](int s) const
   {
-    return *sys[static_cast<std::size_t>(s)];
+    return *sys[static_cast<std::size_t>(replicas.socket_of(s))];
   }
   [[nodiscard]] MiniQMCSystem& master() const { return *sys.front(); }
 
   CoefReplicaSet<qmc_real> replicas;
-  std::vector<std::unique_ptr<MiniQMCSystem>> sys; ///< [num_shards]
+  std::vector<std::unique_ptr<MiniQMCSystem>> sys; ///< [sockets in use]
 };
 
 /// The provenance block every driver's MiniQMCResult starts from: shape, the

@@ -57,14 +57,15 @@ using qmc_real = float; ///< kernel precision (the paper's miniQMC is all SP)
 struct MiniQMCSystem
 {
   /// @p replica (optional) is a pre-built set of tables this system adopts
-  /// instead of generating its own — the WalkerPopulation's NUMA path: each
-  /// shard passes its socket-local CoefReplicaSet copy of the first shard's
-  /// `tables` here, so the engines and the OrbitalSet facade built below
-  /// resolve every evaluation through shard-local memory.  A replica must be
-  /// an exact copy of the tables this config would generate (asserted on
-  /// shape; MultiBspline rejects a set that is not its tile split); since
-  /// they are a deterministic function of (grid, norb, tile width, seed),
-  /// adopting a copy is trajectory-neutral bit-for-bit.
+  /// instead of generating its own — the WalkerPopulation's NUMA path: the
+  /// system of every socket but socket 0 passes its CoefReplicaSet copy of
+  /// socket 0's `tables` here, so the engines and the OrbitalSet facade
+  /// built below resolve every evaluation through socket-local memory; the
+  /// socket's shards share that system.  A replica must be an exact copy of
+  /// the tables this config would generate (asserted on shape; MultiBspline
+  /// rejects a set that is not its tile split); since they are a
+  /// deterministic function of (grid, norb, tile width, seed), adopting a
+  /// copy is trajectory-neutral bit-for-bit.
   ///
   /// @throws std::invalid_argument for cfg.delay_rank >= 2 (check_delay_rank).
   /// Every driver builds its first system on the calling thread before any
@@ -194,7 +195,7 @@ struct MiniQMCSystem
   int nw = 0; ///< walker count
   int nq = 1; ///< pseudopotential quadrature points per electron
   /// The tables the configured engine reads, and no others (see above);
-  /// what a shard replica copies.
+  /// what a socket's replica copies.
   CoefTables<qmc_real> tables;
   std::unique_ptr<BsplineAoS<qmc_real>> spo_aos;
   std::unique_ptr<BsplineSoA<qmc_real>> spo_soa;

@@ -21,6 +21,11 @@ WalkerPopulation::~WalkerPopulation() = default;
 
 int WalkerPopulation::num_shards() const noexcept { return core_->shards.size(); }
 
+std::size_t WalkerPopulation::coef_table_bytes() const noexcept
+{
+  return core_->shards.replicas.total_replica_bytes();
+}
+
 int WalkerPopulation::num_walkers() const noexcept
 {
   return static_cast<int>(core_->walkers.size());

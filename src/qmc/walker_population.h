@@ -13,18 +13,21 @@
 //
 // Sharding (paper §IV-V + the mctop placement model): the population is
 // split into one shard per socket (MachineTopology / resolve_shard_count;
-// MQC_SHARDS or PopulationConfig::num_shards override).  Each shard owns a
-// socket-local FIRST-TOUCH copy of the read-only B-spline coefficient
-// tables (core/coef_storage.h CoefReplicaSet) and its own engine +
-// OrbitalSet facade built over that copy, so a shard's inner teams never
-// pull spline traffic across the memory bus.  Walker ids are block-
-// partitioned over shards and each shard's range is swept in lock-step
-// crowds through the one crowd-sweep kernel (qmc/crowd_sweep.h, which also
-// holds the shard systems and the walker -> shard -> crowd split).
+// MQC_SHARDS or PopulationConfig::num_shards override), and the shards sit
+// on the sockets in contiguous blocks.  Each socket in use holds ONE
+// FIRST-TOUCH copy of the read-only B-spline coefficient tables
+// (core/coef_storage.h CoefReplicaSet) and one engine + OrbitalSet facade
+// built over it, shared by that socket's shards, so no shard's inner team
+// pulls spline traffic across the memory bus and extra shards on a socket
+// cost no extra table.  Walker ids are block-partitioned over shards and
+// each shard's range is swept in lock-step crowds through the one
+// crowd-sweep kernel (qmc/crowd_sweep.h, which also holds the shard systems
+// and the walker -> shard -> crowd split).
 //
-//     jobs ──> JobQueue ──┬─> shard 0: replica 0 ─ engine ─ crowds ─ walkers
-//                         ├─> shard 1: replica 1 ─ engine ─ crowds ─ walkers
-//     run_to_step() ──────┴─> ...        (one shard per socket, first-touch)
+//     jobs ──> JobQueue ──┬─> shard 0 ─ crowds ─ walkers ─┬─> socket 0: replica 0 ─ engine
+//                         ├─> shard 1 ─ crowds ─ walkers ─┘
+//                         ├─> shard 2 ─ crowds ─ walkers ───> socket 1: replica 1 ─ engine
+//     run_to_step() ──────┴─> ...          (one replica per socket, first-touch)
 //
 // Bit-for-bit guarantees (tests/test_population.cpp,
 // tests/test_checkpoint.cpp):
@@ -41,6 +44,7 @@
 #ifndef MQC_QMC_WALKER_POPULATION_H
 #define MQC_QMC_WALKER_POPULATION_H
 
+#include <cstddef>
 #include <memory>
 
 #include "qmc/miniqmc_driver.h"
@@ -61,7 +65,8 @@ struct PopulationConfig
   /// targets); driver mode is ignored (run_miniqmc resolves PerWalker to
   /// crowd_size = 1 before building its population).
   MiniQMCConfig qmc;
-  /// Resident shards (the NUMA replication unit).  0 = auto: MQC_SHARDS if
+  /// Resident shards (one walker block and one JobQueue worker each; the
+  /// shards of a socket share its table replica).  0 = auto: MQC_SHARDS if
   /// set, else one per socket (common/threading.h resolve_shard_count);
   /// clamped to the walker count.  A pure placement knob: every value is
   /// trajectory-neutral and absent from the checkpoint config hash.
@@ -78,6 +83,9 @@ public:
 
   [[nodiscard]] int num_shards() const noexcept;
   [[nodiscard]] int num_walkers() const noexcept;
+  /// Bytes of coefficient tables the population keeps resident: one
+  /// engine's tables per socket in use, shared by that socket's shards.
+  [[nodiscard]] std::size_t coef_table_bytes() const noexcept;
   /// The population's Monte Carlo cursor: 0 fresh, the snapshot's step after
   /// a resume, then wherever the last run_to_step/run_steps call landed.
   [[nodiscard]] int current_step() const noexcept;
@@ -102,9 +110,10 @@ public:
   [[nodiscard]] MiniQMCResult result();
 
   // ---- internal (qmc/job_queue.cpp) ------------------------------------
-  /// The shard's resident system (engines + facade over its socket-local
-  /// replica).  Shared read-only state: safe to evaluate from any thread
-  /// with per-caller resources.  Not a stable public API.
+  /// The shard's resident system (engines + facade over its socket's
+  /// replica, shared with the socket's other shards).  Shared read-only
+  /// state: safe to evaluate from any thread with per-caller resources.
+  /// Not a stable public API.
   [[nodiscard]] detail::MiniQMCSystem& shard_system_internal(int shard) const;
   /// The config the population was built with (jobs inherit its physics).
   [[nodiscard]] const MiniQMCConfig& config_internal() const noexcept;

@@ -14,6 +14,7 @@
 //     shard picked it up; and
 //   * mismatched jobs (wrong precision, wrong system) are REJECTED with a
 //     surfaced error, never silently run on the resident tables.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -242,6 +243,18 @@ TEST(WalkerPopulationSuite, ResolveShardCountFollowsTopologyAndEnv)
   }
 }
 
+// Shards sit on the sockets in contiguous blocks (block_range), non-empty
+// blocks first, so the sockets in use are always a prefix.
+TEST(WalkerPopulationSuite, ShardsAreBlockedOverTheSockets)
+{
+  using V = std::vector<int>;
+  EXPECT_EQ(detail::shard_sockets(3, 1), (V{0, 0, 0}));
+  EXPECT_EQ(detail::shard_sockets(3, 2), (V{0, 0, 1}));
+  EXPECT_EQ(detail::shard_sockets(4, 2), (V{0, 0, 1, 1}));
+  EXPECT_EQ(detail::shard_sockets(2, 2), (V{0, 1}));
+  EXPECT_EQ(detail::shard_sockets(2, 4), (V{0, 1}));
+}
+
 TEST(WalkerPopulationSuite, ReplicasAreExactCopiesOfTheMaster)
 {
   // Two masters: one table (what a SoA engine reads), and the three tiles an
@@ -254,7 +267,7 @@ TEST(WalkerPopulationSuite, ReplicasAreExactCopiesOfTheMaster)
   ASSERT_EQ(tiles.size(), 3u);
 
   for (const CoefTables<float>* engine_tables : {&one_table, &tiles}) {
-    CoefReplicaSet<float> set(*engine_tables, 3);
+    CoefReplicaSet<float> set(*engine_tables, {0, 1, 2}); // one shard per socket
     EXPECT_EQ(set.num_shards(), 3);
     EXPECT_EQ(set.replicate(0), *engine_tables); // shard 0 IS the master
     EXPECT_EQ(set.replica_bytes(1), 0u);         // not yet materialized
@@ -276,6 +289,42 @@ TEST(WalkerPopulationSuite, ReplicasAreExactCopiesOfTheMaster)
     EXPECT_EQ(set.replica_bytes(2), 0u);
     EXPECT_EQ(set.total_replica_bytes(), 2 * engine_bytes);
   }
+}
+
+// Shards on one socket read one set: under {0, 0, 1} shards 0 and 1 read the
+// master itself, shard 2 a byte-identical copy, and the set pins each
+// distinct table set once.
+TEST(WalkerPopulationSuite, ShardsOfOneSocketShareItsReplica)
+{
+  const CoefTables<float> tiles =
+      make_random_tiles<float>(Grid3D<float>::cube(4), 40, 16, 1234);
+  std::size_t engine_bytes = 0;
+  for (const auto& t : tiles)
+    engine_bytes += t->size_bytes();
+
+  CoefReplicaSet<float> set(tiles, {0, 0, 1});
+  EXPECT_EQ(set.num_shards(), 3);
+  EXPECT_EQ(set.num_sockets(), 2);
+  EXPECT_FALSE(set.copies(0));
+  EXPECT_FALSE(set.copies(1));
+  EXPECT_TRUE(set.copies(2));
+  EXPECT_EQ(set.replicate(0), tiles); // the master's pointers
+  EXPECT_EQ(set.replicate(1), tiles);
+  EXPECT_EQ(set.total_replica_bytes(), engine_bytes); // socket 1 not yet copied
+
+  const CoefTables<float>& copy = set.replicate(2);
+  ASSERT_EQ(copy.size(), tiles.size());
+  for (std::size_t t = 0; t < tiles.size(); ++t) {
+    ASSERT_NE(copy[t].get(), tiles[t].get());
+    ASSERT_EQ(copy[t]->size_bytes(), tiles[t]->size_bytes());
+    EXPECT_EQ(0, std::memcmp(tiles[t]->row(0, 0, 0), copy[t]->row(0, 0, 0),
+                             tiles[t]->size_bytes()))
+        << "tile " << t;
+  }
+  EXPECT_EQ(set.replicate(1), tiles); // the copy did not move shard 1
+  EXPECT_EQ(set.replica_bytes(0), engine_bytes);
+  EXPECT_EQ(set.replica_bytes(1), engine_bytes);
+  EXPECT_EQ(set.total_replica_bytes(), 2 * engine_bytes);
 }
 
 // A system holds exactly the tables its engine reads.  At N = 40 one 64-wide
@@ -308,8 +357,11 @@ TEST(WalkerPopulationSuite, SystemsHoldOnlyTheirEngineTables)
   }
 }
 
-// Each shard's engine reads its own first-touch copy of one engine's tables —
-// the tiles, byte for byte — and the shards together hold nothing else.
+// Each socket in use holds one first-touch copy of one engine's tables — the
+// tiles, byte for byte — that its shards share, and the shards together hold
+// nothing else.  The expected socket count comes from the topology, so a
+// forced MQC_TOPOLOGY of 1x4x1 (three shards share one set) and of 2x2x1
+// (shards {0, 1} share the master, shard 2 reads a copy) both pin it.
 TEST(WalkerPopulationSuite, ShardsReplicateTheEngineTables)
 {
   MiniQMCConfig cfg = make_cfg(3, 1);
@@ -317,19 +369,31 @@ TEST(WalkerPopulationSuite, ShardsReplicateTheEngineTables)
   cfg.num_splines = 40;
   cfg.spo = SpoLayout::AoSoA;
   cfg.tile_size = 16;
+  const std::vector<int> socket = detail::shard_sockets(3, machine_topology().sockets);
+  const int sockets = socket.back() + 1;
   const std::size_t before = live_table_bytes();
   const detail::ShardSystems shards(cfg, 3);
   ASSERT_EQ(shards.size(), 3);
   const CoefTables<float>& master = shards.master().tables;
   const std::size_t engine_bytes = shards.master().spo_aosoa->coef_bytes();
-  EXPECT_EQ(live_table_bytes() - before, 3 * engine_bytes);
+  EXPECT_EQ(live_table_bytes() - before, static_cast<std::size_t>(sockets) * engine_bytes);
+  EXPECT_EQ(shards.replicas.total_replica_bytes(),
+            static_cast<std::size_t>(sockets) * engine_bytes);
   for (int s = 0; s < shards.size(); ++s) {
     const detail::MiniQMCSystem& sys = shards[s];
-    EXPECT_EQ(shards.replicas.replica_bytes(s), engine_bytes) << "shard " << s;
+    const int k = socket[static_cast<std::size_t>(s)];
+    EXPECT_EQ(shards.replicas.socket_of(s), k) << "shard " << s;
+    EXPECT_EQ(shards.replicas.replica_bytes(k), engine_bytes) << "shard " << s;
     ASSERT_EQ(sys.tables.size(), master.size());
     for (std::size_t t = 0; t < master.size(); ++t) {
       EXPECT_EQ(sys.tables[t].get(), &sys.spo_aosoa->tile(static_cast<int>(t)).coefs());
+      // Shards on one socket read the same tables; every other socket a copy.
       if (s > 0) {
+        const bool same_socket = k == socket[static_cast<std::size_t>(s - 1)];
+        EXPECT_EQ(sys.tables[t].get() == shards[s - 1].tables[t].get(), same_socket)
+            << "shard " << s;
+      }
+      if (k > 0) {
         EXPECT_NE(sys.tables[t].get(), master[t].get()) << "shard " << s;
       }
       ASSERT_EQ(sys.tables[t]->size_bytes(), master[t]->size_bytes());
@@ -338,6 +402,25 @@ TEST(WalkerPopulationSuite, ShardsReplicateTheEngineTables)
           << "shard " << s << " tile " << t;
     }
   }
+}
+
+// The population reports the coefficient-table bytes it keeps resident: one
+// engine's tables per socket in use, whatever the shard count, and exactly
+// what it added to the table allocator's live bytes.
+TEST(WalkerPopulationSuite, ReportsItsResidentTableBytes)
+{
+  PopulationConfig pcfg;
+  pcfg.qmc = make_cfg(3, 1);
+  pcfg.qmc.grid_size = 8;
+  pcfg.num_shards = 3;
+  const int sockets = std::min(3, machine_topology().sockets);
+  const std::size_t before = live_table_bytes();
+  const WalkerPopulation pop(pcfg);
+  std::size_t engine_bytes = 0;
+  for (const auto& t : pop.shard_system_internal(0).tables)
+    engine_bytes += t->size_bytes();
+  EXPECT_EQ(pop.coef_table_bytes(), static_cast<std::size_t>(sockets) * engine_bytes);
+  EXPECT_EQ(live_table_bytes() - before, pop.coef_table_bytes());
 }
 
 // ---------------------------------------------------------------------------
