@@ -16,7 +16,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include "common/threading.h"
 #include "common/timer.h"
 #include "core/batched.h"
 #include "core/orbital_set.h"
@@ -174,90 +173,6 @@ void BM_BatchedVGH_FacadeVsDirect(benchmark::State& state)
   state.SetItemsProcessed(state.iterations() * n * nw);
 }
 
-// -- nested partition vs flat machine-wide region ---------------------------
-//
-// The hierarchical schedule the crowd driver runs, isolated on the batched
-// VGH kernel: FLAT is one machine-wide parallel facade request over the
-// whole population; NESTED splits the population into `outer` crowds, opens
-// an outer region of `outer` threads, and each member issues its own
-// team-scheduled facade request over its crowd slice (inner team from the
-// topology partition).  Same work, bit-identical outputs; the counters
-// report the partition that actually engaged ("inner_threads" > 1 on
-// multi-core hosts is the acceptance signal) and the nested/flat ratio.
-void BM_BatchedVGH_NestedVsFlat(benchmark::State& state)
-{
-  const int n = static_cast<int>(state.range(0));
-  const int nb = static_cast<int>(state.range(1));
-  const int nw = static_cast<int>(state.range(2));
-  const int outer = static_cast<int>(state.range(3));
-  Population pop(n, nb, nw);
-  const ThreadPartition part = ThreadPartition::resolve(outer);
-  request_nested_levels(2);
-
-  // Per-crowd slices of the population, prepared outside the timed loop.
-  OrbitalSet<float> spo(*pop.engine);
-  const std::size_t stride = pop.engine->out_stride();
-  struct CrowdSlice
-  {
-    std::vector<Vec3<float>> pos;
-    std::vector<float*> v, g, h;
-    OrbitalResource<float> res;
-  };
-  std::vector<std::unique_ptr<CrowdSlice>> crowds;
-  for (int c = 0; c < outer; ++c) {
-    auto slice = std::make_unique<CrowdSlice>();
-    const Range r = block_range(static_cast<std::size_t>(nw),
-                                static_cast<std::size_t>(outer), static_cast<std::size_t>(c));
-    for (std::size_t w = r.first; w < r.last; ++w) {
-      slice->pos.push_back(pop.positions[w]);
-      slice->v.push_back(pop.outs[w]->v.data());
-      slice->g.push_back(pop.outs[w]->g.data());
-      slice->h.push_back(pop.outs[w]->h.data());
-    }
-    crowds.push_back(std::move(slice));
-  }
-
-  double t_flat = 0.0, t_nested = 0.0;
-  for (auto _ : state) {
-    Stopwatch a;
-    evaluate_batched(*pop.engine, DerivLevel::VGH, pop.positions, pop.out_ptrs, 0);
-    t_flat += a.elapsed();
-    Stopwatch b;
-    // parallel-for over slice ids (not thread_id indexing) so every crowd
-    // slice is evaluated even when the runtime grants fewer than `outer`
-    // threads — otherwise the nested timing would silently cover less work
-    // than the flat pass it is paired against.
-#pragma omp parallel for schedule(static, 1) num_threads(outer)
-    for (int c = 0; c < outer; ++c) {
-      CrowdSlice& slice = *crowds[static_cast<std::size_t>(c)];
-      if (!slice.pos.empty()) {
-        OrbitalEvalRequest<float> rq;
-        rq.deriv = DerivLevel::VGH;
-        rq.positions = slice.pos.data();
-        rq.count = static_cast<int>(slice.pos.size());
-        rq.v = slice.v.data();
-        rq.g = slice.g.data();
-        rq.lh = slice.h.data();
-        rq.stride = stride;
-        rq.parallel = part.inner > 1;
-        rq.team = TeamHandle::inner_of(part);
-        spo.evaluate(rq, slice.res);
-      }
-    }
-    const double nested = b.elapsed();
-    t_nested += nested;
-    state.SetIterationTime(nested);
-    benchmark::DoNotOptimize(pop.outs[0]->v.data());
-  }
-  const double evals = static_cast<double>(n) * nw * static_cast<double>(state.iterations());
-  state.counters["flat_evals_per_s"] = evals / t_flat;
-  state.counters["nested_evals_per_s"] = evals / t_nested;
-  state.counters["nested_speedup"] = t_flat / t_nested;
-  state.counters["outer_threads"] = part.outer;
-  state.counters["inner_threads"] = part.inner;
-  state.SetItemsProcessed(state.iterations() * n * nw);
-}
-
 } // namespace
 
 // Paper scale (N=1024..2048, 8..16 walkers) across tile sizes from the
@@ -278,14 +193,4 @@ BENCHMARK(BM_BatchedVGH_Block)
     ->Args({1024, 128, 8, 0})
     ->Args({1024, 128, 8, 4});
 BENCHMARK(BM_BatchedVGH_FacadeVsDirect)->Args({1024, 128, 8})->UseManualTime();
-// Args: {N, Nb, nw, outer crowds}; the inner team per crowd comes from the
-// topology partition (ThreadPartition::resolve), so this row demonstrates
-// the nested schedule wherever the host has threads left after the outer
-// split (inner_threads counter > 1) and degrades to the flat shape on a
-// fully-occupied machine.
-BENCHMARK(BM_BatchedVGH_NestedVsFlat)
-    ->Args({1024, 64, 8, 2})
-    ->Args({2048, 128, 16, 4})
-    ->UseManualTime();
-
 BENCHMARK_MAIN();

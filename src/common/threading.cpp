@@ -119,20 +119,6 @@ EnvKnob parse_env_knob(const char* text, int min_count, int max_count)
   return k;
 }
 
-void request_nested_levels(int levels)
-{
-#ifdef _OPENMP
-  // The operator's explicit limit wins: if either nesting env var is set the
-  // runtime already reflects the requested policy and we leave it alone.
-  if (std::getenv("OMP_MAX_ACTIVE_LEVELS") != nullptr || std::getenv("OMP_NESTED") != nullptr)
-    return;
-  if (omp_get_max_active_levels() < levels)
-    omp_set_max_active_levels(levels);
-#else
-  (void)levels;
-#endif
-}
-
 MachineTopology query_machine_topology()
 {
   MachineTopology topo;

@@ -17,13 +17,15 @@
 //                     omp_get_max_threads() again inside someone else's
 //                     parallel region;
 //   TeamPath          the schedule a driver actually ran (flat / inner team
-//                     serialized / inner team forked), surfaced in results
-//                     the way EvalPath is — an explicit decision, never a
-//                     silent fallback.
+//                     forked), surfaced in results the way EvalPath is — an
+//                     explicit decision, never a silent fallback.
 //
-// The original flat-region arithmetic (team_coordinates, block/strided
-// partitions) is kept below: the nested driver still uses the paper's
-// explicit flat Nw×nth decomposition, now derived from a ThreadPartition.
+// No schedule opens a parallel region inside another one.  The crowd sweep
+// (qmc/crowd_sweep.h) forks an inner team only when the population is one
+// crowd (the 1 × N shape); several crowds each sweep on one thread of the
+// crowds' region.  The nested driver keeps the paper's explicit flat Nw×nth
+// region, derived from a ThreadPartition through the flat-region arithmetic
+// (team_coordinates, block/strided partitions) below.
 //
 // Every split is trajectory-neutral by construction: teams only distribute
 // independent (tile, position-block) work items, so results are bit-for-bit
@@ -80,25 +82,17 @@ inline int nest_level() noexcept
 #endif
 }
 
-/// Would a parallel region opened *inside an active region* actually fork?
-/// The OpenMP runtime serializes nested regions unless max-active-levels
-/// allows a second active level.  (A region opened at the top level, or
-/// under an inactive one-thread region, always forks.)
-inline bool nesting_enabled() noexcept
+/// Inside an active parallel region (one of more than one thread)?  A team
+/// wider than one thread is handed down only outside one, so no schedule
+/// nests a second active level.
+inline bool in_parallel_region() noexcept
 {
 #ifdef _OPENMP
-  return omp_get_max_active_levels() > 1;
+  return omp_in_parallel() != 0;
 #else
   return false;
 #endif
 }
-
-/// Ask the runtime to allow @p levels active nesting levels — unless the
-/// user pinned the limit via OMP_MAX_ACTIVE_LEVELS / OMP_NESTED, which this
-/// respects (the env var is the operator's override of our default, so we
-/// never fight it).  Call before opening an outer region whose members will
-/// fork inner teams.
-void request_nested_levels(int levels);
 
 // ---------------------------------------------------------------------------
 // Env-knob parsing
@@ -231,9 +225,8 @@ struct TeamHandle
 /// EvalPath, surfaced in MiniQMCResult (never a silent fallback).
 enum class TeamPath
 {
-  Flat,        ///< inner teams of 1: the classic one-crowd/walker-per-thread region
-  SerialInner, ///< inner teams requested, but the runtime serializes nested regions
-  NestedInner  ///< inner teams > 1 actually fork under the outer region
+  Flat,       ///< inner teams of 1: the classic one-crowd/walker-per-thread region
+  NestedInner ///< an inner team > 1 forks under its one outer member
 };
 
 [[nodiscard]] constexpr const char* team_path_name(TeamPath p) noexcept
@@ -241,23 +234,19 @@ enum class TeamPath
   switch (p) {
   case TeamPath::Flat:
     return "flat";
-  case TeamPath::SerialInner:
-    return "serial-inner";
   case TeamPath::NestedInner:
     return "nested-inner";
   }
   return "?";
 }
 
-/// The schedule decision for an outer region of @p outer members whose
-/// members hold inner teams of @p inner threads.  Inner regions under a
-/// one-member outer region always fork (the outer region is inactive);
-/// under a wider outer region they fork only if nesting is enabled.
-inline TeamPath classify_team_path(int outer, int inner) noexcept
+/// The schedule of a sweep whose outer members hold inner teams of
+/// @p inner threads.  An inner team wider than one thread is only ever
+/// handed to a one-member outer region, which opens no region of its own,
+/// so the team always forks.
+constexpr TeamPath classify_team_path(int inner) noexcept
 {
-  if (inner <= 1)
-    return TeamPath::Flat;
-  return (outer <= 1 || nesting_enabled()) ? TeamPath::NestedInner : TeamPath::SerialInner;
+  return inner > 1 ? TeamPath::NestedInner : TeamPath::Flat;
 }
 
 // ---------------------------------------------------------------------------

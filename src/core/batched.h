@@ -18,9 +18,9 @@
 // Threading routes through the TeamHandle seam (common/threading.h): the
 // wrapper takes the caller's team and hands it to the facade request,
 // defaulting to whole_machine() — the right size for its usual top-level,
-// ownerless call sites.  Callers already inside a partitioned region (a
-// crowd's outer member) pass their inner team instead, so the wrapper never
-// blindly re-derives the machine size inside someone else's region.
+// ownerless call sites.  A caller already inside a parallel region passes
+// TeamHandle::serial() instead, so the wrapper never opens a second level
+// of region or re-derives the machine size inside someone else's.
 #ifndef MQC_CORE_BATCHED_H
 #define MQC_CORE_BATCHED_H
 
@@ -36,7 +36,7 @@
 namespace mqc {
 
 /// Evaluate positions[w] into outs[w] for every walker w at level @p deriv:
-/// one parallel facade request, @p pos_block positions per tile pass (0 =
+/// one facade request on @p team, @p pos_block positions per tile pass (0 =
 /// the whole population).  All output buffers must share one component
 /// stride; VGL writes each walker's Laplacian stream, VGH its Hessians.
 template <typename T>
@@ -70,7 +70,6 @@ void evaluate_batched(const MultiBspline<T>& engine, DerivLevel deriv,
   }
   rq.stride = stride;
   rq.pos_block = pos_block;
-  rq.parallel = team.parallel();
   rq.team = team;
   OrbitalSet<T>(engine).evaluate(rq, res);
 }

@@ -289,7 +289,7 @@ template <typename TDst, typename TSrc>
 ///
 /// On a NUMA host the table is the bandwidth wall (paper §IV; Luo et al.,
 /// arXiv:1805.07406): a single allocation lands on one socket and every
-/// other socket's inner teams pull all spline traffic across the
+/// other socket's crowds pull all spline traffic across the
 /// interconnect.  A WalkerPopulation therefore gives each socket it runs on
 /// one copy of the set, materialized by `replicate(s)` ON a thread of the
 /// socket's first shard — under Linux's default first-touch policy the

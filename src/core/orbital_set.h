@@ -237,21 +237,15 @@ struct OrbitalEvalRequest
   /// if one was attached, else the whole batch).  Any value gives
   /// bit-identical results; it only changes the sweep order.
   int pos_block = 0;
-  /// Parallelize the sweep over (tile, position-block) work items with
-  /// OpenMP.  Whether that means a fresh machine-wide region or a nested
-  /// inner team is the caller's decision, carried by `team` below.
-  bool parallel = false;
-  /// The caller's thread team for a parallel sweep (common/threading.h):
-  /// how many threads this request may occupy.  Defaults to
-  /// whole_machine() — the right size for ownerless top-level call sites
-  /// (core/batched.h) — while drivers that hold a ThreadPartition pass
-  /// their inner team, so a crowd's facade calls fork exactly the threads
-  /// the partition assigned to that crowd and never re-derive the machine
-  /// size mid-region.  A team of 1 runs the serial sweep (no region is
-  /// opened at all).  Ignored when `parallel` is false.  Any team size
-  /// gives bit-identical results: teams only distribute independent
-  /// per-(tile, position) work items.
-  TeamHandle team = TeamHandle::whole_machine();
+  /// The caller's thread team (common/threading.h): how many threads the
+  /// sweep over (tile, position-block) work items may occupy.  Defaults to
+  /// serial: a team of 1 runs the serial sweep and opens no region at all.
+  /// Ownerless top-level call sites pass whole_machine() (core/batched.h);
+  /// a one-crowd population passes its inner team, so its facade calls
+  /// fork exactly the threads the partition assigned and never re-derive
+  /// the machine size.  Any team size gives bit-identical results: teams
+  /// only distribute independent per-(tile, position) work items.
+  TeamHandle team = TeamHandle::serial();
 };
 
 /// Resolve a position-block request against the batch size: pb <= 0 means
@@ -498,7 +492,7 @@ private:
         break;
       }
     };
-    const int nth = rq.parallel ? rq.team.resolve() : 1;
+    const int nth = rq.team.resolve();
     if (nth > 1) {
 #pragma omp parallel for schedule(static) num_threads(nth)
       for (int p = 0; p < rq.count; ++p)
@@ -510,13 +504,13 @@ private:
   }
 
   /// Untiled SoA engine: weights into @p w, then one block sweep over the
-  /// table (serial) or one position per work item (`parallel`).
+  /// table (serial) or one position per work item (a team > 1).
   template <typename TC>
   void sweep(const BsplineSoA<T, TC>& e, const OrbitalEvalRequest<T>& rq,
              BsplineWeights3D<TC>* w) const
   {
     compute_weights_batch(rq.deriv, e.eval_grid(), rq.positions, rq.count, w);
-    const int nth = rq.parallel ? rq.team.resolve() : 1;
+    const int nth = rq.team.resolve();
     if (nth <= 1) {
       switch (rq.deriv) {
       case DerivLevel::V:
@@ -551,7 +545,7 @@ private:
   /// position-block-inner sweeps — each tile's 4*Ng*Nb-byte coefficient
   /// slice is streamed from memory once per block of P positions and reused
   /// from cache (the core of the paper's AoSoA analysis, extended across
-  /// positions).  `parallel` distributes (tile, block) work items.
+  /// positions).  A team > 1 distributes (tile, block) work items.
   template <typename TC>
   void sweep(const MultiBspline<T, TC>& e, const OrbitalEvalRequest<T>& rq,
              BsplineWeights3D<TC>* w) const
@@ -577,7 +571,7 @@ private:
         break;
       }
     };
-    const int nth = rq.parallel ? rq.team.resolve() : 1;
+    const int nth = rq.team.resolve();
     if (nth > 1) {
 #pragma omp parallel for collapse(2) schedule(static) num_threads(nth)
       for (int t = 0; t < nt; ++t)

@@ -97,7 +97,6 @@ public:
     rq.positions = rnew;
     rq.count = w;
     rq.v = vptrs_.data();
-    rq.parallel = team_.parallel();
     rq.team = team_;
     spo_.evaluate(rq, ores_);
     for (int i = 0; i < w; ++i)

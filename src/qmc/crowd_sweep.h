@@ -13,6 +13,11 @@
 // makes crowd sizes, shard counts and job packing trajectory-neutral by
 // construction.
 //
+// The sweep opens at most one level of parallel region: several crowds run
+// one per thread of a team_for region on serial teams, and only a
+// population that is ONE crowd hands its facade requests an inner team
+// (resolve_team_partition, applied on every sweep).
+//
 // Like miniqmc_context.h, this header is an implementation detail of the
 // qmc/ translation units, not public API.
 #ifndef MQC_QMC_CROWD_SWEEP_H
@@ -70,14 +75,25 @@ struct CrowdScratch
   OrbitalResource<qmc_real> ores;      ///< weight sets for the crowd's batches
 };
 
+/// The one-level rule of the header comment: a crowd's team wider than one
+/// thread reaches the facade only outside an active parallel region.
+inline void contract_one_region_level([[maybe_unused]] TeamHandle team)
+{
+  mqc_contract(!team.parallel() || !in_parallel_region(),
+               "a crowd handed its facade request a %d-thread team inside an active parallel "
+               "region: several crowds must sweep with serial teams",
+               team.resolve());
+}
+
 /// One VGH (move) or VGL (kinetic energy) request for the crowd's positions
 /// in scr.rnew[0..count), landing in each walker's own output buffer.
-/// @p team is the crowd's inner team: with more than one thread the facade
-/// forks the (tile, position-block) sweep under this crowd's outer thread
+/// @p team is the crowd's inner team: with more than one thread (a
+/// one-crowd population) the facade forks the (tile, position-block) sweep
 /// (Opt C).
 inline void crowd_eval(const MiniQMCSystem& sys, std::vector<WalkerState>& walkers, int first,
                        int count, DerivLevel deriv, CrowdScratch& scr, TeamHandle team)
 {
+  contract_one_region_level(team);
   OrbitalEvalRequest<qmc_real> rq;
   rq.deriv = deriv;
   rq.positions = scr.rnew.data();
@@ -86,7 +102,6 @@ inline void crowd_eval(const MiniQMCSystem& sys, std::vector<WalkerState>& walke
   rq.g = scr.g.data();
   rq.lh = deriv == DerivLevel::VGH ? scr.h.data() : scr.l.data();
   rq.stride = sys.out_pad;
-  rq.parallel = team.parallel();
   rq.team = team;
   sys.spo.evaluate(rq, scr.ores);
   for (int i = 0; i < count; ++i)
@@ -100,6 +115,7 @@ inline void crowd_eval_quad_v(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
                               std::vector<WalkerState>& walkers, int first, int count,
                               CrowdScratch& scr, TeamHandle team)
 {
+  contract_one_region_level(team);
   const int nq = cfg.quadrature_points;
   // Gather the crowd's quadrature positions into one contiguous batch.
   for (int i = 0; i < count; ++i) {
@@ -112,7 +128,6 @@ inline void crowd_eval_quad_v(const MiniQMCSystem& sys, const MiniQMCConfig& cfg
   rq.positions = scr.quad_pos.data();
   rq.count = count * nq;
   rq.v = scr.quad_v.data();
-  rq.parallel = team.parallel();
   rq.team = team;
   sys.spo.evaluate(rq, scr.ores);
   for (int i = 0; i < count; ++i)
@@ -142,9 +157,10 @@ inline Vec3<qmc_real> drift_centre(const WalkerState& w, const MiniQMCSystem& sy
 
 /// Advance the crowd [first, first+count) from step @p step_begin to
 /// @p step_end (exclusive): the lock-step drift-diffusion + measurement body
-/// every driver runs.  Call inside the consumer's outer region (or from a
-/// plain thread with a serial @p team); snapshots and fault points stay
-/// OUTSIDE, at the epoch boundaries between calls.
+/// every driver runs.  Call inside the consumer's outer region with a serial
+/// @p team, or outside any active region (a one-crowd population) with a
+/// wider one; snapshots and fault points stay OUTSIDE, at the epoch
+/// boundaries between calls.
 ///
 /// @p drift_tau is the proposal-centre policy.  Zero (VMC, DMC replay)
 /// proposes around the current position.  Above zero (full DMC), one extra
@@ -355,7 +371,7 @@ inline MiniQMCResult run_provenance(const MiniQMCSystem& sys, int nw, int crowd_
                       ? EvalPath::MultiPosition
                       : EvalPath::SinglePosition;
   r.precision_path = sys.precision;
-  r.team_path = classify_team_path(part.outer, part.inner);
+  r.team_path = classify_team_path(part.inner);
   r.outer_threads_used = part.outer;
   r.inner_threads_used = part.inner;
   return r;
@@ -365,10 +381,9 @@ inline MiniQMCResult run_provenance(const MiniQMCSystem& sys, int nw, int crowd_
 /// and the JobQueue's resident service) and run_miniqmc_dmc — so the drivers
 /// keep only their step loops: VMC's epochs, DMC's generations and branch
 /// step.  It holds the shard systems, the walker -> shard -> crowd split,
-/// the nested-team partition, ONE flat walker vector indexed by walker id
-/// (one Walker section per id, so snapshots written under any shard count
-/// interoperate) with each crowd's CrowdScratch, the checkpoint runtime and
-/// the result provenance.
+/// ONE flat walker vector indexed by walker id (one Walker section per id,
+/// so snapshots written under any shard count interoperate) with each
+/// crowd's CrowdScratch, the checkpoint runtime and the result provenance.
 ///
 /// Every team region here is a team_for over the crowd ids, so the static
 /// schedule keeps the crowd -> thread map stable: scratch is first-touched
@@ -384,11 +399,7 @@ struct PopulationCore
     const MiniQMCSystem& sys0 = shards.master();
     crowd_cap = resolve_crowd_cap(cfg, sys0);
     crowds = decompose_population(sys0.nw, shards.size(), crowd_cap);
-    // One outer member per crowd, each owning an inner team for its facade
-    // sweeps (Opt C); resolved once, kept across re-blocks.
-    const ThreadPartition part =
-        resolve_team_partition(cfg, sys0, static_cast<int>(crowds.size()));
-    inner = TeamHandle::inner_of(part);
+    part = resolve_team_partition(cfg, sys0, static_cast<int>(crowds.size()));
     status = run_provenance(sys0, sys0.nw, crowd_cap, part);
     ckrt = make_checkpoint_runtime(cfg, sys0);
 
@@ -402,10 +413,15 @@ struct PopulationCore
   }
 
   /// Advance every crowd from @p step_begin to @p step_end in one team
-  /// region.  @p drift_tau is crowd_sweep_steps' proposal-centre policy.
+  /// region, one crowd per member.  The partition follows the current crowd
+  /// count, so a population that re-blocked from one crowd into several
+  /// sweeps flat.  @p drift_tau is crowd_sweep_steps' proposal-centre policy.
   void sweep(int step_begin, int step_end, double drift_tau = 0.0)
   {
     const int n = static_cast<int>(crowds.size());
+    if (part.outer != n) // re-blocked into another crowd count since the last resolve
+      part = resolve_team_partition(cfg, shards.master(), n);
+    const TeamHandle inner = TeamHandle::inner_of(part);
     mqc_contract(crowds.back().first + crowds.back().count == static_cast<int>(walkers.size()),
                  "crowds cover %d walkers, the population holds %zu: the walker vector "
                  "changed without reblock()",
@@ -490,7 +506,7 @@ struct PopulationCore
   std::vector<CrowdRef> crowds;
   std::vector<std::unique_ptr<CrowdScratch>> scratch; ///< per crowd
   std::vector<ProfileRegistry> crowd_profiles;        ///< per crowd, since the last re-block
-  TeamHandle inner = TeamHandle::serial();
+  ThreadPartition part; ///< resolve_team_partition of `part.outer` crowds
   CheckpointRuntime ckrt;
   /// Provenance plus cumulative counters: resume fields, seconds,
   /// checkpoints_written, and the crowd profiles folded in by reblock().

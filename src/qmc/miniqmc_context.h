@@ -296,28 +296,25 @@ struct WalkerState
   std::size_t orbital_evals = 0;
 };
 
-/// Resolve the nested-team partition for an outer region of @p outer_work
-/// members (crowds), shared by every driver: the config knob
-/// (with -1 resolved through the wisdom entry) feeds the topology-aware
-/// ThreadPartition::resolve, inner teams > 1 ask the runtime for a second
-/// active nesting level, and the resulting schedule is classified for the
-/// result's team_path field.  Returns the partition; callers surface it via
+/// The sweep's partition for @p crowds crowds, shared by every driver.  The
+/// sweep opens at most one level of parallel region: several crowds each
+/// sweep on one thread of the crowds' region (inner 1), and only a single
+/// crowd, whose sweep opens no region of its own, hands its facade requests
+/// an inner team — the 1 × N shape, sized by the config knob (-1 resolved
+/// through the wisdom entry) through the topology-aware
+/// ThreadPartition::resolve.  Callers surface the result via team_path and
 /// outer/inner_threads_used.
 inline ThreadPartition resolve_team_partition(const MiniQMCConfig& cfg, const MiniQMCSystem& sys,
-                                              int outer_work)
+                                              int crowds)
 {
+  if (crowds > 1)
+    return ThreadPartition{crowds, 1};
   int inner_req = cfg.inner_threads;
   if (inner_req < 0)
     inner_req = sys.tuned_inner_threads; // 0 when nothing was tuned => auto
-  ThreadPartition part = ThreadPartition::resolve(outer_work, inner_req);
-  // The drivers' outer width is fixed by the work (one member per crowd) —
-  // a forced MQC_PARTITION outer can size the inner teams but
-  // must not misreport the region that actually runs, or team_path /
-  // outer_threads_used would describe a schedule that never executed.
-  part.outer = std::max(1, outer_work);
-  if (part.inner > 1)
-    request_nested_levels(2);
-  return part;
+  // The outer width is the one crowd: a forced MQC_PARTITION outer can size
+  // the team but must not misreport the region that actually runs.
+  return ThreadPartition{1, ThreadPartition::resolve(1, inner_req).inner};
 }
 
 /// Gaussian trial move.

@@ -24,7 +24,7 @@
 #include <string>
 #include <vector>
 
-#include "common/threading.h" // ThreadPartition / TeamPath: the nested-team decision
+#include "common/threading.h" // ThreadPartition / TeamPath: the team decision
 #include "common/timer.h"
 #include "core/orbital_set.h" // EvalPath: the driver's explicit schedule decision
 #include "core/tuner.h"       // Wisdom, host_tile_size: the AoSoA tile default
@@ -97,16 +97,16 @@ struct MiniQMCConfig
   /// Kept, and mixed into the checkpoint config hash, so existing snapshots
   /// keep loading.
   int delay_rank = 0;
-  /// Inner team size per outer member (a crowd, or one walker in the
-  /// per-walker driver): how many threads that member's multi-position
-  /// spline requests may fork UNDER the outer region (the paper's Opt C
-  /// nested layer).  0 = auto — the topology-aware ThreadPartition::resolve
-  /// split of the machine (threads left over after the outer split, kept
-  /// inside one socket; MQC_PARTITION / MQC_INNER_THREADS env still
-  /// override).  -1 = tuned size from `wisdom`.
-  /// >= 1 = explicit.  A pure scheduling knob: trajectories are bit-for-bit
-  /// identical for every value (enforced by tests/test_crowd.cpp); the
-  /// schedule actually run is surfaced as MiniQMCResult::team_path.
+  /// Inner team size of a population that is ONE crowd: how many threads
+  /// its multi-position spline requests may fork (the 1 × N shape of the
+  /// paper's Opt C layer).  Several crowds, the per-walker driver's
+  /// included, sweep with teams of 1: the sweep never nests a parallel
+  /// region.  0 = auto — the topology-aware ThreadPartition::resolve split
+  /// (kept inside one socket; MQC_PARTITION / MQC_INNER_THREADS env still
+  /// override).  -1 = tuned size from `wisdom`.  >= 1 = explicit.  A pure
+  /// scheduling knob: trajectories are bit-for-bit identical for every
+  /// value (enforced by tests/test_crowd.cpp); the schedule actually run is
+  /// surfaced as MiniQMCResult::team_path.
   int inner_threads = 0;
   /// Checkpoint/restore (qmc/checkpoint.h).  Empty path = no checkpointing.
   /// With a path set, both drivers snapshot the full resumable walker state
@@ -184,10 +184,10 @@ struct MiniQMCResult
   /// cfg.crowd_size after the 0 = whole population / -1 = tuned-from-wisdom
   /// resolution, clamped to the population — not to a shard).
   int crowd_size_used = 1;
-  /// The nested-team schedule the sweep ran — like spline_path, an explicit
-  /// decision (partition resolution + runtime nesting capability), surfaced
-  /// so benchmarks can prove the inner teams actually engaged instead of
-  /// silently measuring serialized nested regions.
+  /// The team schedule the sweep ran — like spline_path, an explicit
+  /// decision (NestedInner only for a one-crowd population with an inner
+  /// team > 1), surfaced so benchmarks can prove the inner team actually
+  /// engaged.  A DMC run reports the shape its initial population starts in.
   TeamPath team_path = TeamPath::Flat;
   /// Resolved partition: outer members the sweep region spawned (one per
   /// crowd) × inner team size per member.

@@ -75,12 +75,12 @@ InnerTuneResult tune_inner_threads(const MiniQMCConfig& cfg, std::vector<int> ca
   const int nw = probe.num_walkers > 0 ? probe.num_walkers : max_threads();
   probe.num_walkers = nw;
   if (candidates.empty()) {
-    // Threads the machine has left per crowd once the outer split is fixed:
-    // sweep 1 (flat), then powers of two up to that budget.
+    // Several crowds always sweep flat (resolve_team_partition), so only a
+    // one-crowd population has a team to tune: sweep 1 (flat), then powers
+    // of two up to the machine.
     const int crowd_size =
         probe.crowd_size > 0 ? std::min(probe.crowd_size, nw) : nw;
-    const int num_crowds = (nw + crowd_size - 1) / crowd_size;
-    const int budget = std::max(1, max_threads() / num_crowds);
+    const int budget = crowd_size < nw ? 1 : std::max(1, max_threads());
     for (int i = 1; i <= budget; i *= 2)
       candidates.push_back(i);
     if (candidates.back() != budget)
@@ -125,8 +125,8 @@ Wisdom::Entry tune_miniqmc(Wisdom& wisdom, const MiniQMCConfig& cfg, double min_
   entry.pos_block = joint.best_block;
   entry.throughput = joint.best_throughput;
 
-  // Crowd sweep at the tuned tile size, then the nested inner-team sweep at
-  // the tuned crowd size — the driver consumes all four knobs together, so
+  // Crowd sweep at the tuned tile size, then the inner-team sweep at the
+  // tuned crowd size — the driver consumes all four knobs together, so
   // they are measured together (each sweep holding the previous winners).
   MiniQMCConfig probe = cfg;
   probe.tile_size = joint.best_tile;

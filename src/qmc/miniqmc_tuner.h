@@ -54,11 +54,12 @@ struct InnerTuneResult
 };
 
 /// Probe run_miniqmc (driver := Crowd, cfg's crowd size) across inner team
-/// sizes — the nested Opt C layer's knob — and return the sweep.  An empty
-/// candidate list probes powers of two from 1 up to the machine threads
-/// left per crowd (always including 1, the flat schedule), so on a
-/// fully-occupied machine the sweep is just {1} and costs one probe.  The
-/// winner is what tune_miniqmc records as the wisdom entry's inner_threads.
+/// sizes — the Opt C layer's knob — and return the sweep.  An empty
+/// candidate list probes powers of two from 1 up to the machine's threads
+/// when the crowd size leaves ONE crowd (always including 1, the flat
+/// schedule), and just {1} when it leaves several: those sweep flat
+/// whatever the knob says.  The winner is what tune_miniqmc records as the
+/// wisdom entry's inner_threads.
 InnerTuneResult tune_inner_threads(const MiniQMCConfig& cfg, std::vector<int> candidates = {},
                                    double min_seconds = 0.05);
 

@@ -17,8 +17,8 @@
 // on the sockets in contiguous blocks.  Each socket in use holds ONE
 // FIRST-TOUCH copy of the read-only B-spline coefficient tables
 // (core/coef_storage.h CoefReplicaSet) and one engine + OrbitalSet facade
-// built over it, shared by that socket's shards, so no shard's inner team
-// pulls spline traffic across the memory bus and extra shards on a socket
+// built over it, shared by that socket's shards, so no shard's crowds
+// pull spline traffic across the memory bus and extra shards on a socket
 // cost no extra table.  Walker ids are block-partitioned over shards and
 // each shard's range is swept in lock-step crowds through the one
 // crowd-sweep kernel (qmc/crowd_sweep.h, which also holds the shard systems

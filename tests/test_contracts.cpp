@@ -165,4 +165,31 @@ TEST(ContractsDeathTest, PopulationSweepsOnlyAfterReblock)
   pop.sweep(2, 3);
 }
 
+// The sweep opens at most one level of parallel region: a crowd's facade
+// request may carry a team wider than one thread only outside an active
+// region.  Outside one it passes; from inside a team_for region it aborts.
+TEST(ContractsDeathTest, CrowdTeamInsideAnActiveRegionAborts)
+{
+  MiniQMCConfig cfg;
+  cfg.supercell = {1, 1, 1};
+  cfg.grid_size = 8;
+  cfg.num_splines = 4;
+  cfg.num_walkers = 1;
+  cfg.quadrature_points = 1;
+  detail::PopulationCore pop(cfg, 1);
+  ASSERT_EQ(pop.crowds.size(), 1u);
+  detail::CrowdScratch& scr = *pop.scratch[0];
+  const auto eval = [&] {
+    detail::crowd_eval(pop.shards.master(), pop.walkers, 0, 1, DerivLevel::VGH, scr,
+                       TeamHandle::of(2));
+  };
+  eval();
+  EXPECT_DEATH(team_for(TeamHandle::of(2), 2,
+                        [&](int member) {
+                          if (member == 0)
+                            eval();
+                        }),
+               "inside an active parallel region");
+}
+
 #endif // MQC_CONTRACTS

@@ -10,9 +10,7 @@
 // Slater-Jastrow wave function in float and double, with and without an
 // inner team.
 #include <cmath>
-#include <cstdlib>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,7 +188,9 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
   // neither the tile count nor the batch, teams wider than the work — must
   // reproduce the per-walker trajectory bit-for-bit on every layout,
   // because inner teams only distribute independent (tile, position-block)
-  // work items and disjoint flush column blocks.
+  // work items.  Only a one-crowd population keeps its inner team: several
+  // crowds sweep flat whatever the knob asks, so the sweep never nests a
+  // parallel region.
   struct LayoutCase
   {
     SpoLayout spo;
@@ -207,8 +207,10 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
   };
   // (crowd, inner): 1×N (whole population, wide team), N×1 (flat), a
   // non-dividing crowd with a non-dividing team, single-walker crowds with
-  // teams, and a team wider than the tile count (16 splines / tile 16).
-  const Shape shapes[] = {{0, 4}, {0, 1}, {2, 3}, {3, 2}, {1, 2}, {2, 8}};
+  // teams, and a team wider than the tile count (16 splines / tile 16) —
+  // the last three run flat.  One crowd with a team that divides nothing
+  // (3) and with one wider than the tile count (8) keeps those cases.
+  const Shape shapes[] = {{0, 4}, {0, 1}, {2, 3}, {3, 2}, {1, 2}, {2, 8}, {0, 3}, {0, 8}};
   for (const auto& lc : cases) {
     auto cfg = crowd_test_config();
     cfg.spo = lc.spo;
@@ -224,7 +226,7 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
       SCOPED_TRACE(::testing::Message() << lc.name << " crowd=" << sh.crowd_size
                                         << " inner=" << sh.inner);
       expect_identical_trajectories(per_walker, crowd, lc.name);
-      EXPECT_EQ(crowd.inner_threads_used, sh.inner);
+      EXPECT_EQ(crowd.inner_threads_used, sh.crowd_size == 0 ? sh.inner : 1);
       EXPECT_EQ(crowd.outer_threads_used,
                 sh.crowd_size == 0 ? 1 : (4 + sh.crowd_size - 1) / sh.crowd_size);
     }
@@ -233,9 +235,8 @@ TEST(CrowdDriver, NestedPartitionsAreBitForBitAcrossShapes)
 
 TEST(CrowdDriver, PerWalkerDriverHonorsInnerTeamsBitForBit)
 {
-  // The per-walker driver owns the same seam: walkers with inner teams
-  // (parallel quadrature batches) must walk the identical trajectory as the
-  // flat per-walker sweep.
+  // The per-walker driver owns the same seam: it is 4 crowds of one, so an
+  // inner-team request runs flat and walks the identical trajectory.
   auto cfg = crowd_test_config();
   cfg.spo = SpoLayout::AoSoA;
   cfg.tile_size = 16;
@@ -247,51 +248,34 @@ TEST(CrowdDriver, PerWalkerDriverHonorsInnerTeamsBitForBit)
   cfg.inner_threads = 3;
   const auto nested = run_miniqmc(cfg);
   expect_identical_trajectories(flat, nested, "per-walker");
-  EXPECT_EQ(nested.inner_threads_used, 3);
+  EXPECT_EQ(nested.inner_threads_used, 1);
+  EXPECT_EQ(nested.team_path, TeamPath::Flat);
 }
 
-TEST(CrowdDriver, TeamPathIsAnExplicitRuntimeCapabilityDecision)
+TEST(CrowdDriver, SeveralCrowdsSweepFlatAndLeaveTheRuntimeNestingAlone)
 {
-#ifdef _OPENMP
-  // Like spline_path, team_path must report what actually ran: with the
-  // runtime pinned to one active level (the operator's OMP_MAX_ACTIVE_LEVELS
-  // contract, which request_nested_levels respects), inner teams under a
-  // multi-crowd outer region serialize — and the result must say so, with
-  // the trajectory still bit-identical.
+  // The sweep opens at most one level of parallel region: two crowds asked
+  // for inner teams of 2 sweep flat, report it, walk the inner-1 trajectory,
+  // and leave the runtime's active-level limit where it was.
   auto cfg = crowd_test_config();
   cfg.spo = SpoLayout::AoSoA;
   cfg.tile_size = 16;
   cfg.driver = DriverMode::Crowd;
   cfg.crowd_size = 2; // 2 crowds -> an active outer region
+  cfg.inner_threads = 1;
+  const auto baseline = run_miniqmc(cfg);
+
+#ifdef _OPENMP
+  const int levels_before = omp_get_max_active_levels();
+#endif
   cfg.inner_threads = 2;
-
-  const auto baseline = run_miniqmc([&] {
-    auto c = cfg;
-    c.inner_threads = 1;
-    return c;
-  }());
-  EXPECT_EQ(baseline.team_path, TeamPath::Flat);
-
-  const int saved_levels = omp_get_max_active_levels();
-  const char* saved_env = std::getenv("OMP_MAX_ACTIVE_LEVELS");
-  const std::string saved_env_value = saved_env ? saved_env : "";
-
-  ::setenv("OMP_MAX_ACTIVE_LEVELS", "1", 1);
-  omp_set_max_active_levels(1);
-  const auto serialized = run_miniqmc(cfg);
-  EXPECT_EQ(serialized.team_path, TeamPath::SerialInner);
-  expect_identical_trajectories(baseline, serialized, "serialized inner");
-
-  ::unsetenv("OMP_MAX_ACTIVE_LEVELS");
-  omp_set_max_active_levels(saved_levels);
-  const auto nested = run_miniqmc(cfg); // request_nested_levels may raise to 2
-  EXPECT_EQ(nested.team_path, TeamPath::NestedInner);
-  expect_identical_trajectories(baseline, nested, "forked inner");
-
-  if (!saved_env_value.empty())
-    ::setenv("OMP_MAX_ACTIVE_LEVELS", saved_env_value.c_str(), 1);
-#else
-  GTEST_SKIP() << "no OpenMP runtime";
+  const auto two = run_miniqmc(cfg);
+  EXPECT_EQ(two.team_path, TeamPath::Flat);
+  EXPECT_EQ(two.outer_threads_used, 2);
+  EXPECT_EQ(two.inner_threads_used, 1);
+  expect_identical_trajectories(baseline, two, "two crowds, inner 2");
+#ifdef _OPENMP
+  EXPECT_EQ(omp_get_max_active_levels(), levels_before);
 #endif
 }
 
@@ -302,7 +286,7 @@ TEST(CrowdDriver, InnerThreadsResolutionExplicitAutoAndTuned)
   cfg.spo = SpoLayout::AoSoA;
   cfg.tile_size = 16;
   cfg.driver = DriverMode::Crowd;
-  cfg.crowd_size = 2;
+  cfg.crowd_size = 0; // one crowd: the only shape that holds an inner team
 
   cfg.inner_threads = 3; // explicit
   EXPECT_EQ(run_miniqmc(cfg).inner_threads_used, 3);
@@ -328,6 +312,10 @@ TEST(CrowdDriver, InnerThreadsResolutionExplicitAutoAndTuned)
   cfg.wisdom = nullptr;
   cfg.inner_threads = -1; // tuned without wisdom: falls back to auto
   EXPECT_GE(run_miniqmc(cfg).inner_threads_used, 1);
+
+  cfg.crowd_size = 2; // two crowds sweep flat whatever the knob asks
+  cfg.inner_threads = 3;
+  EXPECT_EQ(run_miniqmc(cfg).inner_threads_used, 1);
 }
 
 // A wisdom entry is untrusted input: a tile width that is not a lane multiple

@@ -11,6 +11,7 @@
 // population trace, birth/death counters, trial energy bits and per-walker
 // fingerprints, and a run killed at a generation boundary resumes from its
 // snapshot bit-for-bit — including the cumulative branching provenance.
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -20,6 +21,10 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "qmc/dmc_driver.h"
 #include "qmc/miniqmc_driver.h"
@@ -242,6 +247,44 @@ TEST(DmcDriver, FullDmcIsDecompositionNeutral)
     c3.crowd_size = 1;
     expect_same_dmc_run(ref, run_miniqmc(c3), "3 shards / serial / crowd_size 1");
   }
+}
+
+// A population that starts as ONE crowd and outgrows it.  The first
+// generation's crowd holds a 4-thread inner team; once branching splits the
+// population into several crowds they sweep flat, since the sweep opens at
+// most one level of parallel region (a contracts build aborts on a wider
+// team inside the crowds' region).  The run is bit for bit the inner-1 run
+// and leaves the runtime's active-level limit where it was.
+TEST(DmcDriver, PopulationOutgrowingOneCrowdSweepsFlat)
+{
+  ScopedEnv senv("MQC_SHARDS", "1"); // one crowd on any topology
+  MiniQMCConfig cfg = dmc_cfg(SpoLayout::AoSoA, true, 1);
+  cfg.tile_size = 16;
+  cfg.quadrature_points = 4;
+  cfg.num_walkers = 2;
+  cfg.crowd_size = 2;
+  cfg.dmc_generations = 8;
+  cfg.dmc_tau = 1.2;
+  cfg.dmc_target_walkers = 8;
+  cfg.inner_threads = 1;
+  const MiniQMCResult flat = run_miniqmc(cfg);
+
+#ifdef _OPENMP
+  const int levels_before = omp_get_max_active_levels();
+#endif
+  cfg.inner_threads = 4;
+  const MiniQMCResult grown = run_miniqmc(cfg);
+  // The population leaves its one crowd (a native build reads 2 6 18 32 16
+  // 3 1 2: up to 16 crowds).
+  ASSERT_EQ(grown.dmc_population.size(), 8u);
+  EXPECT_GT(*std::max_element(grown.dmc_population.begin(), grown.dmc_population.end()),
+            2 * cfg.crowd_size);
+  EXPECT_EQ(grown.inner_threads_used, 4); // the initial population's one crowd
+  EXPECT_EQ(grown.team_path, TeamPath::NestedInner);
+  expect_same_dmc_run(flat, grown, "one crowd with a team of 4, then several flat");
+#ifdef _OPENMP
+  EXPECT_EQ(omp_get_max_active_levels(), levels_before);
+#endif
 }
 
 // Mixed precision under branching: a Mixed full-DMC run is still a

@@ -140,8 +140,8 @@ void direct_eval(FacadeFixture<T>& fx, Fam fam, DerivLevel d, Outputs<T>& out)
 }
 
 template <typename T>
-void run_equivalence(Fam fam, DerivLevel d, int pos_block, bool parallel,
-                     TeamHandle team = TeamHandle::whole_machine())
+void run_equivalence(Fam fam, DerivLevel d, int pos_block,
+                     TeamHandle team = TeamHandle::serial())
 {
   FacadeFixture<T> fx;
   const bool aos = fam == Fam::AoS;
@@ -165,7 +165,6 @@ void run_equivalence(Fam fam, DerivLevel d, int pos_block, bool parallel,
   }
   rq.stride = stride;
   rq.pos_block = pos_block;
-  rq.parallel = parallel;
   rq.team = team;
   spo.evaluate(rq, res);
 
@@ -209,7 +208,7 @@ TYPED_TEST(OrbitalSetTypedTest, FacadeMatchesDirectCallsBitForBit)
         SCOPED_TRACE(::testing::Message()
                      << "family=" << static_cast<int>(fam) << " deriv=" << static_cast<int>(d)
                      << " pos_block=" << pb);
-        run_equivalence<TypeParam>(fam, d, pb, /*parallel=*/false);
+        run_equivalence<TypeParam>(fam, d, pb);
       }
 }
 
@@ -219,7 +218,7 @@ TYPED_TEST(OrbitalSetTypedTest, ParallelRequestsMatchSerialBitForBit)
     for (const auto d : {DerivLevel::V, DerivLevel::VGH}) {
       SCOPED_TRACE(::testing::Message()
                    << "family=" << static_cast<int>(fam) << " deriv=" << static_cast<int>(d));
-      run_equivalence<TypeParam>(fam, d, /*pos_block=*/2, /*parallel=*/true);
+      run_equivalence<TypeParam>(fam, d, /*pos_block=*/2, TeamHandle::whole_machine());
     }
 }
 
@@ -233,25 +232,24 @@ TYPED_TEST(OrbitalSetTypedTest, TeamScheduledRequestsMatchSerialBitForBit)
     for (const int nth : {2, 3, 16}) {
       SCOPED_TRACE(::testing::Message()
                    << "family=" << static_cast<int>(fam) << " team=" << nth);
-      run_equivalence<TypeParam>(fam, DerivLevel::VGH, /*pos_block=*/2, /*parallel=*/true,
-                                 TeamHandle::of(nth));
+      run_equivalence<TypeParam>(fam, DerivLevel::VGH, /*pos_block=*/2, TeamHandle::of(nth));
     }
 }
 
 TYPED_TEST(OrbitalSetTypedTest, SerialTeamRunsTheSerialSweep)
 {
-  // parallel=true with a one-thread team must not open a region at all —
-  // it is the serial-inside-crowd path of a flat partition.
-  run_equivalence<TypeParam>(Fam::AoSoA, DerivLevel::VGL, /*pos_block=*/3, /*parallel=*/true,
-                             TeamHandle::serial());
+  // A one-thread team must not open a region at all — it is the
+  // serial-inside-crowd path of a flat partition.
+  run_equivalence<TypeParam>(Fam::AoSoA, DerivLevel::VGL, /*pos_block=*/3, TeamHandle::serial());
 }
 
 TEST(OrbitalSet, TeamRequestsInsideAnOuterRegionMatchSerial)
 {
-  // The nested shape the crowd driver runs: an outer region whose members
-  // each issue team-scheduled facade requests.  Whether the inner regions
-  // fork or serialize is the runtime's nesting capability; the outputs must
-  // be bit-identical either way (each member writes its own buffers).
+  // An outer region whose members each issue team-scheduled facade
+  // requests (a caller that nests facade calls itself; the crowd sweep
+  // never does).  Whether the inner regions fork or serialize is the
+  // runtime's nesting capability; the outputs must be bit-identical either
+  // way (each member writes its own buffers).
   FacadeFixture<float> fx;
   const std::size_t stride = fx.aosoa.out_stride();
   Outputs<float> ref(kBatch, stride, false, true);
@@ -262,7 +260,6 @@ TEST(OrbitalSet, TeamRequestsInsideAnOuterRegionMatchSerial)
   for (int c = 0; c < kOuter; ++c)
     got.push_back(std::make_unique<Outputs<float>>(kBatch, stride, false, true));
 
-  request_nested_levels(2);
   OrbitalSet<float> spo(fx.aosoa);
 #pragma omp parallel num_threads(kOuter)
   {
@@ -277,7 +274,6 @@ TEST(OrbitalSet, TeamRequestsInsideAnOuterRegionMatchSerial)
     rq.lh = got[static_cast<std::size_t>(c)]->lh.data();
     rq.stride = stride;
     rq.pos_block = 2;
-    rq.parallel = true;
     rq.team = TeamHandle::of(2);
     spo.evaluate(rq, res);
   }
@@ -303,7 +299,6 @@ TEST(OrbitalSet, ThreadInstanceIsPerNestingLevel)
   outer_w[3].i0 = 44;
 
   OrbitalResource<float>* inner_seen = nullptr;
-  request_nested_levels(2);
 #pragma omp parallel num_threads(1)
   {
     // Same OS thread (a one-thread region), one nesting level deeper.

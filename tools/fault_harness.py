@@ -43,7 +43,9 @@ detected or a resumed trajectory diverges from the uninterrupted reference:
                         .prev, still land on the reference.
 
 Scenarios run for both drivers under two MQC_PARTITION shapes so the resume
-invariant is exercised across schedules, not just one thread layout.
+invariant is exercised across schedules, not just one thread layout.  Only a
+one-crowd population takes an inner team, so the per-walker driver (4 crowds
+of one) sweeps 4x1 under both shapes.
 kill -> resume and corrupt -> fall back also run under --layout aos, so the
 AoS distance-table rebuild on restore sees injected faults too.  Every
 scenario that injects file damage also asserts the binary CONFIRMED the
